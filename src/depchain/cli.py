@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -273,7 +274,7 @@ def _cmd_train(parser, args) -> int:
     if args.embeddings:
         inputs.append(args.embeddings)
     _write_manifest(args.out + ".manifest.json", "train", config.seed,
-                    config.to_dict(), inputs, [args.out])
+                    asdict(config), inputs, [args.out])
     last = f", final mean loss {trained.history[-1]:.4f}" if trained.history else ""
     print(f"trained {config.model_type} on {len(mentions)} mentions, "
           f"{config.epochs} epochs{last}")
@@ -291,7 +292,7 @@ def _cmd_eval(parser, args) -> int:
             json.dump(metrics.to_dict(), f, sort_keys=True, indent=2)
             f.write("\n")
         _write_manifest(args.out + ".manifest.json", "eval", trained.config.seed,
-                        trained.config.to_dict(),
+                        asdict(trained.config),
                         [args.model, args.conllu, args.events], [args.out])
     return 0
 
@@ -318,7 +319,7 @@ def _cmd_cv(parser, args) -> int:
             json.dump(result.report_dict(), f, sort_keys=True, indent=2)
             f.write("\n")
         outputs.append(args.out)
-        cv_config = dict(config.to_dict(), folds=args.folds)
+        cv_config = dict(asdict(config), folds=args.folds)
         _write_manifest(args.out + ".manifest.json", "cv", config.seed, cv_config,
                         [args.conllu, args.events], outputs)
     return 0
@@ -343,7 +344,7 @@ def _cmd_saliency(parser, args) -> int:
         with open(path, "w", encoding="utf-8") as f:
             f.write(emit_heatmap(smap, args.format))
         outputs.append(path)
-    config = dict(trained.config.to_dict(), format=args.format,
+    config = dict(asdict(trained.config), format=args.format,
                   at_predicted=args.at_predicted)
     _write_manifest(os.path.join(args.out, "manifest.json"), "saliency",
                     trained.config.seed, config,

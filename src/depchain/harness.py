@@ -9,14 +9,14 @@ in parallel; aggregation is ordered by fold index.
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .chain import extract_chain, extract_window
 from .corpus import DepSentence, EventMention, TemporalStatus, index_sentences
-from .errors import CorpusError, TrainingError
+from .errors import CheckpointError, CorpusError, TrainingError
 from .models import (
     EncodedInput,
     MODEL_TYPES,
@@ -75,6 +75,9 @@ class TrainConfig:
     finetune_embeddings: bool = False
 
     def __post_init__(self):
+        for name in ("epochs", "hidden", "half_width", "batch_size", "seed", "embedding_dim"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.model_type not in MODEL_TYPES:
             raise ValueError(f"unknown model_type {self.model_type!r}")
         if self.representation not in REPRESENTATIONS:
@@ -100,27 +103,6 @@ class TrainConfig:
             raise ValueError("embedding_dim must be positive")
         if self.tree_readout not in ("root", "target"):
             raise ValueError("tree_readout must be 'root' or 'target'")
-
-    def to_dict(self) -> dict:
-        return {
-            "model_type": self.model_type,
-            "representation": self.representation,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "dropout": self.dropout,
-            "hidden": self.hidden,
-            "half_width": self.half_width,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "embeddings": self.embeddings,
-            "embedding_dim": self.embedding_dim,
-            "tree_readout": self.tree_readout,
-            "finetune_embeddings": self.finetune_embeddings,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 class Metrics:
@@ -532,13 +514,30 @@ def save_trained(trained: TrainedModel, path: str) -> None:
         trained.model.model_type,
         trained.model.params,
         trained.table,
-        trained.config.to_dict(),
+        asdict(trained.config),
     )
 
 
 def load_trained(path: str) -> TrainedModel:
+    """Restore a save_trained checkpoint; CheckpointError when its config or
+    parameters do not fit the model it declares."""
     model_type, params, table, config_dict = load_checkpoint(path)
-    config = TrainConfig.from_dict(config_dict)
+    try:
+        config = TrainConfig(**config_dict)
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: bad config: {e}") from None
+    if model_type != config.model_type:
+        raise CheckpointError(
+            f"{path}: header model_type {model_type!r} differs from config {config.model_type!r}"
+        )
+    fresh = build_model(model_type, table.dim, config.hidden, np.random.default_rng(0))
+    found = {n: v.shape for n, v in params.values.items()}
+    expected = {n: v.shape for n, v in fresh.params.values.items()}
+    if found != expected:
+        raise CheckpointError(
+            f"{path}: parameters {found} do not fit a {model_type} model "
+            f"with dim {table.dim} and hidden {config.hidden}: expected {expected}"
+        )
     model = restore_model(
         model_type, params, table.dim, config.hidden, tree_readout=config.tree_readout
     )

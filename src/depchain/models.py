@@ -4,7 +4,8 @@ Each model maps an encoded input to 3-class logits (PAST, ONGOING, FUTURE),
 exposes a backward pass that accumulates parameter gradients and returns the
 gradient with respect to the input embeddings, and is deterministic in eval
 mode. Dropout touches only the penultimate vector (final hidden state or
-pooled feature vector).
+pooled feature vector). The LSTM and the tree-LSTM share one cell: the LSTM
+is the child-sum tree-LSTM run on a chain.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "N_CLASSES",
     "FILTER_WIDTH",
     "EncodedInput",
-    "LstmClassifier",
     "CnnClassifier",
     "TreeLstmClassifier",
     "MODEL_TYPES",
@@ -64,94 +64,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     ez = np.exp(x[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-class LstmClassifier:
-    """Single-layer left-to-right LSTM; softmax over the final hidden state."""
-
-    model_type = "lstm"
-
-    GATES = ("i", "f", "o", "g")
-
-    def __init__(self, params: ParamSet, dim: int, hidden: int):
-        self.params = params
-        self.dim = dim
-        self.hidden = hidden
-
-    @classmethod
-    def init(cls, dim: int, hidden: int, rng: np.random.Generator) -> "LstmClassifier":
-        p = ParamSet()
-        for gate in cls.GATES:
-            p.add("W" + gate, uniform_init(rng, (dim, hidden)))
-            p.add("U" + gate, uniform_init(rng, (hidden, hidden)))
-            b = uniform_init(rng, (hidden,))
-            if gate == "f":
-                b = np.ones(hidden)  # standard forget-gate bias, helps long gaps
-            p.add("b" + gate, b)
-        p.add("Wy", uniform_init(rng, (hidden, N_CLASSES)))
-        p.add("by", uniform_init(rng, (N_CLASSES,)))
-        return cls(p, dim, hidden)
-
-    def forward(self, inst: EncodedInput, mode: str = "eval",
-                drop_ratio: float = 0.0, drop_rng=None):
-        T = len(inst)
-        if T == 0:
-            raise ValueError("lstm forward: empty sequence")
-        p = self.params
-        H = self.hidden
-        h = np.zeros(H)
-        c = np.zeros(H)
-        steps = []
-        for t in range(T):
-            x = inst.X[t]
-            i = _sigmoid(x @ p["Wi"] + h @ p["Ui"] + p["bi"])
-            f = _sigmoid(x @ p["Wf"] + h @ p["Uf"] + p["bf"])
-            o = _sigmoid(x @ p["Wo"] + h @ p["Uo"] + p["bo"])
-            g = np.tanh(x @ p["Wg"] + h @ p["Ug"] + p["bg"])
-            c_new = f * c + i * g
-            tanh_c = np.tanh(c_new)
-            h_new = o * tanh_c
-            steps.append((x, h, c, i, f, o, g, tanh_c))
-            h, c = h_new, c_new
-        hd, mask = dropout(h, drop_ratio, mode, drop_rng)
-        logits = hd @ p["Wy"] + p["by"]
-        cache = (inst, steps, h, hd, mask)
-        return logits, cache
-
-    def backward(self, cache, dlogits: np.ndarray) -> np.ndarray:
-        inst, steps, h_final, hd, mask = cache
-        p = self.params
-        g_ = self.params.grads
-        g_["Wy"] += np.outer(hd, dlogits)
-        g_["by"] += dlogits
-        dh = (p["Wy"] @ dlogits) * mask
-        dc = np.zeros(self.hidden)
-        dX = np.zeros_like(inst.X)
-        for t in range(len(steps) - 1, -1, -1):
-            x, h_prev, c_prev, i, f, o, g, tanh_c = steps[t]
-            do = dh * tanh_c
-            dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-            di = dc * g
-            dg = dc * i
-            df = dc * c_prev
-            dc_prev = dc * f
-            # pre-activation gradients
-            zi = di * i * (1.0 - i)
-            zf = df * f * (1.0 - f)
-            zo = do * o * (1.0 - o)
-            zg = dg * (1.0 - g * g)
-            dx = np.zeros(self.dim)
-            dh_prev = np.zeros(self.hidden)
-            for gate, z in (("i", zi), ("f", zf), ("o", zo), ("g", zg)):
-                g_["W" + gate] += np.outer(x, z)
-                g_["U" + gate] += np.outer(h_prev, z)
-                g_["b" + gate] += z
-                dx += p["W" + gate] @ z
-                dh_prev += p["U" + gate] @ z
-            dX[t] = dx
-            dh = dh_prev
-            dc = dc_prev
-        return dX
 
 
 class CnnClassifier:
@@ -218,40 +130,60 @@ class CnnClassifier:
 
 
 class TreeLstmClassifier:
-    """Child-sum tree-LSTM over the sentence dependency tree.
+    """Child-sum tree-LSTM; model_type "lstm" runs the same cell on a chain.
 
-    Gates i/o/u read the sum of children hidden states; each child gets its
-    own forget gate f_k = sigmoid(x W_f + h_k U_f + b_f). Classification
-    reads the root node's hidden state by default; readout="target" reads the
-    mention node instead.
+    Gates i/o/u read the sum of children hidden states through the fused
+    W_iou/U_iou (columns i, o, u); each child k gets its own forget gate
+    f_k = sigmoid(x W_f + h_k U_f + b_f). Under "treelstm" the input's
+    dependency tree is read at the root node by default; readout="target"
+    reads the mention node instead. Under "lstm" the input is a left-to-right
+    chain (position t's only child is t-1), the last position is read out, and
+    the forget bias starts at 1. This is the standard LSTM: with one child the
+    child sum is the previous hidden state (Tai, Socher & Manning 2015).
     """
 
-    model_type = "treelstm"
-
-    GATES = ("i", "f", "o", "u")
-
-    def __init__(self, params: ParamSet, dim: int, hidden: int, readout: str = "root"):
+    def __init__(self, params: ParamSet, dim: int, hidden: int,
+                 model_type: str = "treelstm", readout: str = "root"):
+        if model_type not in ("lstm", "treelstm"):
+            raise ValueError(f"unknown model type {model_type!r}")
         if readout not in ("root", "target"):
             raise ValueError(f"readout must be 'root' or 'target', got {readout!r}")
         self.params = params
         self.dim = dim
         self.hidden = hidden
+        self.model_type = model_type
         self.readout = readout
 
     @classmethod
     def init(cls, dim: int, hidden: int, rng: np.random.Generator,
-             readout: str = "root") -> "TreeLstmClassifier":
+             model_type: str = "treelstm", readout: str = "root") -> "TreeLstmClassifier":
+        # draw W, U, b gate by gate in the order i, f, o, u, then fuse i/o/u:
+        # a seed gives the same numbers as one matrix per gate would
+        shapes = ((dim, hidden), (hidden, hidden), (hidden,))
+        drawn = {gate: [uniform_init(rng, s) for s in shapes] for gate in "ifou"}
+        if model_type == "lstm":
+            drawn["f"][2] = np.ones(hidden)  # standard forget-gate bias, helps long gaps
         p = ParamSet()
-        for gate in cls.GATES:
-            p.add("W" + gate, uniform_init(rng, (dim, hidden)))
-            p.add("U" + gate, uniform_init(rng, (hidden, hidden)))
-            p.add("b" + gate, uniform_init(rng, (hidden,)))
+        for k, kind in enumerate("WUb"):
+            p.add(kind + "_iou", np.concatenate([drawn[g][k] for g in "iou"], axis=-1))
+        for k, kind in enumerate("WUb"):
+            p.add(kind + "_f", drawn["f"][k])
         p.add("Wy", uniform_init(rng, (hidden, N_CLASSES)))
         p.add("by", uniform_init(rng, (N_CLASSES,)))
-        return cls(p, dim, hidden, readout)
+        return cls(p, dim, hidden, model_type, readout)
 
-    def _order(self, inst: EncodedInput) -> list[int]:
-        # children strictly before parents; iterative post-order from the root
+    def _structure(self, inst: EncodedInput):
+        """(children lists, node order with children before parents, readout)."""
+        T = len(inst)
+        if self.model_type == "lstm":
+            if T == 0:
+                raise ValueError("lstm forward: empty sequence")
+            return [[]] + [[t] for t in range(T - 1)], range(T), T - 1
+        if T == 0:
+            raise ValueError("treelstm forward: empty tree")
+        if inst.children is None:
+            raise ValueError("treelstm forward: input lacks tree structure")
+        # iterative post-order from the root
         order: list[int] = []
         stack = [(inst.root_pos, False)]
         pushes = 0
@@ -261,115 +193,108 @@ class TreeLstmClassifier:
                 order.append(node)
                 continue
             pushes += 1
-            if pushes > len(inst):
+            if pushes > T:
                 raise ValueError("tree input contains a cycle")
             stack.append((node, True))
             for ch in inst.children[node]:
                 stack.append((ch, False))
-        if len(order) != len(inst):
+        if len(order) != T:
             raise ValueError("tree input does not span all positions")
-        return order
+        read = inst.root_pos if self.readout == "root" else inst.target_pos
+        return [list(kids) for kids in inst.children], order, read
 
     def forward(self, inst: EncodedInput, mode: str = "eval",
                 drop_ratio: float = 0.0, drop_rng=None):
-        if len(inst) == 0:
-            raise ValueError("treelstm forward: empty tree")
-        if inst.children is None:
-            raise ValueError("treelstm forward: input lacks tree structure")
+        children, order, read = self._structure(inst)
         p = self.params
-        H = self.hidden
-        order = self._order(inst)
-        h = np.zeros((len(inst), H))
-        c = np.zeros((len(inst), H))
-        node_cache: dict[int, tuple] = {}
+        T, H = len(inst), self.hidden
+        U_iou, U_f = p["U_iou"], p["U_f"]
+        x_iou = inst.X @ p["W_iou"] + p["b_iou"]  # input terms of every node at once
+        x_f = inst.X @ p["W_f"] + p["b_f"]
+        h_sum = np.zeros((T, H))
+        iou = np.empty((T, 3 * H))
+        f = np.zeros((T, H))  # row k: the forget gate k's parent applies to c[k]
+        c = np.empty((T, H))
+        tanh_c = np.empty((T, H))
+        h = np.empty((T, H))
         for j in order:
-            x = inst.X[j]
-            kids = inst.children[j]
-            h_sum = h[list(kids)].sum(axis=0) if kids else np.zeros(H)
-            i = _sigmoid(x @ p["Wi"] + h_sum @ p["Ui"] + p["bi"])
-            o = _sigmoid(x @ p["Wo"] + h_sum @ p["Uo"] + p["bo"])
-            u = np.tanh(x @ p["Wu"] + h_sum @ p["Uu"] + p["bu"])
-            fk = [_sigmoid(x @ p["Wf"] + h[k] @ p["Uf"] + p["bf"]) for k in kids]
-            c[j] = i * u + sum((fk[n] * c[k] for n, k in enumerate(kids)), np.zeros(H))
-            tanh_c = np.tanh(c[j])
-            h[j] = o * tanh_c
-            node_cache[j] = (x, h_sum, i, o, u, fk, tanh_c)
-        read = inst.root_pos if self.readout == "root" else inst.target_pos
+            kids = children[j]
+            z = x_iou[j]
+            if kids:
+                h_sum[j] = h[kids].sum(axis=0)
+                z = z + h_sum[j] @ U_iou
+                f[kids] = _sigmoid(x_f[j] + h[kids] @ U_f)
+            iou[j, : 2 * H] = _sigmoid(z[: 2 * H])
+            iou[j, 2 * H :] = np.tanh(z[2 * H :])
+            c[j] = iou[j, :H] * iou[j, 2 * H :]
+            if kids:
+                c[j] += (f[kids] * c[kids]).sum(axis=0)
+            tanh_c[j] = np.tanh(c[j])
+            h[j] = iou[j, H : 2 * H] * tanh_c[j]
         hd, mask = dropout(h[read], drop_ratio, mode, drop_rng)
         logits = hd @ p["Wy"] + p["by"]
-        cache = (inst, order, h, c, node_cache, read, hd, mask)
+        cache = (inst, children, order, read, h_sum, iou, f, c, tanh_c, h, hd, mask)
         return logits, cache
 
     def backward(self, cache, dlogits: np.ndarray) -> np.ndarray:
-        inst, order, h, c, node_cache, read, hd, mask = cache
+        inst, children, order, read, h_sum, iou, f, c, tanh_c, h, hd, mask = cache
         p = self.params
         g_ = self.params.grads
-        H = self.hidden
+        T, H = len(inst), self.hidden
+        U_iou, U_f_T = p["U_iou"], p["U_f"].T
         g_["Wy"] += np.outer(hd, dlogits)
         g_["by"] += dlogits
-        dh = np.zeros((len(inst), H))
-        dc = np.zeros((len(inst), H))
+        i, o, u = iou[:, :H], iou[:, H : 2 * H], iou[:, 2 * H :]
+        act_iou = iou * (1.0 - iou)  # sigmoid' of i and o; tanh' of u below
+        act_iou[:, 2 * H :] = 1.0 - u * u
+        act_f = f * (1.0 - f)
+        dtanh_c = 1.0 - tanh_c * tanh_c
+        dh = np.zeros((T, H))
+        dc = np.zeros((T, H))
         dh[read] = (p["Wy"] @ dlogits) * mask
-        dX = np.zeros_like(inst.X)
+        dz_iou = np.zeros((T, 3 * H))  # pre-activation gradients per node
+        dz_f = np.zeros((T, H))  # row k: forget pre-activation gradient of child k
+        dz_f_sum = np.zeros((T, H))  # row j: dz_f summed over j's children
         for j in reversed(order):  # parents before children
-            x, h_sum, i, o, u, fk, tanh_c = node_cache[j]
-            kids = inst.children[j]
-            dhj, dcj = dh[j], dc[j]
-            do = dhj * tanh_c
-            dcj = dcj + dhj * o * (1.0 - tanh_c * tanh_c)
-            di = dcj * u
-            du = dcj * i
-            zi = di * i * (1.0 - i)
-            zo = do * o * (1.0 - o)
-            zu = du * (1.0 - u * u)
-            dx = np.zeros(self.dim)
-            dh_sum = np.zeros(H)
-            for gate, z in (("i", zi), ("o", zo), ("u", zu)):
-                g_["W" + gate] += np.outer(x, z)
-                g_["U" + gate] += np.outer(h_sum, z)
-                g_["b" + gate] += z
-                dx += p["W" + gate] @ z
-                dh_sum += p["U" + gate] @ z
-            for n, k in enumerate(kids):
-                df = dcj * c[k]
-                zf = df * fk[n] * (1.0 - fk[n])
-                g_["Wf"] += np.outer(x, zf)
-                g_["Uf"] += np.outer(h[k], zf)
-                g_["bf"] += zf
-                dx += p["Wf"] @ zf
-                dh[k] += dh_sum + p["Uf"] @ zf
-                dc[k] += dcj * fk[n]
-            dX[j] = dx
-        return dX
+            dcj = dc[j] + dh[j] * o[j] * dtanh_c[j]
+            dz = dz_iou[j]
+            dz[:H] = dcj * u[j]
+            dz[H : 2 * H] = dh[j] * tanh_c[j]
+            dz[2 * H :] = dcj * i[j]
+            dz *= act_iou[j]
+            kids = children[j]
+            if kids:
+                zf = dcj * c[kids] * act_f[kids]
+                dz_f[kids] = zf
+                dz_f_sum[j] = zf.sum(axis=0)
+                dh[kids] += U_iou @ dz + zf @ U_f_T
+                dc[kids] += dcj * f[kids]
+        g_["W_iou"] += inst.X.T @ dz_iou
+        g_["U_iou"] += h_sum.T @ dz_iou
+        g_["b_iou"] += dz_iou.sum(axis=0)
+        g_["W_f"] += inst.X.T @ dz_f_sum
+        g_["U_f"] += h.T @ dz_f
+        g_["b_f"] += dz_f_sum.sum(axis=0)
+        return dz_iou @ p["W_iou"].T + dz_f_sum @ p["W_f"].T
 
 
 MODEL_TYPES = ("lstm", "cnn", "treelstm")
-
-_MODEL_CLASSES = {
-    "lstm": LstmClassifier,
-    "cnn": CnnClassifier,
-    "treelstm": TreeLstmClassifier,
-}
 
 
 def build_model(model_type: str, dim: int, hidden: int,
                 rng: np.random.Generator, tree_readout: str = "root"):
     """Initialize a fresh classifier; hidden doubles as the CNN filter count."""
-    if model_type not in _MODEL_CLASSES:
-        raise ValueError(f"unknown model type {model_type!r}")
-    if model_type == "treelstm":
-        return TreeLstmClassifier.init(dim, hidden, rng, readout=tree_readout)
-    return _MODEL_CLASSES[model_type].init(dim, hidden, rng)
+    if model_type == "cnn":
+        return CnnClassifier.init(dim, hidden, rng)
+    return TreeLstmClassifier.init(dim, hidden, rng, model_type, tree_readout)
 
 
 def restore_model(model_type: str, params: ParamSet, dim: int, hidden: int,
                   tree_readout: str = "root"):
     """Wrap already-loaded parameters (checkpoint restore path)."""
-    if model_type == "treelstm":
-        return TreeLstmClassifier(params, dim, hidden, readout=tree_readout)
-    if model_type not in _MODEL_CLASSES:
-        raise ValueError(f"unknown model type {model_type!r}")
-    return _MODEL_CLASSES[model_type](params, dim, hidden)
+    if model_type == "cnn":
+        return CnnClassifier(params, dim, hidden)
+    return TreeLstmClassifier(params, dim, hidden, model_type, tree_readout)
 
 
 def model_loss(model, inst: EncodedInput, gold: int, mode: str = "eval",

@@ -31,7 +31,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 class ParamSet:
@@ -52,12 +52,6 @@ class ParamSet:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.values[name]
 
-    def grad(self, name: str) -> np.ndarray:
-        return self.grads[name]
-
-    def names(self) -> list[str]:
-        return list(self.values)
-
     def zero_grads(self):
         for g in self.grads.values():
             g[...] = 0.0
@@ -71,9 +65,6 @@ class ParamSet:
         for name, v in self.values.items():
             out.add(name, v.copy())
         return out
-
-    def n_elements(self) -> int:
-        return sum(v.size for v in self.values.values())
 
 
 def uniform_init(rng: np.random.Generator, shape, scale: float = 0.05) -> np.ndarray:
@@ -301,6 +292,8 @@ def load_embeddings(text: str) -> EmbeddingTable:
             vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
         except ValueError:
             raise EmbeddingError(f"line {lineno}: non-numeric vector component") from None
+        if not np.isfinite(vec).all():
+            raise EmbeddingError(f"line {lineno}: non-finite vector component for word {parts[0]!r}")
         words.append(parts[0])
         vectors.append(vec)
     if len(words) != vocab_size:
@@ -359,6 +352,18 @@ def save_checkpoint(
             f.write(b)
 
 
+_HEADER_FIELDS = {"model_type": str, "config": dict, "params": list, "vocab": list, "dim": int}
+
+
+def _is_param_entry(entry) -> bool:
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("name"), str)
+        and isinstance(entry.get("shape"), list)
+        and all(isinstance(n, int) and n >= 0 for n in entry["shape"])
+    )
+
+
 def load_checkpoint(path: str) -> tuple[str, ParamSet, EmbeddingTable, dict]:
     if not os.path.exists(path):
         raise CheckpointError(f"checkpoint not found: {path}")
@@ -369,14 +374,23 @@ def load_checkpoint(path: str) -> tuple[str, ParamSet, EmbeddingTable, dict]:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise CheckpointError(f"unreadable checkpoint header in {path}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"checkpoint header in {path} is not a JSON object")
     if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format_version {header.get('format_version')!r}")
+    for key, kind in _HEADER_FIELDS.items():
+        if not isinstance(header.get(key), kind):
+            raise CheckpointError(f"checkpoint header field {key!r} missing or not a {kind.__name__}")
+    if not all(_is_param_entry(e) for e in header["params"]):
+        raise CheckpointError("checkpoint header has a malformed params entry")
+    if not all(isinstance(w, str) for w in header["vocab"]) or header["dim"] < 1:
+        raise CheckpointError("checkpoint header has a malformed vocab or dim")
     params = ParamSet()
     offset = 0
 
     def take(shape) -> np.ndarray:
         nonlocal offset
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)  # Python ints: a forged shape cannot overflow
         nbytes = count * 8
         if offset + nbytes > len(payload):
             raise CheckpointError("checkpoint payload truncated")
@@ -385,6 +399,8 @@ def load_checkpoint(path: str) -> tuple[str, ParamSet, EmbeddingTable, dict]:
         return arr.astype(np.float64)
 
     for entry in header["params"]:
+        if entry["name"] in params.values:
+            raise CheckpointError(f"checkpoint repeats parameter {entry['name']!r}")
         params.add(entry["name"], take(tuple(entry["shape"])))
     vocab = header["vocab"]
     dim = header["dim"]

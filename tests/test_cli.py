@@ -192,6 +192,20 @@ class TestTrainEval:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_eval_bad_checkpoint(self, tmp_path, capsys):
+        conllu, events = gen_corpus(tmp_path)
+        ckpt = train_tiny(tmp_path, conllu, events)
+        with open(ckpt, "rb") as f:
+            header, payload = f.read().split(b"\n", 1)
+        header = header.replace(b'"model_type": "lstm"', b'"model_type": "cnn"')
+        with open(ckpt, "wb") as f:
+            f.write(header + b"\n" + payload)
+        capsys.readouterr()
+        rc = main(["eval", "--model", ckpt, "--conllu", conllu, "--events", events])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "do not fit a cnn model" in err
+
     def test_tree_repr_mismatch_usage_error(self, tmp_path, capsys):
         conllu, events = gen_corpus(tmp_path)
         with pytest.raises(SystemExit) as exc:

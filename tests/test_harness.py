@@ -1,5 +1,7 @@
 """Training harness: configs, metrics, splits, training, cross-validation."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,8 @@ class TestTrainConfig:
             dict(batch_size=0),
             dict(embedding_dim=0),
             dict(tree_readout="leaf"),
+            dict(hidden=3.0),
+            dict(half_width=2.5),
         ],
     )
     def test_rejected_values(self, bad):
@@ -95,7 +99,7 @@ class TestTrainConfig:
             seed=9, embedding_dim=5, tree_readout="target",
             finetune_embeddings=True,
         )
-        assert TrainConfig.from_dict(c.to_dict()) == c
+        assert TrainConfig(**asdict(c)) == c
 
 
 class TestMetrics:

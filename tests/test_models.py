@@ -50,6 +50,51 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def gate(p, name, gate_name):
+    """One gate's block of a fused i/o/u parameter (columns i, o, u)."""
+    k = "iou".index(gate_name)
+    H = p["U_f"].shape[0]
+    return p[name][..., k * H : (k + 1) * H]
+
+
+def textbook_lstm(p, X, dlogits):
+    """Reference LSTM with one matmul per gate, forward and backward.
+
+    Returns (logits, dX) for dlogits at the output. Written out gate by gate
+    as in the usual LSTM equations, independent of the fused cell.
+    """
+    W = {g: gate(p, "W_iou", g) for g in "iou"} | {"f": p["W_f"]}
+    U = {g: gate(p, "U_iou", g) for g in "iou"} | {"f": p["U_f"]}
+    b = {g: gate(p, "b_iou", g) for g in "iou"} | {"f": p["b_f"]}
+    H = p["U_f"].shape[0]
+    h, c = np.zeros(H), np.zeros(H)
+    steps = []
+    for x in X:
+        i = sigmoid(x @ W["i"] + h @ U["i"] + b["i"])
+        f = sigmoid(x @ W["f"] + h @ U["f"] + b["f"])
+        o = sigmoid(x @ W["o"] + h @ U["o"] + b["o"])
+        u = np.tanh(x @ W["u"] + h @ U["u"] + b["u"])
+        c_new = f * c + i * u
+        steps.append((c, i, f, o, u, np.tanh(c_new)))
+        h, c = o * np.tanh(c_new), c_new
+    logits = h @ p["Wy"] + p["by"]
+    dh, dc = p["Wy"] @ dlogits, np.zeros(H)
+    dX = np.zeros_like(X)
+    for t in range(len(X) - 1, -1, -1):
+        c_prev, i, f, o, u, tanh_c = steps[t]
+        dc = dc + dh * o * (1.0 - tanh_c**2)
+        z = {
+            "i": dc * u * i * (1.0 - i),
+            "f": dc * c_prev * f * (1.0 - f),
+            "o": dh * tanh_c * o * (1.0 - o),
+            "u": dc * i * (1.0 - u**2),
+        }
+        dX[t] = sum(W[g] @ z[g] for g in "ifou")
+        dh = sum(U[g] @ z[g] for g in "ifou")
+        dc = dc * f
+    return logits, dX
+
+
 class TestZeroParameterAlgebra:
     def test_lstm_logits_equal_output_bias(self):
         m = zeroed("lstm", 4, 3)
@@ -85,13 +130,42 @@ class TestLstmSingleStep:
         m = build_model("lstm", 3, 4, rng)
         x = rng.standard_normal(3)
         p = m.params
-        i = sigmoid(x @ p["Wi"] + p["bi"])
-        o = sigmoid(x @ p["Wo"] + p["bo"])
-        g = np.tanh(x @ p["Wg"] + p["bg"])
+        i = sigmoid(x @ gate(p, "W_iou", "i") + gate(p, "b_iou", "i"))
+        o = sigmoid(x @ gate(p, "W_iou", "o") + gate(p, "b_iou", "o"))
+        g = np.tanh(x @ gate(p, "W_iou", "u") + gate(p, "b_iou", "u"))
         h = o * np.tanh(i * g)  # c0 = 0, so the forget gate drops out
         want = h @ p["Wy"] + p["by"]
         logits, _ = m.forward(seq_input(x[None, :]))
         assert np.allclose(logits, want, atol=1e-14)
+
+
+class TestOneCell:
+    @pytest.mark.parametrize("length", range(1, 13))
+    def test_lstm_equals_textbook_loop(self, length):
+        rng = np.random.default_rng(100 + length)
+        m = build_model("lstm", 5, 6, rng)
+        X = rng.standard_normal((length, 5))
+        dlogits = rng.standard_normal(3)
+        logits, cache = m.forward(seq_input(X))
+        dX = m.backward(cache, dlogits)
+        want_logits, want_dX = textbook_lstm(m.params, X, dlogits)
+        assert np.abs(logits - want_logits).max() <= 1e-12
+        assert np.abs(dX - want_dX).max() <= 1e-12
+
+    def test_lstm_forget_bias_starts_at_one(self):
+        m = build_model("lstm", 3, 4, np.random.default_rng(0))
+        assert np.array_equal(m.params["b_f"], np.ones(4))
+
+    @pytest.mark.parametrize("length", [1, 2, 7])
+    def test_treelstm_on_chain_tree_equals_lstm(self, length):
+        rng = np.random.default_rng(200 + length)
+        m = build_model("lstm", 4, 5, rng)
+        X = rng.standard_normal((length, 4))
+        chain = [()] + [(t - 1,) for t in range(1, length)]
+        tree = restore_model("treelstm", m.params, 4, 5)
+        want, _ = m.forward(seq_input(X))
+        got, _ = tree.forward(tree_input(X, chain, root_pos=length - 1))
+        assert np.abs(got - want).max() <= 1e-12
 
 
 class TestCnnWindows:
@@ -128,9 +202,9 @@ class TestTreeSingleNode:
         m = build_model("treelstm", 3, 4, rng)
         x = rng.standard_normal(3)
         p = m.params
-        i = sigmoid(x @ p["Wi"] + p["bi"])
-        o = sigmoid(x @ p["Wo"] + p["bo"])
-        u = np.tanh(x @ p["Wu"] + p["bu"])
+        i = sigmoid(x @ gate(p, "W_iou", "i") + gate(p, "b_iou", "i"))
+        o = sigmoid(x @ gate(p, "W_iou", "o") + gate(p, "b_iou", "o"))
+        u = np.tanh(x @ gate(p, "W_iou", "u") + gate(p, "b_iou", "u"))
         want = (o * np.tanh(i * u)) @ p["Wy"] + p["by"]
         logits, _ = m.forward(tree_input(x[None, :], children=[()]))
         assert np.allclose(logits, want, atol=1e-14)

@@ -1,6 +1,8 @@
 """Numeric core: loss, dropout, RMSProp, grad check, embeddings, checkpoints."""
 
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,9 +13,12 @@ from depchain import (
     EmbeddingTable,
     ParamSet,
     RmsProp,
+    TrainConfig,
+    build_model,
     grad_check,
     load_checkpoint,
     load_embeddings,
+    load_trained,
     random_embeddings,
     save_checkpoint,
     softmax_xent,
@@ -282,8 +287,16 @@ class TestEmbeddings:
         # exact match wins before lowercasing
         assert np.array_equal(t.lookup("Paris"), [9, 8, 7, 6])
 
-    def test_row_count_mismatch_reports_line(self):
-        bad = "2 4\ncat 0.1 0.2 0.3 0.4\ndog 1 2 3\n"
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param("2 4\ncat 0.1 0.2 0.3 0.4\ndog 1 2 3\n", id="short-row"),
+            pytest.param("2 2\ncat 0.1 0.2\ndog nan 1\n", id="nan"),
+            pytest.param("2 2\ncat 0.1 0.2\ndog 1 inf\n", id="inf"),
+            pytest.param("2 2\ncat 0.1 0.2\ndog -Infinity 1\n", id="minus-inf"),
+        ],
+    )
+    def test_bad_row_reports_line(self, bad):
         with pytest.raises(EmbeddingError, match="line 3"):
             load_embeddings(bad)
 
@@ -367,11 +380,46 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(str(path))
 
-    def test_bad_header_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda h: b"not json", id="not-json"),
+            pytest.param(lambda h: [h], id="not-an-object"),
+            pytest.param(lambda h: h | {"format_version": 1}, id="format-v1"),
+            pytest.param(lambda h: {k: v for k, v in h.items() if k != "params"}, id="no-params"),
+            pytest.param(lambda h: {k: v for k, v in h.items() if k != "vocab"}, id="no-vocab"),
+            pytest.param(lambda h: h | {"params": [{"name": "W_iou"}]}, id="param-without-shape"),
+            pytest.param(lambda h: h | {"config": h["config"] | {"colour": "red"}},
+                         id="unknown-config-key"),
+            pytest.param(lambda h: h | {"config": h["config"] | {"half_width": 2.5}},
+                         id="float-half-width"),
+            pytest.param(lambda h: h | {"params": [{"name": "W_iou", "shape": [2**40, 2**40]}]},
+                         id="huge-shape"),
+            pytest.param(lambda h: h | {"model_type": "transformer"}, id="unknown-model-type"),
+            pytest.param(lambda h: h | {"model_type": "cnn"}, id="header-cnn-config-lstm"),
+            pytest.param(lambda h: h | {"model_type": "cnn",
+                                        "config": h["config"] | {"model_type": "cnn"}},
+                         id="cnn-over-lstm-params"),
+            pytest.param(lambda h: h | {"params": [
+                p | {"name": {"W_iou": "Wi"}.get(p["name"], p["name"])} for p in h["params"]
+            ]}, id="renamed-param"),
+        ],
+    )
+    def test_bad_header_rejected(self, tmp_path, damage):
+        # a real lstm checkpoint whose header is then damaged; load_trained
+        # runs every check, those of load_checkpoint included
+        model = build_model("lstm", 4, 3, np.random.default_rng(0))
+        config = TrainConfig("lstm", "chain", hidden=3, embedding_dim=4)
+        table = random_embeddings(["uno", "dos"], 4, seed=1)
         path = tmp_path / "m.ckpt"
-        path.write_bytes(b"not json\n\x00\x01")
+        save_checkpoint(str(path), "lstm", model.params, table, asdict(config))
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        header = damage(json.loads(header_line))
+        if not isinstance(header, bytes):
+            header = json.dumps(header).encode("utf-8")
+        path.write_bytes(header + b"\n" + payload)
         with pytest.raises(CheckpointError):
-            load_checkpoint(str(path))
+            load_trained(str(path))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="not found"):
