@@ -40,7 +40,7 @@ from .harness import (
     train,
 )
 from .models import MODEL_TYPES, gradcheck_model
-from .nncore import random_embeddings, write_embeddings
+from .nncore import atomic_open, random_embeddings, write_embeddings
 from .saliency import compute_saliency, emit_heatmap, heatmap_filename
 
 __all__ = ["main", "build_parser"]
@@ -73,7 +73,7 @@ def _write_manifest(
         "inputs": {p: _sha256(p) for p in inputs},
         "outputs": {p: _sha256(p) for p in outputs},
     }
-    with open(manifest_path, "w", encoding="utf-8") as f:
+    with atomic_open(manifest_path) as f:
         json.dump(doc, f, sort_keys=True, indent=2)
         f.write("\n")
 
@@ -225,14 +225,14 @@ def _cmd_gen(parser, args) -> int:
     conllu_path = os.path.join(args.out, "corpus.conllu")
     events_path = os.path.join(args.out, "events.jsonl")
     outputs = [conllu_path, events_path]
-    with open(conllu_path, "w", encoding="utf-8") as f:
+    with atomic_open(conllu_path) as f:
         f.write(serialize_conllu(sentences))
-    with open(events_path, "w", encoding="utf-8") as f:
+    with atomic_open(events_path) as f:
         f.write(serialize_events(mentions))
     if args.emb_dim is not None:
         emb_path = os.path.join(args.out, "embeddings.txt")
         table = random_embeddings(synthetic_vocabulary(), args.emb_dim, args.seed)
-        with open(emb_path, "w", encoding="utf-8") as f:
+        with atomic_open(emb_path) as f:
             f.write(write_embeddings(table))
         outputs.append(emb_path)
     config = {
@@ -256,7 +256,7 @@ def _cmd_extract(parser, args) -> int:
     for m in mentions:
         sent = by_key[(m.doc_id, m.sent_id)]
         lines.append(representation_record(sent, m, args.mode, args.half_width))
-    with open(args.out, "w", encoding="utf-8") as f:
+    with atomic_open(args.out) as f:
         f.write("\n".join(lines) + ("\n" if lines else ""))
     config = {"mode": args.mode, "half_width": args.half_width}
     _write_manifest(args.out + ".manifest.json", "extract", None, config,
@@ -288,7 +288,7 @@ def _cmd_eval(parser, args) -> int:
     metrics = evaluate(trained, corpus, mentions)
     print(format_metrics_table([("test", metrics)]))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
+        with atomic_open(args.out) as f:
             json.dump(metrics.to_dict(), f, sort_keys=True, indent=2)
             f.write("\n")
         _write_manifest(args.out + ".manifest.json", "eval", trained.config.seed,
@@ -315,7 +315,7 @@ def _cmd_cv(parser, args) -> int:
             save_trained(trained, path)
             outputs.append(path)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
+        with atomic_open(args.out) as f:
             json.dump(result.report_dict(), f, sort_keys=True, indent=2)
             f.write("\n")
         outputs.append(args.out)
@@ -341,7 +341,7 @@ def _cmd_saliency(parser, args) -> int:
         smap = compute_saliency(trained.model, inst, label)
         path = os.path.join(args.out, heatmap_filename(m.doc_id, m.sent_id,
                                                        m.token_id, args.format))
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_open(path) as f:
             f.write(emit_heatmap(smap, args.format))
         outputs.append(path)
     config = dict(asdict(trained.config), format=args.format,

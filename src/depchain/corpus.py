@@ -334,7 +334,7 @@ def load_events(text: str, corpus: list[DepSentence]) -> list[EventMention]:
                 f"events line {lineno}: dangling reference to sentence {key[0]}/{key[1]}"
             )
         token_id = rec["token_id"]
-        if not isinstance(token_id, int) or not 1 <= token_id <= len(sent):
+        if type(token_id) is not int or not 1 <= token_id <= len(sent):  # JSON true is no id
             raise CorpusError(
                 f"events line {lineno}: token_id {token_id!r} out of range for "
                 f"sentence {key[0]}/{key[1]} (n={len(sent)})"

@@ -23,6 +23,7 @@ from .models import (
     build_model,
     classify,
     model_loss,
+    param_shapes,
     restore_model,
 )
 from .nncore import (
@@ -76,8 +77,9 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("epochs", "hidden", "half_width", "batch_size", "seed", "embedding_dim"):
-            if not isinstance(getattr(self, name), int):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.model_type not in MODEL_TYPES:
             raise ValueError(f"unknown model_type {self.model_type!r}")
         if self.representation not in REPRESENTATIONS:
@@ -103,6 +105,10 @@ class TrainConfig:
             raise ValueError("embedding_dim must be positive")
         if self.tree_readout not in ("root", "target"):
             raise ValueError("tree_readout must be 'root' or 'target'")
+        if self.tree_readout == "target" and self.model_type != "treelstm":
+            raise ValueError(
+                f"tree_readout 'target' needs model_type 'treelstm', got {self.model_type!r}"
+            )
 
 
 class Metrics:
@@ -268,8 +274,8 @@ def encode_input(
     else:
         raise ValueError(f"unknown representation {representation!r}")
     forms = tuple(sent.token(i).form for i in ids)
-    X = table.embed(list(forms))
-    rows = table.rows(list(forms))
+    rows = table.rows(forms)
+    X = table.vectors[rows]
     if representation != "tree":
         target_pos = ids.index(mention.token_id)
         return EncodedInput(forms=forms, X=X, rows=rows, target_pos=target_pos)
@@ -362,8 +368,7 @@ def train(
     emb_opt = None
     if config.finetune_embeddings:
         emb_params = ParamSet()
-        emb_params.add("matrix", table.matrix)
-        emb_params.add("unk", table.unk)
+        emb_params.add("vectors", table.vectors)
         emb_opt = RmsProp(emb_params, learning_rate=config.learning_rate)
 
     history: list[float] = []
@@ -375,8 +380,8 @@ def train(
             batch = perm[start : start + config.batch_size]
             for idx in batch:
                 inst, gold = data[idx]
-                if config.finetune_embeddings:
-                    inst = replace(inst, X=table.embed(list(inst.forms)))
+                if emb_params is not None:
+                    inst = replace(inst, X=table.vectors[inst.rows])
                 try:
                     loss, _, dX = model_loss(
                         model, inst, gold, mode="train",
@@ -393,11 +398,8 @@ def train(
                     )
                 epoch_loss += loss
                 if emb_params is not None:
-                    for t, row in enumerate(inst.rows):
-                        if row >= 0:
-                            emb_params.grads["matrix"][row] += dX[t]
-                        else:
-                            emb_params.grads["unk"] += dX[t]
+                    # add.at, not +=: a row repeated in one input gets every gradient
+                    np.add.at(emb_params.grads["vectors"], inst.rows, dX)
             scale = 1.0 / len(batch)
             model.params.scale_grads(scale)
             opt.step()
@@ -530,9 +532,8 @@ def load_trained(path: str) -> TrainedModel:
         raise CheckpointError(
             f"{path}: header model_type {model_type!r} differs from config {config.model_type!r}"
         )
-    fresh = build_model(model_type, table.dim, config.hidden, np.random.default_rng(0))
     found = {n: v.shape for n, v in params.values.items()}
-    expected = {n: v.shape for n, v in fresh.params.values.items()}
+    expected = param_shapes(model_type, table.dim, config.hidden)
     if found != expected:
         raise CheckpointError(
             f"{path}: parameters {found} do not fit a {model_type} model "

@@ -25,6 +25,7 @@ __all__ = [
     "TreeLstmClassifier",
     "MODEL_TYPES",
     "build_model",
+    "param_shapes",
     "restore_model",
     "model_loss",
     "classify",
@@ -82,10 +83,8 @@ class CnnClassifier:
     @classmethod
     def init(cls, dim: int, n_filters: int, rng: np.random.Generator) -> "CnnClassifier":
         p = ParamSet()
-        p.add("Wconv", uniform_init(rng, (n_filters, FILTER_WIDTH * dim)))
-        p.add("bconv", uniform_init(rng, (n_filters,)))
-        p.add("Wy", uniform_init(rng, (n_filters, N_CLASSES)))
-        p.add("by", uniform_init(rng, (N_CLASSES,)))
+        for name, shape in param_shapes("cnn", dim, n_filters).items():
+            p.add(name, uniform_init(rng, shape))
         return cls(p, dim, n_filters)
 
     def forward(self, inst: EncodedInput, mode: str = "eval",
@@ -287,6 +286,17 @@ def build_model(model_type: str, dim: int, hidden: int,
     if model_type == "cnn":
         return CnnClassifier.init(dim, hidden, rng)
     return TreeLstmClassifier.init(dim, hidden, rng, model_type, tree_readout)
+
+
+def param_shapes(model_type: str, dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
+    """Parameter names and shapes of a model in init order, without
+    allocating it; hidden doubles as the CNN filter count."""
+    if model_type == "cnn":
+        return {"Wconv": (hidden, FILTER_WIDTH * dim), "bconv": (hidden,),
+                "Wy": (hidden, N_CLASSES), "by": (N_CLASSES,)}
+    return {"W_iou": (dim, 3 * hidden), "U_iou": (hidden, 3 * hidden), "b_iou": (3 * hidden,),
+            "W_f": (dim, hidden), "U_f": (hidden, hidden), "b_f": (hidden,),
+            "Wy": (hidden, N_CLASSES), "by": (N_CLASSES,)}
 
 
 def restore_model(model_type: str, params: ParamSet, dim: int, hidden: int,

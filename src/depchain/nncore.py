@@ -6,6 +6,7 @@ irrelevant and keeps finite-difference gradient checks tight.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -27,6 +28,7 @@ __all__ = [
     "load_embeddings",
     "write_embeddings",
     "random_embeddings",
+    "atomic_open",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -215,27 +217,35 @@ UNK_SEED = 1013904223  # fixed stream for the unknown-word vector
 class EmbeddingTable:
     """Word -> float64 vector map with a persistent unknown-word vector.
 
-    Lookup tries the exact form, then the lowercased form, then falls back to
-    the unk vector.
+    ``vectors`` holds one row per vocabulary word and, last, the unknown-word
+    vector, so ``vectors[rows(forms)]`` embeds any forms: numpy reads the -1
+    that ``rows`` gives an unknown form as that last row. A form matches
+    exactly, then lowercased, then falls back to the unknown vector.
     """
 
-    def __init__(self, words: list[str], matrix: np.ndarray, unk: np.ndarray):
-        matrix = np.asarray(matrix, dtype=np.float64)
-        unk = np.asarray(unk, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != len(words):
-            raise EmbeddingError("embedding matrix shape does not match vocabulary")
-        if unk.shape != (matrix.shape[1],):
-            raise EmbeddingError("unk vector dimension mismatch")
+    def __init__(self, words: list[str], vectors: np.ndarray):
+        vectors = np.asarray(vectors, dtype=np.float64)
+        if vectors.ndim != 2 or vectors.shape[0] != len(words) + 1:
+            raise EmbeddingError("embedding vectors must have one row per word plus the unk row")
         self.words = list(words)
-        self.matrix = matrix
-        self.unk = unk
+        self.vectors = vectors
         self.index = {w: i for i, w in enumerate(self.words)}
         if len(self.index) != len(self.words):
             raise EmbeddingError("duplicate word in embedding vocabulary")
 
     @property
+    def matrix(self) -> np.ndarray:
+        """The vocabulary rows (a view)."""
+        return self.vectors[:-1]
+
+    @property
+    def unk(self) -> np.ndarray:
+        """The unknown-word vector (a view of the last row)."""
+        return self.vectors[-1]
+
+    @property
     def dim(self) -> int:
-        return self.matrix.shape[1]
+        return self.vectors.shape[1]
 
     def __len__(self) -> int:
         return len(self.words)
@@ -247,19 +257,13 @@ class EmbeddingTable:
             i = self.index.get(word.lower())
         return -1 if i is None else i
 
-    def lookup(self, word: str) -> np.ndarray:
-        i = self.row_of(word)
-        return self.unk.copy() if i < 0 else self.matrix[i].copy()
-
-    def embed(self, forms: list[str]) -> np.ndarray:
-        """(T, dim) matrix of looked-up vectors."""
-        if not forms:
-            return np.zeros((0, self.dim))
-        return np.stack([self.lookup(f) for f in forms])
-
-    def rows(self, forms: list[str]) -> np.ndarray:
-        """Row indices per form, -1 where the unk vector applies."""
+    def rows(self, forms) -> np.ndarray:
+        """Row indices per form, -1 (the unk row) for unknown forms."""
         return np.array([self.row_of(f) for f in forms], dtype=np.int64)
+
+
+def _unk_vector(dim: int) -> np.ndarray:
+    return np.random.default_rng(UNK_SEED).uniform(-0.1, 0.1, size=(1, dim))
 
 
 def load_embeddings(text: str) -> EmbeddingTable:
@@ -298,9 +302,7 @@ def load_embeddings(text: str) -> EmbeddingTable:
         vectors.append(vec)
     if len(words) != vocab_size:
         raise EmbeddingError(f"header declares {vocab_size} words, file has {len(words)}")
-    matrix = np.stack(vectors) if vectors else np.zeros((0, dim))
-    unk = np.random.default_rng(UNK_SEED).uniform(-0.1, 0.1, size=dim)
-    return EmbeddingTable(words, matrix, unk)
+    return EmbeddingTable(words, np.vstack(vectors + [_unk_vector(dim)]))
 
 
 def write_embeddings(table: EmbeddingTable) -> str:
@@ -315,8 +317,33 @@ def random_embeddings(vocab: list[str], dim: int, seed: int) -> EmbeddingTable:
     """Deterministic uniform(-0.1, 0.1) table over a vocabulary."""
     rng = np.random.default_rng(seed)
     matrix = rng.uniform(-0.1, 0.1, size=(len(vocab), dim))
-    unk = np.random.default_rng(UNK_SEED).uniform(-0.1, 0.1, size=dim)
-    return EmbeddingTable(list(vocab), matrix, unk)
+    return EmbeddingTable(list(vocab), np.vstack([matrix, _unk_vector(dim)]))
+
+
+# ---------------------------------------------------------------------------
+# Artifact files
+
+
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "w"):
+    """Open ``path`` for writing ("w" text as UTF-8, or "wb") so that readers
+    see either the old file or the whole new one.
+
+    Writes go to a fresh hidden temp file in the same directory, which
+    replaces ``path`` when the block exits cleanly and is removed when it
+    raises. A killed writer never leaves a truncated artifact, at most its
+    temp file.
+    """
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x"), encoding=None if mode == "wb" else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +351,8 @@ def random_embeddings(vocab: list[str], dim: int, seed: int) -> EmbeddingTable:
 #
 # Layout: one JSON header line (sorted keys, no timestamps), then raw
 # little-endian float64 payloads in header order: each parameter flattened,
-# the embedding matrix, the unk vector. Byte-identical for identical inputs.
+# then the embedding vectors (the vocabulary rows, then the unk row).
+# Byte-identical for identical inputs.
 
 
 def save_checkpoint(
@@ -343,9 +371,8 @@ def save_checkpoint(
         "dim": table.dim,
     }
     blobs = [np.ascontiguousarray(v, dtype="<f8").tobytes() for v in params.values.values()]
-    blobs.append(np.ascontiguousarray(table.matrix, dtype="<f8").tobytes())
-    blobs.append(np.ascontiguousarray(table.unk, dtype="<f8").tobytes())
-    with open(path, "wb") as f:
+    blobs.append(np.ascontiguousarray(table.vectors, dtype="<f8").tobytes())
+    with atomic_open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8"))
         f.write(b"\n")
         for b in blobs:
@@ -402,11 +429,8 @@ def load_checkpoint(path: str) -> tuple[str, ParamSet, EmbeddingTable, dict]:
         if entry["name"] in params.values:
             raise CheckpointError(f"checkpoint repeats parameter {entry['name']!r}")
         params.add(entry["name"], take(tuple(entry["shape"])))
-    vocab = header["vocab"]
-    dim = header["dim"]
-    matrix = take((len(vocab), dim))
-    unk = take((dim,))
+    vectors = take((len(header["vocab"]) + 1, header["dim"]))
     if offset != len(payload):
         raise CheckpointError("checkpoint payload has trailing bytes")
-    table = EmbeddingTable(vocab, matrix, unk)
+    table = EmbeddingTable(header["vocab"], vectors)
     return header["model_type"], params, table, header["config"]

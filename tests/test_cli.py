@@ -215,6 +215,16 @@ class TestTrainEval:
         assert exc.value.code == 2
 
 
+    def test_target_readout_needs_treelstm_usage_error(self, tmp_path, capsys):
+        conllu, events = gen_corpus(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--model", "lstm", "--repr", "chain", "--tree-readout", "target",
+                  "--conllu", conllu, "--events", events,
+                  "--out", str(tmp_path / "x.ckpt")] + TINY_HYPERS)
+        assert exc.value.code == 2
+        assert "tree_readout" in capsys.readouterr().err
+
+
 class TestCv:
     def test_report_and_fold_models(self, tmp_path, capsys):
         conllu, events = gen_corpus(tmp_path)

@@ -176,6 +176,7 @@ class TestEvents:
             ('{"doc_id": "doc1", "sent_id": "s1", "token_id": 8}', "field"),
             ('{"doc_id": "doc1", "sent_id": "s1", "token_id": 8, "label": "FU", "extra": 1}', "field"),
             ("not json", "line 1"),
+            ('{"doc_id": "doc1", "sent_id": "s1", "token_id": true, "label": "FU"}', "out of range"),
         ],
     )
     def test_malformed(self, line, pattern):

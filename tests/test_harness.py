@@ -26,7 +26,9 @@ from depchain import (
     train,
     write_embeddings,
 )
+from depchain import harness
 from depchain.harness import resolve_embeddings
+from depchain.nncore import RmsProp
 
 from test_corpus import FIXTURE, make_sentence
 from depchain import parse_conllu, EventMention
@@ -82,6 +84,10 @@ class TestTrainConfig:
             dict(tree_readout="leaf"),
             dict(hidden=3.0),
             dict(half_width=2.5),
+            dict(tree_readout="target"),
+            dict(hidden=True),
+            dict(epochs=True),
+            dict(seed=False),
         ],
     )
     def test_rejected_values(self, bad):
@@ -271,7 +277,8 @@ class TestEncodeInput:
         assert inst.forms == ("will", "launch", "describing", "their", "protest")
         assert inst.target_pos == 4
         assert inst.X.shape == (5, 4)
-        assert np.array_equal(inst.X[0], self.table.lookup("will"))
+        assert np.array_equal(inst.X[0], self.table.vectors[self.table.row_of("will")])
+        assert np.array_equal(inst.X, self.table.vectors[inst.rows])
 
     def test_window_forms(self):
         inst = encode_input(self.sent, self.mention, "window", self.table, half_width=1)
@@ -392,6 +399,41 @@ class TestTrain:
         before = table.matrix.copy()
         train(cfg, sents, mentions, table=table)
         assert not np.array_equal(before, table.matrix)
+
+    def test_finetune_repeated_rows_get_every_gradient(self, monkeypatch):
+        # "the" appears twice and "cat"/"dog" share the unk row, so one input
+        # repeats rows; the embedding gradient at each step must hold the sum
+        # of every position's dX, not one of them per row
+        sent = make_sentence([("the", 2, "det"), ("dog", 3, "nsubj"), ("saw", 0, "root"),
+                              ("the", 5, "det"), ("cat", 3, "obj")])
+        mention = EventMention(doc_id=sent.doc_id, sent_id=sent.sent_id, token_id=3,
+                               label=TemporalStatus.PAST)
+        table = random_embeddings(["saw", "the"], 4, seed=0)
+        cfg = tiny_config(model_type="cnn", representation="window", epochs=2,
+                          batch_size=1, dropout=0.0, finetune_embeddings=True)
+        contributions, grads = [], []
+        loss_fn, step = harness.model_loss, RmsProp.step
+
+        def recording_loss(model, inst, *args, **kwargs):
+            out = loss_fn(model, inst, *args, **kwargs)
+            contributions.append((inst.rows.copy(), out[2].copy()))
+            return out
+
+        def recording_step(opt):
+            if "vectors" in opt.params.values:
+                grads.append(opt.params.grads["vectors"].copy())
+            step(opt)
+
+        monkeypatch.setattr(harness, "model_loss", recording_loss)
+        monkeypatch.setattr(RmsProp, "step", recording_step)
+        train(cfg, [sent], [mention], table=table)
+        assert len(grads) == len(contributions) == 2
+        for (rows, dX), grad in zip(contributions, grads):
+            assert sorted(rows.tolist()) == [-1, -1, 0, 1, 1]
+            expected = np.zeros_like(grad)
+            for row, d in zip(rows, dX):
+                expected[row] += d
+            assert np.array_equal(grad, expected)
 
     def test_frozen_embeddings_unchanged(self):
         sents, mentions = small_corpus(n=12)

@@ -14,6 +14,7 @@ from depchain import (
 )
 from depchain.models import (
     FILTER_WIDTH,
+    param_shapes,
     random_instance,
     random_tree_children,
 )
@@ -360,6 +361,12 @@ class TestRestore:
         m_t = restore_model("treelstm", m.params, 4, 5, tree_readout="target")
         logits_target, _ = m_t.forward(inst_root)
         assert not np.allclose(logits_root, logits_target)
+
+    @pytest.mark.parametrize("model_type", ["lstm", "cnn", "treelstm"])
+    def test_param_shapes_match_built_model(self, model_type):
+        m = build_model(model_type, 4, 5, np.random.default_rng(0))
+        shapes = {n: v.shape for n, v in m.params.values.items()}
+        assert list(param_shapes(model_type, 4, 5).items()) == list(shapes.items())
 
 
 class TestRandomTree:

@@ -25,7 +25,8 @@ from depchain import (
     write_embeddings,
 )
 from depchain.models import gradcheck_model
-from depchain.nncore import dropout, softmax
+from depchain import nncore
+from depchain.nncore import atomic_open, dropout, softmax
 
 # independently computed at 40 digits: log(1 + e^-1 + e^-2)
 XENT_123_GOLD2 = 0.4076059644443803
@@ -272,20 +273,19 @@ class TestEmbeddings:
     def test_known_word(self):
         t = load_embeddings(EMB_FIXTURE)
         assert t.dim == 4
-        assert np.array_equal(t.lookup("cat"), [0.1, 0.2, 0.3, 0.4])
+        assert np.array_equal(t.vectors[t.row_of("cat")], [0.1, 0.2, 0.3, 0.4])
 
     def test_unknown_word_stable(self):
         t = load_embeddings(EMB_FIXTURE)
-        a = t.lookup("zzzz")
-        b = t.lookup("zzzz")
-        assert np.array_equal(a, b)
-        assert np.array_equal(a, t.unk)
+        assert t.row_of("zzzz") == -1
+        assert np.array_equal(t.unk, load_embeddings(EMB_FIXTURE).unk)
+        assert np.array_equal(t.vectors[-1], t.unk)
 
     def test_lowercase_fallback(self):
         t = load_embeddings(EMB_FIXTURE)
-        assert np.array_equal(t.lookup("CAT"), t.lookup("cat"))
+        assert t.row_of("CAT") == t.row_of("cat") == 0
         # exact match wins before lowercasing
-        assert np.array_equal(t.lookup("Paris"), [9, 8, 7, 6])
+        assert np.array_equal(t.vectors[t.row_of("Paris")], [9, 8, 7, 6])
 
     @pytest.mark.parametrize(
         "bad",
@@ -327,10 +327,23 @@ class TestEmbeddings:
 
     def test_embed_and_rows(self):
         t = load_embeddings(EMB_FIXTURE)
-        X = t.embed(["cat", "zzzz"])
-        assert X.shape == (2, 4)
+        rows = t.rows(["cat", "zzzz", "dog"])
+        assert list(rows) == [0, -1, 1]
+        X = t.vectors[rows]
+        assert X.shape == (3, 4)
         assert np.array_equal(X[1], t.unk)
-        assert list(t.rows(["cat", "zzzz", "dog"])) == [0, -1, 1]
+        assert t.vectors[t.rows([])].shape == (0, 4)
+
+    def test_matrix_and_unk_are_views(self):
+        t = random_embeddings(["x", "y"], 3, seed=2)
+        assert t.vectors.shape == (3, 3)
+        t.vectors[...] = 7.0
+        assert (t.matrix == 7.0).all() and (t.unk == 7.0).all()
+
+    def test_empty_vocabulary_reads_unk(self):
+        t = load_embeddings("0 2\n")
+        assert t.vectors.shape == (1, 2)
+        assert np.array_equal(t.vectors[t.rows(["a", "b"])], [t.unk, t.unk])
 
 
 class TestCheckpoint:
@@ -403,6 +416,8 @@ class TestCheckpoint:
             pytest.param(lambda h: h | {"params": [
                 p | {"name": {"W_iou": "Wi"}.get(p["name"], p["name"])} for p in h["params"]
             ]}, id="renamed-param"),
+            pytest.param(lambda h: h | {"config": h["config"] | {"hidden": 1000000}},
+                         id="huge-hidden"),
         ],
     )
     def test_bad_header_rejected(self, tmp_path, damage):
@@ -425,12 +440,60 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="not found"):
             load_checkpoint(str(tmp_path / "nope.ckpt"))
 
+    def test_layout_is_params_then_vocab_rows_then_unk(self, tmp_path):
+        p, t = self._sample()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), "lstm", p, t, {})
+        payload = path.read_bytes().split(b"\n", 1)[1]
+        blocks = [p["W"], p["b"], t.matrix, t.unk]
+        assert payload == b"".join(np.asarray(v, dtype="<f8").tobytes() for v in blocks)
+
+
+class TestAtomicOpen:
+    def test_replaces_whole_file(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text("old\n")
+        with atomic_open(str(path)) as f:
+            f.write("new\n")
+        assert path.read_text() == "new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
+
+    @pytest.mark.parametrize("mode,data", [("w", "part"), ("wb", b"part")])
+    def test_failed_write_keeps_old_file(self, tmp_path, mode, data):
+        path = tmp_path / "a.bin"
+        path.write_bytes(b"old")
+        with pytest.raises(RuntimeError):
+            with atomic_open(str(path), mode) as f:
+                f.write(data)
+                raise RuntimeError("interrupted")
+        assert path.read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin"]
+
+    def test_failed_checkpoint_save_keeps_old_file(self, tmp_path, monkeypatch):
+        p, t = TestCheckpoint()._sample()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), "lstm", p, t, {})
+        before = path.read_bytes()
+
+        def no_space(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(nncore.os, "replace", no_space)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(str(path), "lstm", p, t, {"changed": 1})
+        assert path.read_bytes() == before
+        assert sorted(x.name for x in tmp_path.iterdir()) == ["m.ckpt"]
+
 
 class TestEmbeddingTableValidation:
     def test_shape_mismatch(self):
         with pytest.raises(EmbeddingError):
-            EmbeddingTable(["a"], np.zeros((2, 3)), np.zeros(3))
+            EmbeddingTable(["a"], np.zeros((3, 3)))
 
-    def test_unk_dim_mismatch(self):
+    def test_missing_unk_row(self):
         with pytest.raises(EmbeddingError):
-            EmbeddingTable(["a"], np.zeros((1, 3)), np.zeros(4))
+            EmbeddingTable(["a"], np.zeros((1, 3)))
+
+    def test_one_dimensional_vectors(self):
+        with pytest.raises(EmbeddingError):
+            EmbeddingTable([], np.zeros(3))
