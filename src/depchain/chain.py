@@ -72,12 +72,8 @@ def _base_rel(deprel: str) -> str:
     return deprel.split(":", 1)[0]
 
 
-def extract_chain(sent: DepSentence, target_id: int, drop_punct: bool = False) -> DependencyChain:
-    """Extract the two-stage dependency chain for the token ``target_id``.
-
-    With ``drop_punct`` set, tokens whose relation is "punct" are filtered
-    from the result (the default keeps them).
-    """
+def extract_chain(sent: DepSentence, target_id: int) -> DependencyChain:
+    """Extract the two-stage dependency chain for the token ``target_id``."""
     sent.token(target_id)  # validates the id
     children = _children_map(sent)
 
@@ -96,9 +92,6 @@ def extract_chain(sent: DepSentence, target_id: int, drop_punct: bool = False) -
     for t in sent.tokens:
         if t.id not in stage1 and _base_rel(t.deprel) in TENSE_CARRIER_RELS and t.head in stage1:
             members.add(t.id)
-
-    if drop_punct:
-        members = {i for i in members if i == target_id or _base_rel(sent.token(i).deprel) != "punct"}
 
     return DependencyChain(
         target_id=target_id,

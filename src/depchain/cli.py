@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -30,6 +30,7 @@ from .corpus import (
 )
 from .errors import DepchainError
 from .harness import (
+    REPRESENTATIONS,
     TrainConfig,
     cross_validate,
     encode_input,
@@ -98,39 +99,32 @@ def _parse_weights(parser: argparse.ArgumentParser, text: str) -> tuple[float, f
 
 
 def _add_hyper_flags(sp: argparse.ArgumentParser):
-    sp.add_argument("--epochs", type=int, default=50)
-    sp.add_argument("--lr", type=float, default=0.001, help="learning rate")
-    sp.add_argument("--dropout", type=float, default=0.5)
-    sp.add_argument("--hidden", type=int, default=300,
+    """The TrainConfig flags of train and cv: each flag's dest is its field
+    name and its default is the field's default."""
+    default = {f.name: f.default for f in fields(TrainConfig)}
+    sp.add_argument("--model", dest="model_type", choices=MODEL_TYPES, required=True)
+    sp.add_argument("--repr", dest="representation", choices=REPRESENTATIONS, required=True)
+    sp.add_argument("--epochs", type=int, default=default["epochs"])
+    sp.add_argument("--lr", dest="learning_rate", type=float,
+                    default=default["learning_rate"], help="learning rate")
+    sp.add_argument("--dropout", type=float, default=default["dropout"])
+    sp.add_argument("--hidden", type=int, default=default["hidden"],
                     help="hidden units (doubles as CNN filter count)")
-    sp.add_argument("--half-width", type=int, default=7)
-    sp.add_argument("--batch-size", type=int, default=16)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--embeddings", default=None,
+    sp.add_argument("--half-width", type=int, default=default["half_width"])
+    sp.add_argument("--batch-size", type=int, default=default["batch_size"])
+    sp.add_argument("--seed", type=int, default=default["seed"])
+    sp.add_argument("--embeddings", default=default["embeddings"],
                     help="embedding text file; omit for a seeded random table")
-    sp.add_argument("--emb-dim", type=int, default=300,
+    sp.add_argument("--emb-dim", dest="embedding_dim", type=int,
+                    default=default["embedding_dim"],
                     help="dimension of the random table when --embeddings is omitted")
-    sp.add_argument("--tree-readout", choices=("root", "target"), default="root")
+    sp.add_argument("--tree-readout", choices=("root", "target"), default=default["tree_readout"])
     sp.add_argument("--finetune-embeddings", action="store_true")
 
 
 def _config_from_args(parser: argparse.ArgumentParser, args) -> TrainConfig:
     try:
-        return TrainConfig(
-            model_type=args.model,
-            representation=args.repr,
-            learning_rate=args.lr,
-            epochs=args.epochs,
-            dropout=args.dropout,
-            hidden=args.hidden,
-            half_width=args.half_width,
-            batch_size=args.batch_size,
-            seed=args.seed,
-            embeddings=args.embeddings,
-            embedding_dim=args.emb_dim,
-            tree_readout=args.tree_readout,
-            finetune_embeddings=args.finetune_embeddings,
-        )
+        return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     except ValueError as e:
         parser.error(str(e))
 
@@ -163,8 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("train", help="train one classifier, write a checkpoint")
-    sp.add_argument("--model", choices=MODEL_TYPES, required=True)
-    sp.add_argument("--repr", choices=("chain", "window", "tree"), required=True)
     sp.add_argument("--conllu", required=True)
     sp.add_argument("--events", required=True)
     sp.add_argument("--out", required=True, help="checkpoint path")
@@ -177,8 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None, help="optional JSON metrics report")
 
     sp = sub.add_parser("cv", help="k-fold cross-validation")
-    sp.add_argument("--model", choices=MODEL_TYPES, required=True)
-    sp.add_argument("--repr", choices=("chain", "window", "tree"), required=True)
     sp.add_argument("--conllu", required=True)
     sp.add_argument("--events", required=True)
     sp.add_argument("--folds", type=int, default=10)

@@ -9,6 +9,7 @@ in parallel; aggregation is ordered by fold index.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -80,6 +81,16 @@ class TrainConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("learning_rate", "dropout"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+        if not isinstance(self.finetune_embeddings, bool):
+            raise ValueError(
+                f"finetune_embeddings must be a boolean, got {self.finetune_embeddings!r}"
+            )
+        if not (self.embeddings is None or isinstance(self.embeddings, str)):
+            raise ValueError(f"embeddings must be a path or None, got {self.embeddings!r}")
         if self.model_type not in MODEL_TYPES:
             raise ValueError(f"unknown model_type {self.model_type!r}")
         if self.representation not in REPRESENTATIONS:
@@ -95,8 +106,8 @@ class TrainConfig:
             raise ValueError("hidden must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and positive")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if self.half_width < 0:
@@ -156,10 +167,6 @@ class Metrics:
     @property
     def micro_f1(self) -> float:
         return self.micro[2]
-
-    @property
-    def macro_f1(self) -> float:
-        return self.macro[2]
 
     def cells(self) -> list[str]:
         """Five R/P/F1 cells (PA, OG, FU, Macro, Micro) in the table style:
@@ -301,20 +308,19 @@ def _encode_corpus(
     mentions: list[EventMention],
     config: TrainConfig,
     table: EmbeddingTable,
-    require_labels: bool = True,
-) -> list[tuple[EncodedInput, int | None]]:
+) -> list[tuple[EncodedInput, int]]:
     by_key = index_sentences(corpus)
     out = []
     for m in mentions:
         sent = by_key.get((m.doc_id, m.sent_id))
         if sent is None:
             raise CorpusError(f"mention {m.doc_id}/{m.sent_id} not found in corpus")
-        if require_labels and m.label is None:
+        if m.label is None:
             raise CorpusError(
                 f"mention {m.doc_id}/{m.sent_id} token {m.token_id} has no label"
             )
         inst = encode_input(sent, m, config.representation, table, config.half_width)
-        out.append((inst, None if m.label is None else int(m.label)))
+        out.append((inst, int(m.label)))
     return out
 
 
@@ -383,10 +389,7 @@ def train(
                 if emb_params is not None:
                     inst = replace(inst, X=table.vectors[inst.rows])
                 try:
-                    loss, _, dX = model_loss(
-                        model, inst, gold, mode="train",
-                        drop_ratio=config.dropout, drop_rng=drop_rng,
-                    )
+                    loss, _, dX = model_loss(model, inst, gold, config.dropout, drop_rng)
                 except ValueError as e:
                     # non-finite logits surface here before the loss does
                     raise TrainingError(
@@ -415,7 +418,7 @@ def evaluate(
     corpus: list[DepSentence],
     mentions: list[EventMention],
 ) -> Metrics:
-    """Eval-mode predictions scored against gold labels."""
+    """Predictions without dropout scored against gold labels."""
     if not mentions:
         raise CorpusError("no mentions to evaluate on")
     data = _encode_corpus(corpus, mentions, trained.config, trained.table)
@@ -480,13 +483,13 @@ def cross_validate(
 
     Results are ordered by fold index regardless of completion order, and each
     fold derives its own seed from (config.seed, fold), so the outcome does
-    not depend on jobs.
+    not depend on jobs. At most k worker processes start, one per fold.
     """
     plan = kfold(mentions, k, config.seed)
     table = resolve_embeddings(config, corpus)
     args = [(config, corpus, mentions, plan, f, table, keep_models) for f in range(k)]
     if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, k)) as pool:
             outcomes = list(pool.map(_run_fold_star, args))
     else:
         outcomes = [_run_fold(*a) for a in args]

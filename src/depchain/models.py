@@ -2,10 +2,11 @@
 
 Each model maps an encoded input to 3-class logits (PAST, ONGOING, FUTURE),
 exposes a backward pass that accumulates parameter gradients and returns the
-gradient with respect to the input embeddings, and is deterministic in eval
-mode. Dropout touches only the penultimate vector (final hidden state or
-pooled feature vector). The LSTM and the tree-LSTM share one cell: the LSTM
-is the child-sum tree-LSTM run on a chain.
+gradient with respect to the input embeddings, and is deterministic unless
+given a dropout ratio, which only training does. Dropout touches only the
+penultimate vector (final hidden state or pooled feature vector). The LSTM
+and the tree-LSTM share one cell: the LSTM is the child-sum tree-LSTM run on
+a chain.
 """
 
 from __future__ import annotations
@@ -87,8 +88,7 @@ class CnnClassifier:
             p.add(name, uniform_init(rng, shape))
         return cls(p, dim, n_filters)
 
-    def forward(self, inst: EncodedInput, mode: str = "eval",
-                drop_ratio: float = 0.0, drop_rng=None):
+    def forward(self, inst: EncodedInput, drop_ratio: float = 0.0, drop_rng=None):
         T = len(inst)
         if T == 0:
             raise ValueError("cnn forward: empty sequence")
@@ -103,7 +103,7 @@ class CnnClassifier:
         act = np.maximum(pre, 0.0)
         argmax = np.argmax(act, axis=0)  # (F,) first max wins
         pooled = act[argmax, np.arange(self.n_filters)]
-        pd, mask = dropout(pooled, drop_ratio, mode, drop_rng)
+        pd, mask = dropout(pooled, drop_ratio, drop_rng)
         logits = pd @ p["Wy"] + p["by"]
         cache = (inst, Xp.shape[0], windows, pre, argmax, pd, mask)
         return logits, cache
@@ -202,8 +202,7 @@ class TreeLstmClassifier:
         read = inst.root_pos if self.readout == "root" else inst.target_pos
         return [list(kids) for kids in inst.children], order, read
 
-    def forward(self, inst: EncodedInput, mode: str = "eval",
-                drop_ratio: float = 0.0, drop_rng=None):
+    def forward(self, inst: EncodedInput, drop_ratio: float = 0.0, drop_rng=None):
         children, order, read = self._structure(inst)
         p = self.params
         T, H = len(inst), self.hidden
@@ -230,7 +229,7 @@ class TreeLstmClassifier:
                 c[j] += (f[kids] * c[kids]).sum(axis=0)
             tanh_c[j] = np.tanh(c[j])
             h[j] = iou[j, H : 2 * H] * tanh_c[j]
-        hd, mask = dropout(h[read], drop_ratio, mode, drop_rng)
+        hd, mask = dropout(h[read], drop_ratio, drop_rng)
         logits = hd @ p["Wy"] + p["by"]
         cache = (inst, children, order, read, h_sum, iou, f, c, tanh_c, h, hd, mask)
         return logits, cache
@@ -307,22 +306,21 @@ def restore_model(model_type: str, params: ParamSet, dim: int, hidden: int,
     return TreeLstmClassifier(params, dim, hidden, model_type, tree_readout)
 
 
-def model_loss(model, inst: EncodedInput, gold: int, mode: str = "eval",
-               drop_ratio: float = 0.0, drop_rng=None):
+def model_loss(model, inst: EncodedInput, gold: int, drop_ratio: float = 0.0, drop_rng=None):
     """Forward + cross-entropy + backward. Returns (loss, prob, dX).
 
     Accumulates parameter gradients into model.params without zeroing first,
     so callers can average over a batch.
     """
-    logits, cache = model.forward(inst, mode=mode, drop_ratio=drop_ratio, drop_rng=drop_rng)
+    logits, cache = model.forward(inst, drop_ratio, drop_rng)
     loss, prob, dlogits = softmax_xent(logits, gold)
     dX = model.backward(cache, dlogits)
     return loss, prob, dX
 
 
 def classify(model, inst: EncodedInput) -> tuple[TemporalStatus, np.ndarray]:
-    """Eval-mode prediction; ties break toward the lower class index."""
-    logits, _ = model.forward(inst, mode="eval")
+    """Prediction without dropout; ties break toward the lower class index."""
+    logits, _ = model.forward(inst)
     prob = softmax(logits)
     return TemporalStatus(int(np.argmax(logits))), prob
 
@@ -355,7 +353,7 @@ def random_instance(model_type: str, dim: int, length: int,
 
 
 def gradcheck_model(model_type: str, seed: int, dim: int = 6, hidden: int = 8,
-                    length: int | None = None, eps: float = 1e-5) -> float:
+                    length: int | None = None) -> float:
     """Max relative error between analytic and central-difference gradients
     for one randomly initialized model on one random input.
 
@@ -370,7 +368,7 @@ def gradcheck_model(model_type: str, seed: int, dim: int = 6, hidden: int = 8,
     gold = int(rng.integers(0, N_CLASSES))
 
     def loss_fn():
-        loss, _, _ = model_loss(model, inst, gold, mode="eval")
+        loss, _, _ = model_loss(model, inst, gold)
         return loss
 
-    return grad_check(loss_fn, model.params, eps=eps)
+    return grad_check(loss_fn, model.params)

@@ -69,8 +69,9 @@ class ParamSet:
         return out
 
 
-def uniform_init(rng: np.random.Generator, shape, scale: float = 0.05) -> np.ndarray:
-    return rng.uniform(-scale, scale, size=shape)
+def uniform_init(rng: np.random.Generator, shape) -> np.ndarray:
+    """Uniform(-0.05, 0.05) draws for initial parameter values."""
+    return rng.uniform(-0.05, 0.05, size=shape)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -101,49 +102,40 @@ def softmax_xent(logits: np.ndarray, gold: int) -> tuple[float, np.ndarray, np.n
 def dropout(
     x: np.ndarray,
     ratio: float,
-    mode: str,
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray | float]:
     """Inverted dropout. Returns (y, mask); backward is grad * mask.
 
-    Eval mode is the identity (mask of ones). In train mode kept entries are
-    scaled by 1/(1-ratio) so expectations match between modes.
+    Ratio 0, the models' default and the only ratio outside training, is the
+    identity: x itself comes back with the scalar mask 1.0 and no random
+    numbers are drawn. Otherwise kept entries are scaled by 1/(1-ratio), so
+    expectations match.
     """
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"dropout ratio must be in [0, 1), got {ratio}")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
-    x = np.asarray(x, dtype=np.float64)
-    if mode == "eval" or ratio == 0.0:
-        mask = np.ones_like(x)
-        return x.copy(), mask
+    if ratio == 0.0:
+        return x, 1.0
     if rng is None:
-        raise ValueError("train-mode dropout needs an rng")
+        raise ValueError("dropout with a nonzero ratio needs an rng")
     keep = rng.random(x.shape) >= ratio
     mask = keep.astype(np.float64) / (1.0 - ratio)
     return x * mask, mask
 
 
+RMSPROP_DECAY = 0.9
+RMSPROP_EPSILON = 1e-8
+
+
 class RmsProp:
     """RMSProp: acc <- rho*acc + (1-rho)*g^2; theta <- theta - lr*g/(sqrt(acc)+eps).
 
-    Gradients are zeroed after each step. rho and eps default to the standard
-    0.9 / 1e-8 and are recorded by checkpoints, so runs are reproducible.
+    rho and eps are the standard RMSPROP_DECAY and RMSPROP_EPSILON. Gradients
+    are zeroed after each step.
     """
 
-    def __init__(
-        self,
-        params: ParamSet,
-        learning_rate: float = 0.001,
-        decay: float = 0.9,
-        epsilon: float = 1e-8,
-    ):
-        if not 0.0 < decay < 1.0:
-            raise ValueError(f"decay must be in (0, 1), got {decay}")
+    def __init__(self, params: ParamSet, learning_rate: float = 0.001):
         self.params = params
         self.learning_rate = learning_rate
-        self.decay = decay
-        self.epsilon = epsilon
         self.acc = {name: np.zeros_like(v) for name, v in params.values.items()}
 
     def step(self):
@@ -152,26 +144,25 @@ class RmsProp:
             if g.shape != theta.shape:
                 raise ValueError(f"gradient shape mismatch for {name!r}")
             acc = self.acc[name]
-            acc *= self.decay
-            acc += (1.0 - self.decay) * g * g
-            theta -= self.learning_rate * g / (np.sqrt(acc) + self.epsilon)
+            acc *= RMSPROP_DECAY
+            acc += (1.0 - RMSPROP_DECAY) * g * g
+            theta -= self.learning_rate * g / (np.sqrt(acc) + RMSPROP_EPSILON)
         self.params.zero_grads()
 
 
-def grad_check(
-    loss_fn,
-    params: ParamSet,
-    eps: float = 1e-5,
-    max_coords_per_param: int = 16,
-) -> float:
+GRAD_CHECK_EPS = 1e-5
+GRAD_CHECK_COORDS = 16  # probed coordinates per parameter array at most
+
+
+def grad_check(loss_fn, params: ParamSet) -> float:
     """Compare analytic gradients against central differences.
 
     ``loss_fn()`` must recompute the forward pass from the current parameter
     values, accumulate analytic gradients into ``params`` and return the
     scalar loss. It must be deterministic (dropout off). Small parameters are
-    probed in full; for larger ones the ``max_coords_per_param`` coordinates
-    with the largest analytic magnitudes are probed. The magnitude cut
-    matters: at eps = 1e-5 the central difference of a float64 loss carries
+    probed in full; for larger ones the GRAD_CHECK_COORDS coordinates with the
+    largest analytic magnitudes are probed. The magnitude cut matters: at
+    GRAD_CHECK_EPS = 1e-5 the central difference of a float64 loss carries
     about ulp(loss)/2eps ~ 5e-12 of roundoff, so coordinates whose true
     gradient sits below ~1e-7 measure noise, not backward-pass correctness.
     Returns the max of |a-n| / max(|a|, |n|, 1e-8).
@@ -187,20 +178,20 @@ def grad_check(
         flat = value.reshape(-1)
         a_flat = analytic[name].reshape(-1)
         n = flat.shape[0]
-        if n <= max_coords_per_param:
+        if n <= GRAD_CHECK_COORDS:
             coords = np.arange(n)
         else:
-            coords = np.argsort(-np.abs(a_flat))[:max_coords_per_param]
+            coords = np.argsort(-np.abs(a_flat))[:GRAD_CHECK_COORDS]
         for idx in coords:
             orig = flat[idx]
-            flat[idx] = orig + eps
+            flat[idx] = orig + GRAD_CHECK_EPS
             lp = loss_fn()
-            flat[idx] = orig - eps
+            flat[idx] = orig - GRAD_CHECK_EPS
             lm = loss_fn()
             flat[idx] = orig
             if not (math.isfinite(lp) and math.isfinite(lm)):
                 raise ValueError("grad_check: non-finite loss under perturbation")
-            numeric = (lp - lm) / (2.0 * eps)
+            numeric = (lp - lm) / (2.0 * GRAD_CHECK_EPS)
             a = a_flat[idx]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
             worst = max(worst, rel)

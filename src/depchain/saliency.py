@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import TemporalStatus
-from .models import EncodedInput, model_loss, classify
+from .models import EncodedInput
+from .nncore import softmax_xent
 
 __all__ = [
     "SaliencyMap",
@@ -51,10 +52,16 @@ class SaliencyMap:
 def compute_saliency(model, inst: EncodedInput,
                      label: TemporalStatus | None = None) -> SaliencyMap:
     """Backpropagate the loss at `label` (or the prediction) to the input
-    embeddings; scores are means of per-dimension absolute derivatives."""
-    predicted, _ = classify(model, inst)
+    embeddings; scores are means of per-dimension absolute derivatives.
+
+    One forward pass serves both: the prediction is the argmax of its logits
+    (lowest index on ties, as in classify) and its cache feeds the backward.
+    """
+    logits, cache = model.forward(inst)
+    predicted = TemporalStatus(int(np.argmax(logits)))
     at = predicted if label is None else label
-    _, _, dX = model_loss(model, inst, int(at), mode="eval")
+    _, _, dlogits = softmax_xent(logits, int(at))
+    dX = model.backward(cache, dlogits)
     model.params.zero_grads()  # analysis must not leak into training state
     raw = np.abs(dX)
     scores = tuple(float(s) for s in raw.mean(axis=1))

@@ -97,7 +97,6 @@ class TestExtractChain:
             ("!", 1, "punct"),
         ])
         assert extract_chain(sent, 1).member_ids == (1, 2, 3)
-        assert extract_chain(sent, 1, drop_punct=True).member_ids == (1, 2)
 
     def test_unknown_target_rejected(self, example_sentence):
         with pytest.raises(CorpusError):

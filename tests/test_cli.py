@@ -6,8 +6,8 @@ import subprocess
 
 import pytest
 
-from depchain import parse_heatmap_csv
-from depchain.cli import main
+from depchain import TrainConfig, parse_heatmap_csv
+from depchain.cli import _config_from_args, build_parser, main
 
 from test_corpus import FIXTURE
 
@@ -224,6 +224,17 @@ class TestTrainEval:
         assert exc.value.code == 2
         assert "tree_readout" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_usage_error(self, tmp_path, capsys, lr):
+        conllu, events = gen_corpus(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--model", "lstm", "--repr", "chain", "--lr", lr,
+                  "--conllu", conllu, "--events", events,
+                  "--out", str(tmp_path / "x.ckpt")] + TINY_HYPERS)
+        assert exc.value.code == 2
+        assert "learning_rate" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+
 
 class TestCv:
     def test_report_and_fold_models(self, tmp_path, capsys):
@@ -359,6 +370,13 @@ class TestParser:
             main(["--version"])
         assert exc.value.code == 0
         assert "depchain 0.1.0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command,extra", [("train", ["--out", "m.ckpt"]), ("cv", [])])
+    def test_hyper_flag_defaults_are_train_config_defaults(self, command, extra):
+        parser = build_parser()
+        args = parser.parse_args([command, "--model", "cnn", "--repr", "window",
+                                  "--conllu", "c", "--events", "e"] + extra)
+        assert _config_from_args(parser, args) == TrainConfig("cnn", "window")
 
     @pytest.mark.skipif(
         shutil.which("depchain") is None,

@@ -1,5 +1,6 @@
 """Training harness: configs, metrics, splits, training, cross-validation."""
 
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -88,6 +89,16 @@ class TestTrainConfig:
             dict(hidden=True),
             dict(epochs=True),
             dict(seed=False),
+            dict(learning_rate=True),
+            dict(learning_rate=math.nan),
+            dict(learning_rate=math.inf),
+            dict(learning_rate="0.01"),
+            dict(dropout=False),
+            dict(dropout=math.nan),
+            dict(dropout="0.5"),
+            dict(finetune_embeddings="no"),
+            dict(finetune_embeddings=1),
+            dict(embeddings=5),
         ],
     )
     def test_rejected_values(self, bad):
@@ -484,6 +495,28 @@ class TestCrossValidate:
         serial = cross_validate(tiny_config(epochs=1), sents, mentions, k=3, jobs=1)
         parallel = cross_validate(tiny_config(epochs=1), sents, mentions, k=3, jobs=2)
         assert serial.report_text() == parallel.report_text()
+
+    def test_workers_capped_at_folds(self, monkeypatch):
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        sents, mentions = small_corpus(n=12)
+        res = cross_validate(tiny_config(epochs=1), sents, mentions, k=3, jobs=64)
+        assert started == [3]
+        assert len(res.fold_metrics) == 3
 
     def test_keep_models(self):
         sents, mentions = small_corpus(n=12)

@@ -9,6 +9,7 @@ from depchain import (
     build_model,
     classify,
     compute_saliency,
+    model_loss,
     emit_heatmap,
     heatmap_filename,
     parse_heatmap_csv,
@@ -71,6 +72,26 @@ class TestComputeSaliency:
         smap = compute_saliency(model, inst)
         assert all(s == 0.0 for s in smap.scores)
         assert smap.top_token() == 0  # first position wins ties
+        assert smap.predicted is TemporalStatus.PAST  # equal logits: lowest index
+
+    @pytest.mark.parametrize("model_type", ["lstm", "cnn", "treelstm"])
+    def test_one_forward_one_backward(self, model_type, monkeypatch):
+        model, inst = fresh(model_type, seed=7)
+        calls = []
+        for name in ("forward", "backward"):
+            method = getattr(model, name)
+
+            def counted(*a, _method=method, _name=name, **kw):
+                calls.append(_name)
+                return _method(*a, **kw)
+
+            monkeypatch.setattr(model, name, counted)
+        smap = compute_saliency(model, inst)
+        assert calls == ["forward", "backward"]
+        pred, _ = classify(model, inst)
+        _, _, dX = model_loss(model, inst, int(pred))
+        assert smap.predicted is pred
+        assert np.array_equal(smap.raw, np.abs(dX))
 
     def test_default_label_is_prediction(self):
         model, inst = fresh(seed=3)
