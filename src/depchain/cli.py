@@ -195,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dim", type=int, default=6)
     sp.add_argument("--hidden", type=int, default=8)
     sp.add_argument("--length", type=int, default=None,
-                    help="input length (default: 9 for cnn, 5 otherwise)")
+                    help="longest input of the checked batch of three; the others "
+                         "have about half of it and 1 (default: 9 for cnn, 5 otherwise)")
 
     return parser
 
@@ -346,6 +347,8 @@ def _cmd_saliency(parser, args) -> int:
 def _cmd_gradcheck(parser, args) -> int:
     if args.n_seeds < 1:
         parser.error("--n-seeds must be >= 1")
+    if args.length is not None and args.length < 1:
+        parser.error("--length must be >= 1")
     worst = 0.0
     for s in range(args.seed, args.seed + args.n_seeds):
         err = gradcheck_model(args.model, s, dim=args.dim,

@@ -22,13 +22,13 @@ from .models import (
     EncodedInput,
     MODEL_TYPES,
     build_model,
-    classify,
     model_loss,
     param_shapes,
     restore_model,
 )
 from .nncore import (
     EmbeddingTable,
+    NonFiniteError,
     ParamSet,
     RmsProp,
     load_checkpoint,
@@ -282,10 +282,9 @@ def encode_input(
         raise ValueError(f"unknown representation {representation!r}")
     forms = tuple(sent.token(i).form for i in ids)
     rows = table.rows(forms)
-    X = table.vectors[rows]
     if representation != "tree":
         target_pos = ids.index(mention.token_id)
-        return EncodedInput(forms=forms, X=X, rows=rows, target_pos=target_pos)
+        return EncodedInput(forms=forms, rows=rows, vectors=table.vectors, target_pos=target_pos)
     children: list[list[int]] = [[] for _ in sent.tokens]
     root_pos = -1
     for t in sent.tokens:
@@ -295,8 +294,8 @@ def encode_input(
             children[t.head - 1].append(t.id - 1)
     return EncodedInput(
         forms=forms,
-        X=X,
         rows=rows,
+        vectors=table.vectors,
         children=tuple(tuple(c) for c in children),
         root_pos=root_pos,
         target_pos=mention.token_id - 1,
@@ -316,12 +315,14 @@ def _encode_corpus(
         if sent is None:
             raise CorpusError(f"mention {m.doc_id}/{m.sent_id} not found in corpus")
         if m.label is None:
-            raise CorpusError(
-                f"mention {m.doc_id}/{m.sent_id} token {m.token_id} has no label"
-            )
+            raise CorpusError(f"mention {_mention_name(m)} has no label")
         inst = encode_input(sent, m, config.representation, table, config.half_width)
         out.append((inst, int(m.label)))
     return out
+
+
+def _mention_name(m: EventMention) -> str:
+    return f"{m.doc_id}/{m.sent_id} token {m.token_id}"
 
 
 def resolve_embeddings(config: TrainConfig, corpus: list[DepSentence]) -> EmbeddingTable:
@@ -350,14 +351,21 @@ def train(
     corpus: list[DepSentence],
     mentions: list[EventMention],
     table: EmbeddingTable | None = None,
+    encoded: list[tuple[EncodedInput, int]] | None = None,
 ) -> TrainedModel:
-    """RMSProp training over mini-batches; one mean-loss entry per epoch."""
+    """RMSProp training, one forward and one backward per mini-batch; one
+    mean-loss entry per epoch.
+
+    ``encoded`` may hold the mentions' (input, gold) pairs, already encoded
+    with ``table``: cross_validate encodes each mention once for all folds.
+    """
     if not mentions:
         raise CorpusError("no mentions to train on")
     if table is None:
+        if encoded is not None:
+            raise ValueError("encoded inputs need the table they were encoded with")
         table = resolve_embeddings(config, corpus)
-    data = _encode_corpus(corpus, mentions, config, table)
-
+    data = _encode_corpus(corpus, mentions, config, table) if encoded is None else encoded
     init_ss, order_ss, drop_ss = np.random.SeedSequence(config.seed).spawn(3)
     model = build_model(
         config.model_type,
@@ -373,6 +381,8 @@ def train(
     emb_params = None
     emb_opt = None
     if config.finetune_embeddings:
+        # the inputs gather from table.vectors on every forward, so each
+        # step trains on the vectors as the previous steps tuned them
         emb_params = ParamSet()
         emb_params.add("vectors", table.vectors)
         emb_opt = RmsProp(emb_params, learning_rate=config.learning_rate)
@@ -383,27 +393,25 @@ def train(
         perm = order_rng.permutation(n)
         epoch_loss = 0.0
         for b, start in enumerate(range(0, n, config.batch_size)):
-            batch = perm[start : start + config.batch_size]
-            for idx in batch:
-                inst, gold = data[idx]
-                if emb_params is not None:
-                    inst = replace(inst, X=table.vectors[inst.rows])
-                try:
-                    loss, _, dX = model_loss(model, inst, gold, config.dropout, drop_rng)
-                except ValueError as e:
-                    # non-finite logits surface here before the loss does
-                    raise TrainingError(
-                        f"non-finite loss at epoch {epoch}, batch {b}: {e}"
-                    ) from e
-                if not np.isfinite(loss):
-                    raise TrainingError(
-                        f"non-finite loss at epoch {epoch}, batch {b}"
-                    )
+            idx = perm[start : start + config.batch_size]
+            batch = [data[i][0] for i in idx]
+            golds = [data[i][1] for i in idx]
+            try:
+                losses, _, dX = model_loss(model, batch, golds, config.dropout, drop_rng)
+            except NonFiniteError as e:
+                raise TrainingError(
+                    f"non-finite loss at epoch {epoch}, batch {b}, "
+                    f"mention {_mention_name(mentions[idx[e.row]])}"
+                ) from e
+            except ValueError as e:
+                raise TrainingError(f"bad model input at epoch {epoch}, batch {b}: {e}") from e
+            for loss in losses.tolist():
                 epoch_loss += loss
-                if emb_params is not None:
-                    # add.at, not +=: a row repeated in one input gets every gradient
-                    np.add.at(emb_params.grads["vectors"], inst.rows, dX)
-            scale = 1.0 / len(batch)
+            if emb_params is not None:
+                # add.at, not +=: a row repeated in one batch gets every gradient
+                rows = np.concatenate([inst.rows for inst in batch])
+                np.add.at(emb_params.grads["vectors"], rows, np.concatenate(dX))
+            scale = 1.0 / len(idx)
             model.params.scale_grads(scale)
             opt.step()
             if emb_params is not None:
@@ -417,15 +425,23 @@ def evaluate(
     trained: TrainedModel,
     corpus: list[DepSentence],
     mentions: list[EventMention],
+    encoded: list[tuple[EncodedInput, int]] | None = None,
 ) -> Metrics:
-    """Predictions without dropout scored against gold labels."""
+    """Predictions without dropout scored against gold labels, one forward
+    pass per training batch size of inputs, so evaluation holds no more
+    than training does. ``encoded`` is as in train, from trained.table."""
     if not mentions:
         raise CorpusError("no mentions to evaluate on")
-    data = _encode_corpus(corpus, mentions, trained.config, trained.table)
+    if encoded is None:
+        encoded = _encode_corpus(corpus, mentions, trained.config, trained.table)
     confusion = np.zeros((3, 3), dtype=np.int64)
-    for inst, gold in data:
-        pred, _ = classify(trained.model, inst)
-        confusion[gold, int(pred)] += 1
+    step = trained.config.batch_size
+    for start in range(0, len(encoded), step):
+        chunk = encoded[start : start + step]
+        logits, _ = trained.model.forward([inst for inst, _ in chunk])
+        # argmax: ties break toward the lower class index, as in classify
+        for (_, gold), pred in zip(chunk, np.argmax(logits, axis=1).tolist()):
+            confusion[gold, pred] += 1
     return Metrics(confusion)
 
 
@@ -459,13 +475,14 @@ def _fold_seed(seed: int, fold: int) -> int:
     return int(np.random.SeedSequence([seed, fold]).generate_state(1)[0])
 
 
-def _run_fold(config, corpus, mentions, plan, fold, table, keep):
-    train_mentions = [mentions[i] for i in plan.train_indices(fold)]
-    test_mentions = [mentions[i] for i in plan.folds[fold]]
+def _run_fold(config, corpus, mentions, data, plan, fold, table, keep):
+    train_idx, test_idx = plan.train_indices(fold), plan.folds[fold]
     fold_config = replace(config, seed=_fold_seed(config.seed, fold))
     try:
-        trained = train(fold_config, corpus, train_mentions, table=table)
-        metrics = evaluate(trained, corpus, test_mentions)
+        trained = train(fold_config, corpus, [mentions[i] for i in train_idx], table=table,
+                        encoded=[data[i] for i in train_idx])
+        metrics = evaluate(trained, corpus, [mentions[i] for i in test_idx],
+                           encoded=[data[i] for i in test_idx])
     except (CorpusError, TrainingError) as e:
         raise type(e)(f"fold {fold}: {e}") from e
     return metrics, (trained if keep else None)
@@ -481,13 +498,25 @@ def cross_validate(
 ) -> CvResult:
     """Train on k-1 folds, evaluate on the held-out fold; pool confusions.
 
-    Results are ordered by fold index regardless of completion order, and each
-    fold derives its own seed from (config.seed, fold), so the outcome does
-    not depend on jobs. At most k worker processes start, one per fold.
+    Each mention is encoded once, before any fold runs. Results are ordered
+    by fold index regardless of completion order, and each fold derives its
+    own seed from (config.seed, fold), so the outcome does not depend on jobs.
+    At most k worker processes start, one per fold; each receives the encoded
+    inputs and the table they read.
     """
     plan = kfold(mentions, k, config.seed)
     table = resolve_embeddings(config, corpus)
-    args = [(config, corpus, mentions, plan, f, table, keep_models) for f in range(k)]
+    data: list = [None] * len(mentions)
+    for f, fold in enumerate(plan.folds):
+        try:
+            encoded = _encode_corpus(corpus, [mentions[i] for i in fold], config, table)
+        except CorpusError as e:
+            raise CorpusError(f"fold {f}: {e}") from e
+        for i, pair in zip(fold, encoded):
+            data[i] = pair
+    # the table travels in the same tuple as the inputs that read it, so a
+    # worker's inputs read the worker's copy of the table
+    args = [(config, corpus, mentions, data, plan, f, table, keep_models) for f in range(k)]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, k)) as pool:
             outcomes = list(pool.map(_run_fold_star, args))

@@ -1,17 +1,20 @@
 """Three classifiers over token representations: LSTM, CNN, tree-LSTM.
 
-Each model maps an encoded input to 3-class logits (PAST, ONGOING, FUTURE),
-exposes a backward pass that accumulates parameter gradients and returns the
-gradient with respect to the input embeddings, and is deterministic unless
-given a dropout ratio, which only training does. Dropout touches only the
-penultimate vector (final hidden state or pooled feature vector). The LSTM
-and the tree-LSTM share one cell: the LSTM is the child-sum tree-LSTM run on
-a chain.
+Each model maps a batch (a list) of encoded inputs to (B, 3) logits (PAST,
+ONGOING, FUTURE), exposes a backward pass that accumulates parameter
+gradients and returns each input's gradient with respect to its embeddings,
+and is deterministic unless given a dropout ratio, which only training does.
+Dropout touches only the penultimate vector (final hidden state or pooled
+feature vector). A single input runs as a batch of one; there is no other
+path. The LSTM and the tree-LSTM share one cell: the LSTM is the child-sum
+tree-LSTM run on a chain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,14 +46,16 @@ FILTER_WIDTH = 5
 class EncodedInput:
     """Model-ready view of one mention.
 
-    Sequence models read forms/X only. The tree model additionally needs the
-    children lists (positions, not token ids), the root position, and the
-    target position for the alternative readout.
+    ``X`` is the (T, dim) input: the rows of ``vectors`` that ``rows`` picks,
+    gathered on every read, so an input sees the embeddings as they are now,
+    fine-tuned ones included. Sequence models read forms/X only. The tree
+    model additionally needs the children lists (positions, not token ids),
+    the root position, and the target position for the alternative readout.
     """
 
     forms: tuple[str, ...]
-    X: np.ndarray  # (T, dim) embedding rows, float64
-    rows: np.ndarray  # (T,) embedding table row per position, -1 for unk
+    rows: np.ndarray  # (T,) row of vectors per position; -1 is the last (unk) row
+    vectors: np.ndarray = field(repr=False, compare=False)  # shared, never copied
     children: tuple[tuple[int, ...], ...] | None = None
     root_pos: int = 0
     target_pos: int = 0
@@ -58,20 +63,65 @@ class EncodedInput:
     def __len__(self) -> int:
         return len(self.forms)
 
+    @property
+    def X(self) -> np.ndarray:
+        return self.vectors[self.rows]
+
+    @cached_property
+    def tree_levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """(height, kids) of the tree, computed on first use and kept with
+        the input: height per position (leaves 0, a parent one above its
+        highest child) and the children as a (T, max fan-out) position
+        matrix padded with -1. Raises ValueError unless the children lists
+        form one tree over all positions, rooted at root_pos."""
+        T = len(self)
+        if self.children is None:
+            raise ValueError("treelstm forward: input lacks tree structure")
+        if len(self.children) != T:
+            raise ValueError("tree input needs one children list per position")
+        fan = np.fromiter(map(len, self.children), np.int64, T)
+        kids = np.fromiter(itertools.chain.from_iterable(self.children), np.int64)
+        positions = np.append(kids, [self.root_pos, self.target_pos])
+        if ((positions < 0) | (positions >= T)).any():
+            raise ValueError("tree input has a position out of range")
+        parents = np.repeat(np.arange(T), fan)
+        # peel the tree from its leaves: a node is placed one level above
+        # the last of its children; nodes on a cycle are never placed
+        height = np.zeros(T, dtype=np.int64)
+        pending = fan.copy()
+        placed = pending == 0
+        new = placed
+        level = 0
+        while new.any():
+            level += 1
+            pending -= np.bincount(parents[new[kids]], minlength=T)
+            new = (pending == 0) & ~placed
+            height[new] = level
+            placed = placed | new
+        if not placed.all():
+            raise ValueError("tree input contains a cycle")
+        # without a cycle, one parent for every position but the root is one tree
+        n_parents = np.bincount(kids, minlength=T)
+        n_parents[self.root_pos] += 1
+        if (n_parents != 1).any():
+            raise ValueError("tree input does not span all positions with one parent each")
+        padded = np.full((T, int(fan.max())), -1, dtype=np.int64)
+        padded[parents, np.arange(kids.size) - np.repeat(np.cumsum(fan) - fan, fan)] = kids
+        return height, padded
+
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ez = np.exp(x[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # the logistic function through tanh: one expression, no overflow
+    return 0.5 * np.tanh(0.5 * x) + 0.5
 
 
 class CnnClassifier:
     """Width-5 convolution, rectifier, max-over-time pooling, linear output.
 
-    Sequences shorter than the filter width are zero-padded on the right.
+    Sequences shorter than the filter width are zero-padded on the right to
+    one window. A batch runs as one im2col matmul over every input's
+    windows, padded to the longest input; windows past an input's own padded
+    length are masked out of its max-pool.
     """
 
     model_type = "cnn"
@@ -88,44 +138,59 @@ class CnnClassifier:
             p.add(name, uniform_init(rng, shape))
         return cls(p, dim, n_filters)
 
-    def forward(self, inst: EncodedInput, drop_ratio: float = 0.0, drop_rng=None):
-        T = len(inst)
-        if T == 0:
+    def forward(self, batch: list[EncodedInput], drop_ratio: float = 0.0, drop_rng=None):
+        sizes = [len(inst) for inst in batch]
+        if not all(sizes):
             raise ValueError("cnn forward: empty sequence")
         p = self.params
-        Xp = inst.X
-        if T < FILTER_WIDTH:
-            Xp = np.vstack([Xp, np.zeros((FILTER_WIDTH - T, self.dim))])
-        n_pos = Xp.shape[0] - FILTER_WIDTH + 1
-        # windows: (n_pos, width*dim), valid convolution stride 1
-        windows = np.stack([Xp[s : s + FILTER_WIDTH].reshape(-1) for s in range(n_pos)])
-        pre = windows @ p["Wconv"].T + p["bconv"]  # (n_pos, F)
+        B, W, F = len(batch), FILTER_WIDTH, self.n_filters
+        padded = [max(T, W) for T in sizes]
+        Xp = np.zeros((B, max(padded), self.dim))
+        for b, inst in enumerate(batch):
+            Xp[b, : sizes[b]] = inst.X
+        # im2col: row (b, s) is positions s..s+W-1 of input b, flattened,
+        # gathered as W slices of Xp at offsets 0..W-1
+        n_pos = Xp.shape[1] - W + 1
+        windows = np.concatenate([Xp[:, k : k + n_pos] for k in range(W)], axis=2)
+        windows = windows.reshape(-1, W * self.dim)
+        pre = (windows @ p["Wconv"].T + p["bconv"]).reshape(B, n_pos, F)
         act = np.maximum(pre, 0.0)
-        argmax = np.argmax(act, axis=0)  # (F,) first max wins
-        pooled = act[argmax, np.arange(self.n_filters)]
+        pool = act
+        if min(padded) < Xp.shape[1]:
+            # windows past an input's padded length never win its max-pool:
+            # the rectifier is >= 0, so a masked -1 loses to any window
+            valid = np.arange(n_pos) <= np.subtract(padded, W)[:, None]
+            pool = np.where(valid[:, :, None], act, -1.0)
+        argmax = pool.argmax(axis=1)  # (B, F), first max wins
+        pick = (np.arange(B)[:, None], argmax, np.arange(F))
+        pooled = act[pick]
         pd, mask = dropout(pooled, drop_ratio, drop_rng)
         logits = pd @ p["Wy"] + p["by"]
-        cache = (inst, Xp.shape[0], windows, pre, argmax, pd, mask)
+        cache = (sizes, Xp.shape, windows, pre, pick, pd, mask)
         return logits, cache
 
-    def backward(self, cache, dlogits: np.ndarray) -> np.ndarray:
-        inst, padded_len, windows, pre, argmax, pd, mask = cache
+    def backward(self, cache, dlogits: np.ndarray) -> list[np.ndarray]:
+        sizes, padded_shape, windows, pre, pick, pd, mask = cache
         p = self.params
         g_ = self.params.grads
-        g_["Wy"] += np.outer(pd, dlogits)
-        g_["by"] += dlogits
-        dpooled = (p["Wy"] @ dlogits) * mask
-        # max routing: each filter's gradient reaches its argmax position only
-        dact = np.zeros_like(pre)
-        dact[argmax, np.arange(self.n_filters)] = dpooled
-        dpre = dact * (pre > 0.0)
+        g_["Wy"] += pd.T @ dlogits
+        g_["by"] += dlogits.sum(axis=0)
+        dpooled = (dlogits @ p["Wy"].T) * mask
+        # max routing: each filter's gradient reaches its argmax window only
+        dpre = np.zeros_like(pre)
+        dpre[pick] = dpooled
+        dpre *= pre > 0.0
+        dpre = dpre.reshape(-1, self.n_filters)
         g_["Wconv"] += dpre.T @ windows
         g_["bconv"] += dpre.sum(axis=0)
-        dwindows = dpre @ p["Wconv"]  # (n_pos, width*dim)
-        dXp = np.zeros((padded_len, self.dim))
-        for s in range(dwindows.shape[0]):
-            dXp[s : s + FILTER_WIDTH] += dwindows[s].reshape(FILTER_WIDTH, self.dim)
-        return dXp[: len(inst)]
+        B, n_pos = pre.shape[:2]
+        dwindows = (dpre @ p["Wconv"]).reshape(B, n_pos, FILTER_WIDTH, self.dim)
+        dXp = np.zeros(padded_shape)
+        # offset k of window s is position s+k; adding the last offset first
+        # sums each position's windows in window order
+        for k in reversed(range(FILTER_WIDTH)):
+            dXp[:, k : k + n_pos] += dwindows[:, :, k]
+        return [dXp[b, :T] for b, T in enumerate(sizes)]
 
 
 class TreeLstmClassifier:
@@ -139,6 +204,11 @@ class TreeLstmClassifier:
     chain (position t's only child is t-1), the last position is read out, and
     the forget bias starts at 1. This is the standard LSTM: with one child the
     child sum is the previous hidden state (Tai, Socher & Manning 2015).
+
+    A batch runs level by level: every node of every input is sorted by
+    height (on a chain, its position), so one level is a contiguous slice
+    whose children are all on lower levels, and each level costs a few
+    matmuls whatever the batch size.
     """
 
     def __init__(self, params: ParamSet, dim: int, hidden: int,
@@ -171,109 +241,134 @@ class TreeLstmClassifier:
         p.add("by", uniform_init(rng, (N_CLASSES,)))
         return cls(p, dim, hidden, model_type, readout)
 
-    def _structure(self, inst: EncodedInput):
-        """(children lists, node order with children before parents, readout)."""
-        T = len(inst)
-        if self.model_type == "lstm":
-            if T == 0:
-                raise ValueError("lstm forward: empty sequence")
-            return [[]] + [[t] for t in range(T - 1)], range(T), T - 1
-        if T == 0:
-            raise ValueError("treelstm forward: empty tree")
-        if inst.children is None:
-            raise ValueError("treelstm forward: input lacks tree structure")
-        # iterative post-order from the root
-        order: list[int] = []
-        stack = [(inst.root_pos, False)]
-        pushes = 0
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            pushes += 1
-            if pushes > T:
-                raise ValueError("tree input contains a cycle")
-            stack.append((node, True))
-            for ch in inst.children[node]:
-                stack.append((ch, False))
-        if len(order) != T:
-            raise ValueError("tree input does not span all positions")
-        read = inst.root_pos if self.readout == "root" else inst.target_pos
-        return [list(kids) for kids in inst.children], order, read
+    def _schedule(self, batch: list[EncodedInput]):
+        """Level schedule of a batch, over its N nodes sorted by height.
 
-    def forward(self, inst: EncodedInput, drop_ratio: float = 0.0, drop_rng=None):
-        children, order, read = self._structure(inst)
+        Returns (order, rank, levels, kids, read, spans). order[s] is the
+        node at sorted index s, counting over the inputs laid end to end, and
+        rank is its inverse. kids is the (N x max fan-out) matrix of sorted
+        child indices, padded with the sentinel index N. levels holds
+        (start, stop, level_kids, parents) per height: the level's slice of
+        kids cut to its own fan-out (None on the leaf level), and the sorted
+        parent index of each of its nodes (N for a root). read holds the
+        sorted index of each input's readout node, and spans its (start,
+        stop) among the inputs laid end to end.
+        """
+        sizes = [len(inst) for inst in batch]
+        if not all(sizes):
+            raise ValueError(f"{self.model_type} forward: empty sequence")
+        ends = list(itertools.accumulate(sizes))
+        starts = [e - T for e, T in zip(ends, sizes)]
+        N = ends[-1]
+        if self.model_type == "lstm":
+            height = np.arange(N) - np.repeat(starts, sizes)
+            kids = np.arange(-1, N - 1)[:, None]
+            kids[starts] = -1
+            read = np.subtract(ends, 1)
+        else:
+            trees = [inst.tree_levels for inst in batch]
+            height = np.concatenate([h for h, _ in trees])
+            kids = np.full((N, max(k.shape[1] for _, k in trees)), -1, dtype=np.int64)
+            for start, (_, k) in zip(starts, trees):
+                kids[start : start + len(k), : k.shape[1]] = np.where(k >= 0, k + start, -1)
+            read = np.add(starts, [inst.root_pos if self.readout == "root" else inst.target_pos
+                                   for inst in batch])
+        order = np.argsort(height, kind="stable")
+        rank = np.empty(N + 1, dtype=np.int64)
+        rank[order] = np.arange(N)
+        rank[N] = N  # -1, a missing child, maps to the sentinel
+        kids = rank[kids[order]]
+        parents = np.full(N + 1, N)  # row N takes the sentinel's writes
+        parents[kids] = np.arange(N)[:, None]
+        height = height[order]
+        edges = [0, *(np.flatnonzero(height[1:] != height[:-1]) + 1).tolist(), N]
+        fan_out = np.maximum.reduceat((kids < N).sum(axis=1), edges[:-1]).tolist()
+        levels = [(a, b, kids[a:b, :w] if w else None, parents[a:b])
+                  for a, b, w in zip(edges, edges[1:], fan_out)]
+        return order, rank[:N], levels, kids, rank[read], list(zip(starts, ends))
+
+    def forward(self, batch: list[EncodedInput], drop_ratio: float = 0.0, drop_rng=None):
+        order, rank, levels, kids, read, spans = self._schedule(batch)
         p = self.params
-        T, H = len(inst), self.hidden
-        U_iou, U_f = p["U_iou"], p["U_f"]
-        x_iou = inst.X @ p["W_iou"] + p["b_iou"]  # input terms of every node at once
-        x_f = inst.X @ p["W_f"] + p["b_f"]
-        h_sum = np.zeros((T, H))
-        iou = np.empty((T, 3 * H))
-        f = np.zeros((T, H))  # row k: the forget gate k's parent applies to c[k]
-        c = np.empty((T, H))
-        tanh_c = np.empty((T, H))
-        h = np.empty((T, H))
-        for j in order:
-            kids = children[j]
-            z = x_iou[j]
-            if kids:
-                h_sum[j] = h[kids].sum(axis=0)
-                z = z + h_sum[j] @ U_iou
-                f[kids] = _sigmoid(x_f[j] + h[kids] @ U_f)
-            iou[j, : 2 * H] = _sigmoid(z[: 2 * H])
-            iou[j, 2 * H :] = np.tanh(z[2 * H :])
-            c[j] = iou[j, :H] * iou[j, 2 * H :]
-            if kids:
-                c[j] += (f[kids] * c[kids]).sum(axis=0)
-            tanh_c[j] = np.tanh(c[j])
-            h[j] = iou[j, H : 2 * H] * tanh_c[j]
+        N, H = len(order), self.hidden
+        # sigmoid(x) = 0.5 tanh(x/2) + 0.5, so one tanh serves the i, o and u
+        # gates: i and o columns are halved going in, scaled and shifted out
+        scale = np.repeat([0.5, 0.5, 1.0], H)
+        shift = np.repeat([0.5, 0.5, 0.0], H)
+        U_iou, U_f = p["U_iou"] * scale, p["U_f"]
+        X = np.concatenate([inst.X for inst in batch])[order]
+        x_iou = (X @ p["W_iou"] + p["b_iou"]) * scale  # input terms of every node at once
+        x_f = X @ p["W_f"] + p["b_f"]
+        # row N is the zero sentinel that padded child slots read
+        h = np.zeros((N + 1, H))
+        c = np.zeros((N + 1, H))
+        f = np.zeros((N + 1, H))  # row k: the forget gate k's parent applies to c[k]
+        h_sum = np.zeros((N, H))
+        iou = np.empty((N, 3 * H))
+        tanh_c = np.empty((N, H))
+        for a, b, level_kids, _ in levels:
+            gates = iou[a:b]
+            if level_kids is None:
+                np.tanh(x_iou[a:b], out=gates)
+            else:
+                h_kids = h[level_kids]  # (nodes, fan-out, H)
+                h_sum[a:b] = h_kids.sum(axis=1)
+                np.tanh(x_iou[a:b] + h_sum[a:b] @ U_iou, out=gates)
+                f_kids = _sigmoid(x_f[a:b, None] + (h_kids.reshape(-1, H) @ U_f).reshape(h_kids.shape))
+                f[level_kids] = f_kids
+            gates *= scale
+            gates += shift
+            c_level = gates[:, :H] * gates[:, 2 * H :]
+            if level_kids is not None:
+                c_level += (f_kids * c[level_kids]).sum(axis=1)
+            c[a:b] = c_level
+            np.tanh(c_level, out=tanh_c[a:b])
+            np.multiply(gates[:, H : 2 * H], tanh_c[a:b], out=h[a:b])
         hd, mask = dropout(h[read], drop_ratio, drop_rng)
         logits = hd @ p["Wy"] + p["by"]
-        cache = (inst, children, order, read, h_sum, iou, f, c, tanh_c, h, hd, mask)
+        cache = (rank, levels, kids, read, spans, X, h_sum, iou, f, c, tanh_c, h, hd, mask)
         return logits, cache
 
-    def backward(self, cache, dlogits: np.ndarray) -> np.ndarray:
-        inst, children, order, read, h_sum, iou, f, c, tanh_c, h, hd, mask = cache
+    def backward(self, cache, dlogits: np.ndarray) -> list[np.ndarray]:
+        rank, levels, kids, read, spans, X, h_sum, iou, f, c, tanh_c, h, hd, mask = cache
         p = self.params
         g_ = self.params.grads
-        T, H = len(inst), self.hidden
-        U_iou, U_f_T = p["U_iou"], p["U_f"].T
-        g_["Wy"] += np.outer(hd, dlogits)
-        g_["by"] += dlogits
+        N, H = len(rank), self.hidden
+        U_iou_T, U_f_T = p["U_iou"].T, p["U_f"].T
+        g_["Wy"] += hd.T @ dlogits
+        g_["by"] += dlogits.sum(axis=0)
         i, o, u = iou[:, :H], iou[:, H : 2 * H], iou[:, 2 * H :]
-        act_iou = iou * (1.0 - iou)  # sigmoid' of i and o; tanh' of u below
-        act_iou[:, 2 * H :] = 1.0 - u * u
-        act_f = f * (1.0 - f)
-        dtanh_c = 1.0 - tanh_c * tanh_c
-        dh = np.zeros((T, H))
-        dc = np.zeros((T, H))
-        dh[read] = (p["Wy"] @ dlogits) * mask
-        dz_iou = np.zeros((T, 3 * H))  # pre-activation gradients per node
-        dz_f = np.zeros((T, H))  # row k: forget pre-activation gradient of child k
-        dz_f_sum = np.zeros((T, H))  # row j: dz_f summed over j's children
-        for j in reversed(order):  # parents before children
-            dcj = dc[j] + dh[j] * o[j] * dtanh_c[j]
-            dz = dz_iou[j]
-            dz[:H] = dcj * u[j]
-            dz[H : 2 * H] = dh[j] * tanh_c[j]
-            dz[2 * H :] = dcj * i[j]
-            dz *= act_iou[j]
-            kids = children[j]
-            if kids:
-                zf = dcj * c[kids] * act_f[kids]
-                dz_f[kids] = zf
-                dz_f_sum[j] = zf.sum(axis=0)
-                dh[kids] += U_iou @ dz + zf @ U_f_T
-                dc[kids] += dcj * f[kids]
-        g_["W_iou"] += inst.X.T @ dz_iou
+        # the pre-activation gradient of node j is its (dc, dh, dc) times
+        # these per-node factors; the derivatives are s(1-s) and 1-tanh^2
+        dz_factor = np.concatenate(
+            [u * i * (1.0 - i), tanh_c * o * (1.0 - o), i * (1.0 - u * u)], axis=1)
+        out_factor = o * (1.0 - tanh_c * tanh_c)  # dc of a node per unit of its dh
+        forget_factor = c[:N] * f[:N] * (1.0 - f[:N])  # dz_f of a child per unit of parent dc
+        dh = np.zeros((N, H))
+        dh[read] = (dlogits @ p["Wy"].T) * mask
+        # row N is the zero sentinel that a root reads as its parent
+        dc = np.zeros((N + 1, H))  # total cell gradient per node
+        dz_iou = np.zeros((N + 1, 3 * H))  # pre-activation gradients per node
+        dz_f = np.zeros((N + 1, H))  # row k: forget pre-activation gradient of child k
+        for a, b, _, parents in reversed(levels):  # parents before children
+            dc_parent = dc[parents]
+            zf = dc_parent * forget_factor[a:b]
+            dz_f[a:b] = zf
+            dh_level = dh[a:b] + dz_iou[parents] @ U_iou_T + zf @ U_f_T
+            dc_level = dc_parent * f[a:b] + dh_level * out_factor[a:b]
+            dc[a:b] = dc_level
+            np.multiply(np.concatenate([dc_level, dh_level, dc_level], axis=1),
+                        dz_factor[a:b], out=dz_iou[a:b])
+        dz_iou = dz_iou[:N]
+        dz_f_sum = dz_f[kids].sum(axis=1)  # row j: dz_f summed over j's children
+        g_["W_iou"] += X.T @ dz_iou
         g_["U_iou"] += h_sum.T @ dz_iou
         g_["b_iou"] += dz_iou.sum(axis=0)
-        g_["W_f"] += inst.X.T @ dz_f_sum
-        g_["U_f"] += h.T @ dz_f
+        g_["W_f"] += X.T @ dz_f_sum
+        g_["U_f"] += h[:N].T @ dz_f[:N]
         g_["b_f"] += dz_f_sum.sum(axis=0)
-        return dz_iou @ p["W_iou"].T + dz_f_sum @ p["W_f"].T
+        dX = (dz_iou @ p["W_iou"].T + dz_f_sum @ p["W_f"].T)[rank]
+        return [dX[a:b] for a, b in spans]
 
 
 MODEL_TYPES = ("lstm", "cnn", "treelstm")
@@ -306,23 +401,25 @@ def restore_model(model_type: str, params: ParamSet, dim: int, hidden: int,
     return TreeLstmClassifier(params, dim, hidden, model_type, tree_readout)
 
 
-def model_loss(model, inst: EncodedInput, gold: int, drop_ratio: float = 0.0, drop_rng=None):
-    """Forward + cross-entropy + backward. Returns (loss, prob, dX).
+def model_loss(model, batch: list[EncodedInput], golds, drop_ratio: float = 0.0,
+               drop_rng=None):
+    """Forward + cross-entropy + backward over a batch. Returns (losses, probs,
+    dX): (B,) losses, (B, 3) probabilities and one (T, dim) input gradient per
+    input.
 
-    Accumulates parameter gradients into model.params without zeroing first,
-    so callers can average over a batch.
+    Accumulates the gradient of the summed loss into model.params without
+    zeroing first, so callers can average over a batch.
     """
-    logits, cache = model.forward(inst, drop_ratio, drop_rng)
-    loss, prob, dlogits = softmax_xent(logits, gold)
-    dX = model.backward(cache, dlogits)
-    return loss, prob, dX
+    logits, cache = model.forward(batch, drop_ratio, drop_rng)
+    losses, probs, dlogits = softmax_xent(logits, golds)
+    return losses, probs, model.backward(cache, dlogits)
 
 
 def classify(model, inst: EncodedInput) -> tuple[TemporalStatus, np.ndarray]:
-    """Prediction without dropout; ties break toward the lower class index."""
-    logits, _ = model.forward(inst)
-    prob = softmax(logits)
-    return TemporalStatus(int(np.argmax(logits))), prob
+    """Prediction without dropout, as a batch of one; ties break toward the
+    lower class index."""
+    logits, _ = model.forward([inst])
+    return TemporalStatus(int(np.argmax(logits[0]))), softmax(logits[0])
 
 
 def random_tree_children(n: int, rng: np.random.Generator) -> tuple[tuple[int, ...], ...]:
@@ -339,13 +436,13 @@ def random_instance(model_type: str, dim: int, length: int,
     """Synthetic input for gradient checks and invariance tests."""
     X = rng.standard_normal((length, dim))
     forms = tuple(f"w{t}" for t in range(length))
-    rows = np.full(length, -1, dtype=np.int64)
+    rows = np.arange(length)
     if model_type != "treelstm":
-        return EncodedInput(forms=forms, X=X, rows=rows)
+        return EncodedInput(forms=forms, rows=rows, vectors=X)
     return EncodedInput(
         forms=forms,
-        X=X,
         rows=rows,
+        vectors=X,
         children=random_tree_children(length, rng),
         root_pos=0,
         target_pos=int(rng.integers(0, length)),
@@ -355,20 +452,23 @@ def random_instance(model_type: str, dim: int, length: int,
 def gradcheck_model(model_type: str, seed: int, dim: int = 6, hidden: int = 8,
                     length: int | None = None) -> float:
     """Max relative error between analytic and central-difference gradients
-    for one randomly initialized model on one random input.
+    for one randomly initialized model on a batch of three random inputs.
 
-    Default lengths: 9 for the CNN (several pooling positions), 5 for the
-    recurrent models (deeper inputs shrink the verifiable gradient range).
+    The inputs have `length`, about half of it, and 1 positions (trees of
+    different shapes), so levels and CNN windows span several inputs.
+    Default length: 9 for the CNN (several pooling positions; the shorter
+    inputs are padded), 5 for the recurrent models (deeper inputs shrink the
+    verifiable gradient range).
     """
     if length is None:
         length = 9 if model_type == "cnn" else 5
     rng = np.random.default_rng(seed)
     model = build_model(model_type, dim, hidden, rng)
-    inst = random_instance(model_type, dim, length, rng)
-    gold = int(rng.integers(0, N_CLASSES))
+    batch = [random_instance(model_type, dim, n, rng) for n in (length, (length + 1) // 2, 1)]
+    golds = rng.integers(0, N_CLASSES, size=len(batch))
 
     def loss_fn():
-        loss, _, _ = model_loss(model, inst, gold)
-        return loss
+        losses, _, _ = model_loss(model, batch, golds)
+        return float(losses.sum())
 
     return grad_check(loss_fn, model.params)

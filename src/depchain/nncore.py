@@ -19,6 +19,7 @@ from .errors import CheckpointError, EmbeddingError
 __all__ = [
     "ParamSet",
     "softmax",
+    "NonFiniteError",
     "softmax_xent",
     "dropout",
     "RmsProp",
@@ -80,23 +81,42 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def softmax_xent(logits: np.ndarray, gold: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """Cross-entropy over a softmax, stabilized by max-subtraction.
+class NonFiniteError(ValueError):
+    """Logits that are not all finite; ``row`` is the first such row."""
 
-    Returns (loss, prob, dlogits) with dlogits = prob - onehot(gold).
+    def __init__(self, row: int):
+        super().__init__(row)
+        self.row = row
+
+    def __str__(self) -> str:
+        return f"non-finite logits in row {self.row}"
+
+
+def softmax_xent(logits: np.ndarray, gold) -> tuple:
+    """Cross-entropy over a softmax along the last axis, stabilized by
+    max-subtraction.
+
+    Takes (C,) logits with one gold index, or (B, C) logits with B of them.
+    Returns (loss, prob, dlogits) with dlogits = prob - onehot(gold); loss is
+    a float for one row and a (B,) array for a batch. Non-finite logits
+    raise NonFiniteError, a ValueError naming the first bad row.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("softmax_xent: non-finite logits")
-    if not 0 <= gold < logits.shape[0]:
+    gold = np.asarray(gold)
+    if gold.shape != logits.shape[:-1]:
+        raise ValueError(f"softmax_xent: {gold.shape} gold for {logits.shape} logits")
+    if not np.isfinite(logits).all():
+        finite = np.isfinite(logits.reshape(-1, logits.shape[-1])).all(axis=1)
+        raise NonFiniteError(int(np.argmin(finite)))
+    if gold.min() < 0 or gold.max() >= logits.shape[-1]:
         raise ValueError(f"softmax_xent: gold index {gold} out of range")
-    z = logits - np.max(logits)
-    logsumexp = math.log(np.exp(z).sum())
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logsumexp = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     prob = np.exp(z - logsumexp)
-    loss = logsumexp - z[gold]
-    dlogits = prob.copy()
-    dlogits[gold] -= 1.0
-    return float(loss), prob, dlogits
+    onehot = np.arange(logits.shape[-1]) == gold[..., None]
+    loss = (logsumexp - z)[onehot]  # one entry per row
+    dlogits = prob - onehot
+    return (float(loss[0]) if logits.ndim == 1 else loss), prob, dlogits
 
 
 def dropout(

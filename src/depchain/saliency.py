@@ -54,14 +54,15 @@ def compute_saliency(model, inst: EncodedInput,
     """Backpropagate the loss at `label` (or the prediction) to the input
     embeddings; scores are means of per-dimension absolute derivatives.
 
-    One forward pass serves both: the prediction is the argmax of its logits
-    (lowest index on ties, as in classify) and its cache feeds the backward.
+    One forward pass, over a batch of one, serves both: the prediction is the
+    argmax of its logits (lowest index on ties, as in classify) and its cache
+    feeds the backward.
     """
-    logits, cache = model.forward(inst)
-    predicted = TemporalStatus(int(np.argmax(logits)))
+    logits, cache = model.forward([inst])
+    predicted = TemporalStatus(int(np.argmax(logits[0])))
     at = predicted if label is None else label
-    _, _, dlogits = softmax_xent(logits, int(at))
-    dX = model.backward(cache, dlogits)
+    _, _, dlogits = softmax_xent(logits, [int(at)])
+    (dX,) = model.backward(cache, dlogits)
     model.params.zero_grads()  # analysis must not leak into training state
     raw = np.abs(dX)
     scores = tuple(float(s) for s in raw.mean(axis=1))

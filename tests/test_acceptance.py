@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -174,10 +175,8 @@ def test_criterion_5_saliency(record_criterion, corpus700, chain_cv):
         smap = compute_saliency(model, inst, label=label)
 
         def loss_at(X):
-            logits, _ = model.forward(
-                type(inst)(forms=inst.forms, X=X, rows=inst.rows)
-            )
-            return softmax_xent(logits, int(label))[0]
+            logits, _ = model.forward([replace(inst, vectors=X)])
+            return softmax_xent(logits[0], int(label))[0]
 
         flat = np.argsort(-smap.raw.reshape(-1))[:16]
         eps = 1e-5
@@ -291,16 +290,12 @@ def test_criterion_7_tree_invariance(record_criterion):
         n = int(rng.integers(2, 14))
         model = build_model("treelstm", 5, 7, rng)
         inst = random_instance("treelstm", 5, n, rng)
-        base, _ = model.forward(inst)
+        base, _ = model.forward([inst])
         shuffled = tuple(
             tuple(int(x) for x in rng.permutation(list(kids)))
             for kids in inst.children
         )
-        permuted = type(inst)(
-            forms=inst.forms, X=inst.X, rows=inst.rows, children=shuffled,
-            root_pos=inst.root_pos, target_pos=inst.target_pos,
-        )
-        other, _ = model.forward(permuted)
+        other, _ = model.forward([replace(inst, children=shuffled)])
         worst = max(worst, float(np.abs(base - other).max()))
     ok = worst <= 1e-12
     detail = f"max logit deviation {worst:.2e} over 100 random trees (tolerance 1e-12)"

@@ -353,6 +353,11 @@ class TestGradcheck:
             main(["gradcheck", "--model", "cnn", "--n-seeds", "0"])
         assert exc.value.code == 2
 
+    def test_bad_length_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--model", "lstm", "--length", "0"])
+        assert exc.value.code == 2
+
 
 class TestParser:
     def test_no_arguments_usage_error(self):

@@ -403,6 +403,46 @@ class TestTrain:
             with pytest.raises(TrainingError, match=r"epoch 0, batch 0"):
                 train(cfg, sents, mentions, table=table)
 
+    def test_nonfinite_loss_names_the_mention(self):
+        sents, mentions = small_corpus(n=12)
+        cfg = tiny_config(epochs=1)
+        table = resolve_embeddings(cfg, sents)
+        by_key = {(s.doc_id, s.sent_id): s for s in sents}
+        users: dict[int, set[int]] = {}
+        for j, m in enumerate(mentions):
+            inst = encode_input(by_key[(m.doc_id, m.sent_id)], m, "chain", table)
+            for row in inst.rows.tolist():
+                users.setdefault(row, set()).add(j)
+        row, (j,) = next((r, js) for r, js in sorted(users.items()) if len(js) == 1)
+        table.vectors[row] = np.inf  # only mention j reads this row
+        m = mentions[j]
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(TrainingError) as err:
+                train(cfg, sents, mentions, table=table)
+        assert str(err.value).startswith("non-finite loss at epoch 0, batch ")
+        assert str(err.value).endswith(f"mention {m.doc_id}/{m.sent_id} token {m.token_id}")
+
+    def test_encoded_inputs_need_their_table(self):
+        sents, mentions = small_corpus(n=8)
+        cfg = tiny_config(epochs=1)
+        table = resolve_embeddings(cfg, sents)
+        encoded = harness._encode_corpus(sents, mentions, cfg, table)
+        with pytest.raises(ValueError, match="table"):
+            train(cfg, sents, mentions, encoded=encoded)
+        a = train(cfg, sents, mentions, table=table, encoded=encoded)
+        b = train(cfg, sents, mentions, table=table)
+        assert a.history == b.history
+
+    def test_bad_model_input_not_reported_as_non_finite(self, monkeypatch):
+        def structural(*args, **kwargs):
+            raise ValueError("tree input contains a cycle")
+
+        monkeypatch.setattr(harness, "model_loss", structural)
+        sents, mentions = small_corpus(n=8)
+        with pytest.raises(TrainingError, match="epoch 0, batch 0: tree input contains a cycle") as err:
+            train(tiny_config(epochs=1), sents, mentions)
+        assert "non-finite" not in str(err.value)
+
     def test_finetune_embeddings_changes_table(self):
         sents, mentions = small_corpus(n=12)
         cfg = tiny_config(finetune_embeddings=True, epochs=2)
@@ -425,9 +465,10 @@ class TestTrain:
         contributions, grads = [], []
         loss_fn, step = harness.model_loss, RmsProp.step
 
-        def recording_loss(model, inst, *args, **kwargs):
-            out = loss_fn(model, inst, *args, **kwargs)
-            contributions.append((inst.rows.copy(), out[2].copy()))
+        def recording_loss(model, batch, *args, **kwargs):
+            out = loss_fn(model, batch, *args, **kwargs)
+            (inst,), (dX,) = batch, out[2]
+            contributions.append((inst.rows.copy(), dX.copy()))
             return out
 
         def recording_step(opt):
@@ -495,6 +536,21 @@ class TestCrossValidate:
         serial = cross_validate(tiny_config(epochs=1), sents, mentions, k=3, jobs=1)
         parallel = cross_validate(tiny_config(epochs=1), sents, mentions, k=3, jobs=2)
         assert serial.report_text() == parallel.report_text()
+
+    def test_each_mention_encoded_once(self, monkeypatch):
+        calls = []
+        encode = harness.encode_input
+
+        def counted(sent, mention, *args, **kwargs):
+            calls.append((mention.doc_id, mention.sent_id, mention.token_id))
+            return encode(sent, mention, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "encode_input", counted)
+        sents, mentions = small_corpus(n=12)
+        cfg = tiny_config(epochs=1, finetune_embeddings=True)
+        cross_validate(cfg, sents, mentions, k=3)
+        assert len(calls) == len(mentions)
+        assert len(set(calls)) == len(mentions)
 
     def test_workers_capped_at_folds(self, monkeypatch):
         started = []

@@ -1,5 +1,7 @@
 """Classifier algebra, hand-computed oracles, and gradient-based checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ def zeroed(model_type, dim, hidden, **kw):
 def seq_input(X):
     X = np.asarray(X, dtype=float)
     forms = tuple(f"w{t}" for t in range(len(X)))
-    return EncodedInput(forms=forms, X=X, rows=np.full(len(X), -1, dtype=np.int64))
+    return EncodedInput(forms=forms, rows=np.arange(len(X)), vectors=X)
 
 
 def tree_input(X, children, root_pos=0, target_pos=0):
@@ -39,8 +41,8 @@ def tree_input(X, children, root_pos=0, target_pos=0):
     forms = tuple(f"w{t}" for t in range(len(X)))
     return EncodedInput(
         forms=forms,
-        X=X,
-        rows=np.full(len(X), -1, dtype=np.int64),
+        rows=np.arange(len(X)),
+        vectors=X,
         children=tuple(tuple(c) for c in children),
         root_pos=root_pos,
         target_pos=target_pos,
@@ -49,6 +51,12 @@ def tree_input(X, children, root_pos=0, target_pos=0):
 
 def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def logits_of(m, inst):
+    """Logits of one input, run as a batch of one."""
+    logits, _ = m.forward([inst])
+    return logits[0]
 
 
 def gate(p, name, gate_name):
@@ -101,7 +109,7 @@ class TestZeroParameterAlgebra:
         m = zeroed("lstm", 4, 3)
         m.params["by"][...] = [0.5, -1.0, 2.0]
         inst = seq_input(np.random.default_rng(1).standard_normal((6, 4)))
-        logits, _ = m.forward(inst)
+        logits = logits_of(m, inst)
         # zero gates keep c at 0 (g = tanh(0) = 0), so h stays 0
         assert np.allclose(logits, [0.5, -1.0, 2.0], atol=1e-15)
 
@@ -112,7 +120,7 @@ class TestZeroParameterAlgebra:
             np.random.default_rng(2).standard_normal((4, 4)),
             children=[(1, 2), (3,), (), ()],
         )
-        logits, _ = m.forward(inst)
+        logits = logits_of(m, inst)
         assert np.allclose(logits, [1.0, 2.0, 3.0], atol=1e-15)
 
     def test_cnn_pooled_is_relu_of_bias(self):
@@ -120,7 +128,7 @@ class TestZeroParameterAlgebra:
         m.params["bconv"][...] = [1.5, -2.0, 0.25]
         m.params["Wy"][...] = np.eye(3)
         inst = seq_input(np.ones((7, 2)))
-        logits, _ = m.forward(inst)
+        logits = logits_of(m, inst)
         # zero filters make every window score bconv; relu clamps the negative
         assert np.allclose(logits, [1.5, 0.0, 0.25], atol=1e-15)
 
@@ -136,7 +144,7 @@ class TestLstmSingleStep:
         g = np.tanh(x @ gate(p, "W_iou", "u") + gate(p, "b_iou", "u"))
         h = o * np.tanh(i * g)  # c0 = 0, so the forget gate drops out
         want = h @ p["Wy"] + p["by"]
-        logits, _ = m.forward(seq_input(x[None, :]))
+        logits = logits_of(m, seq_input(x[None, :]))
         assert np.allclose(logits, want, atol=1e-14)
 
 
@@ -147,10 +155,10 @@ class TestOneCell:
         m = build_model("lstm", 5, 6, rng)
         X = rng.standard_normal((length, 5))
         dlogits = rng.standard_normal(3)
-        logits, cache = m.forward(seq_input(X))
-        dX = m.backward(cache, dlogits)
+        logits, cache = m.forward([seq_input(X)])
+        (dX,) = m.backward(cache, dlogits[None])
         want_logits, want_dX = textbook_lstm(m.params, X, dlogits)
-        assert np.abs(logits - want_logits).max() <= 1e-12
+        assert np.abs(logits[0] - want_logits).max() <= 1e-12
         assert np.abs(dX - want_dX).max() <= 1e-12
 
     def test_lstm_forget_bias_starts_at_one(self):
@@ -164,8 +172,8 @@ class TestOneCell:
         X = rng.standard_normal((length, 4))
         chain = [()] + [(t - 1,) for t in range(1, length)]
         tree = restore_model("treelstm", m.params, 4, 5)
-        want, _ = m.forward(seq_input(X))
-        got, _ = tree.forward(tree_input(X, chain, root_pos=length - 1))
+        want = logits_of(m, seq_input(X))
+        got = logits_of(tree, tree_input(X, chain, root_pos=length - 1))
         assert np.abs(got - want).max() <= 1e-12
 
 
@@ -177,23 +185,23 @@ class TestCnnWindows:
         p = m.params
         pooled = np.maximum(X.reshape(-1) @ p["Wconv"].T + p["bconv"], 0.0)
         want = pooled @ p["Wy"] + p["by"]
-        logits, _ = m.forward(seq_input(X))
+        logits = logits_of(m, seq_input(X))
         assert np.allclose(logits, want, atol=1e-14)
 
     def test_short_input_equals_explicit_padding(self):
         rng = np.random.default_rng(9)
         m = build_model("cnn", 3, 4, rng)
         X = rng.standard_normal((2, 3))
-        logits_short, _ = m.forward(seq_input(X))
+        logits_short = logits_of(m, seq_input(X))
         padded = np.vstack([X, np.zeros((FILTER_WIDTH - 2, 3))])
-        logits_padded, _ = m.forward(seq_input(padded))
+        logits_padded = logits_of(m, seq_input(padded))
         assert np.array_equal(logits_short, logits_padded)
 
     def test_short_input_dx_shape_matches_input(self):
         rng = np.random.default_rng(10)
         m = build_model("cnn", 3, 4, rng)
         inst = seq_input(rng.standard_normal((2, 3)))
-        _, _, dX = model_loss(m, inst, 0)
+        _, _, (dX,) = model_loss(m, [inst], [0])
         assert dX.shape == (2, 3)
 
 
@@ -207,7 +215,7 @@ class TestTreeSingleNode:
         o = sigmoid(x @ gate(p, "W_iou", "o") + gate(p, "b_iou", "o"))
         u = np.tanh(x @ gate(p, "W_iou", "u") + gate(p, "b_iou", "u"))
         want = (o * np.tanh(i * u)) @ p["Wy"] + p["by"]
-        logits, _ = m.forward(tree_input(x[None, :], children=[()]))
+        logits = logits_of(m, tree_input(x[None, :], children=[()]))
         assert np.allclose(logits, want, atol=1e-14)
 
 
@@ -223,20 +231,11 @@ class TestGradients:
         m = build_model(model_type, 4, 5, rng)
         length = 9 if model_type == "cnn" else 4
         inst = random_instance(model_type, 4, length, rng)
-        _, _, dX = model_loss(m, inst, 1)
+        _, _, (dX,) = model_loss(m, [inst], [1])
         m.params.zero_grads()
 
         def loss_at(X):
-            logits, _ = m.forward(
-                EncodedInput(
-                    forms=inst.forms,
-                    X=X,
-                    rows=inst.rows,
-                    children=inst.children,
-                    root_pos=inst.root_pos,
-                    target_pos=inst.target_pos,
-                )
-            )
+            logits = logits_of(m, replace(inst, vectors=X))
             return softmax_xent(logits, 1)[0]
 
         eps = 1e-6
@@ -257,9 +256,9 @@ class TestGradients:
         rng = np.random.default_rng(22)
         m = build_model("lstm", 3, 4, rng)
         inst = random_instance("lstm", 3, 4, rng)
-        model_loss(m, inst, 0)
+        model_loss(m, [inst], [0])
         once = {k: v.copy() for k, v in m.params.grads.items()}
-        model_loss(m, inst, 0)
+        model_loss(m, [inst], [0])
         for k, v in m.params.grads.items():
             assert np.allclose(v, 2 * once[k], atol=1e-15)
 
@@ -286,8 +285,8 @@ class TestClassify:
         rng = np.random.default_rng(30)
         m = build_model("cnn", 4, 5, rng)
         inst = random_instance("cnn", 4, 7, rng)
-        a, _ = m.forward(inst)
-        b, _ = m.forward(inst)
+        a, _ = m.forward([inst])
+        b, _ = m.forward([inst])
         assert a.tobytes() == b.tobytes()
 
 
@@ -299,11 +298,11 @@ class TestTreeInvariance:
             m = build_model("treelstm", 4, 6, rng)
             children = random_tree_children(n, rng)
             X = rng.standard_normal((n, 4))
-            base, _ = m.forward(tree_input(X, children))
+            base = logits_of(m, tree_input(X, children))
             shuffled = tuple(
                 tuple(rng.permutation(list(c)).tolist()) for c in children
             )
-            perm, _ = m.forward(tree_input(X, shuffled))
+            perm = logits_of(m, tree_input(X, shuffled))
             assert np.abs(base - perm).max() <= 1e-12
 
 
@@ -312,25 +311,25 @@ class TestInputValidation:
         m = zeroed("lstm", 3, 4)
         inst = seq_input(np.zeros((0, 3)))
         with pytest.raises(ValueError, match="empty"):
-            m.forward(inst)
+            m.forward([inst])
 
     def test_tree_without_children(self):
         m = zeroed("treelstm", 3, 4)
         inst = seq_input(np.zeros((2, 3)))
         with pytest.raises(ValueError, match="tree structure"):
-            m.forward(inst)
+            m.forward([inst])
 
     def test_tree_cycle_detected(self):
         m = zeroed("treelstm", 3, 4)
         inst = tree_input(np.zeros((2, 3)), children=[(1,), (0,)])
         with pytest.raises(ValueError, match="cycle"):
-            m.forward(inst)
+            m.forward([inst])
 
     def test_tree_not_spanning(self):
         m = zeroed("treelstm", 3, 4)
         inst = tree_input(np.zeros((3, 3)), children=[(1,), (), ()])
         with pytest.raises(ValueError, match="span"):
-            m.forward(inst)
+            m.forward([inst])
 
     def test_unknown_model_type(self):
         with pytest.raises(ValueError, match="model type"):
@@ -347,9 +346,9 @@ class TestRestore:
         rng = np.random.default_rng(40)
         m = build_model(model_type, 4, 5, rng)
         inst = random_instance(model_type, 4, 6, rng)
-        want, _ = m.forward(inst)
+        want = logits_of(m, inst)
         m2 = restore_model(model_type, m.params.copy(), 4, 5)
-        got, _ = m2.forward(inst)
+        got = logits_of(m2, inst)
         assert np.array_equal(want, got)
 
     def test_target_readout_differs_from_root(self):
@@ -357,9 +356,9 @@ class TestRestore:
         m = build_model("treelstm", 4, 5, rng)
         X = rng.standard_normal((4, 4))
         inst_root = tree_input(X, [(1, 2), (3,), (), ()], target_pos=3)
-        logits_root, _ = m.forward(inst_root)
+        logits_root = logits_of(m, inst_root)
         m_t = restore_model("treelstm", m.params, 4, 5, tree_readout="target")
-        logits_target, _ = m_t.forward(inst_root)
+        logits_target = logits_of(m_t, inst_root)
         assert not np.allclose(logits_root, logits_target)
 
     @pytest.mark.parametrize("model_type", ["lstm", "cnn", "treelstm"])
@@ -381,3 +380,112 @@ class TestRandomTree:
                     assert k > j
                     parent[k] = j
             assert sorted(parent) == list(range(1, n))
+
+
+class TestSigmoid:
+    def test_matches_two_branch_logistic(self):
+        from depchain.models import _sigmoid
+
+        x = np.concatenate([np.linspace(-800.0, 800.0, 200001), [-np.inf, np.inf]])
+        with np.errstate(all="raise"):
+            got = _sigmoid(x)
+        # the exact logistic, with exp only of non-positive arguments
+        ez = np.exp(-np.abs(x))
+        want = np.where(x >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+        assert np.abs(got - want).max() <= 4.5e-16
+        assert ((got >= 0.0) & (got <= 1.0)).all()
+
+
+def batch_case(model_type, seed, readout="root", dim=4, hidden=5):
+    """A random model and 3-8 random inputs of lengths 1-13: CNN inputs
+    shorter than the filter and trees of mixed fan-out included."""
+    rng = np.random.default_rng(seed)
+    model = build_model(model_type, dim, hidden, rng, tree_readout=readout)
+    lengths = [1, 2, 13] + rng.integers(1, 14, size=int(rng.integers(0, 6))).tolist()
+    batch = [random_instance(model_type, dim, int(n), rng) for n in rng.permutation(lengths)]
+    return model, batch, rng.standard_normal((len(batch), 3))
+
+
+def run_batch(model, batch, dlogits, drop_ratio=0.0, drop_rng=None):
+    """(logits, dX, parameter gradients) of one forward and backward."""
+    model.params.zero_grads()
+    logits, cache = model.forward(batch, drop_ratio, drop_rng)
+    dX = model.backward(cache, dlogits)
+    grads = {k: v.copy() for k, v in model.params.grads.items()}
+    model.params.zero_grads()
+    return logits, dX, grads
+
+
+def run_singles(model, batch, dlogits, drop_ratio=0.0, drop_rng=None):
+    """The same as run_batch, one batch of one per input in turn."""
+    model.params.zero_grads()
+    logits, dX = [], []
+    for inst, d in zip(batch, dlogits):
+        out, cache = model.forward([inst], drop_ratio, drop_rng)
+        logits.append(out[0])
+        dX.extend(model.backward(cache, d[None]))
+    grads = {k: v.copy() for k, v in model.params.grads.items()}
+    model.params.zero_grads()
+    return np.array(logits), dX, grads
+
+
+def max_diff(a, b):
+    la, xa, ga = a
+    lb, xb, gb = b
+    assert len(xa) == len(xb) and ga.keys() == gb.keys()
+    return max([np.abs(la - lb).max()]
+               + [np.abs(p - q).max() for p, q in zip(xa, xb)]
+               + [np.abs(ga[k] - gb[k]).max() for k in ga])
+
+
+MODEL_CASES = [("lstm", "root"), ("cnn", "root"), ("treelstm", "root"), ("treelstm", "target")]
+
+
+class TestBatch:
+    @pytest.mark.parametrize("model_type,readout", MODEL_CASES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_equals_batches_of_one(self, model_type, readout, seed):
+        model, batch, dlogits = batch_case(model_type, seed, readout)
+        batched = run_batch(model, batch, dlogits)
+        singles = run_singles(model, batch, dlogits)
+        assert [x.shape for x in batched[1]] == [inst.X.shape for inst in batch]
+        assert max_diff(batched, singles) <= 1e-12
+
+    @pytest.mark.parametrize("model_type", ["lstm", "cnn", "treelstm"])
+    def test_dropout_draws_the_stream_of_single_calls(self, model_type):
+        model, batch, dlogits = batch_case(model_type, 10)
+        batched = run_batch(model, batch, dlogits, 0.5, np.random.default_rng(3))
+        singles = run_singles(model, batch, dlogits, 0.5, np.random.default_rng(3))
+        assert max_diff(batched, singles) <= 1e-12
+        undropped = run_batch(model, batch, dlogits)
+        assert not np.allclose(batched[0], undropped[0])
+
+    @pytest.mark.parametrize("model_type", ["lstm", "cnn", "treelstm"])
+    def test_reordering_reorders_rows(self, model_type):
+        model, batch, dlogits = batch_case(model_type, 20)
+        perm = np.random.default_rng(0).permutation(len(batch))
+        logits, dX, grads = run_batch(model, batch, dlogits)
+        p_logits, p_dX, p_grads = run_batch(model, [batch[i] for i in perm], dlogits[perm])
+        assert max_diff((logits[perm], [dX[i] for i in perm], grads),
+                        (p_logits, p_dX, p_grads)) <= 1e-12
+
+    @pytest.mark.parametrize("model_type,bad", [
+        ("lstm", "empty"), ("cnn", "empty"), ("treelstm", "empty"),
+        ("treelstm", "cycle"), ("treelstm", "not spanning"), ("treelstm", "two parents"),
+        ("treelstm", "no tree"),
+    ])
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_one_invalid_input_fails_the_batch(self, model_type, bad, where):
+        model, batch, _ = batch_case(model_type, 30)
+        X = np.ones((3, 4))
+        invalid = {
+            "empty": seq_input(np.zeros((0, 4))),
+            "cycle": tree_input(X, [(1,), (2,), (0,)]),
+            "not spanning": tree_input(X, [(1,), (), ()]),
+            "two parents": tree_input(X, [(1, 2), (2,), ()]),
+            "no tree": seq_input(X),
+        }[bad]
+        match = {"empty": "empty", "cycle": "cycle", "not spanning": "span",
+                 "two parents": "one parent each", "no tree": "tree structure"}[bad]
+        with pytest.raises(ValueError, match=match):
+            model.forward(batch[:where] + [invalid] + batch[where:])

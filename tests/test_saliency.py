@@ -1,5 +1,7 @@
 """Saliency maps: gradient correctness, CSV/HTML emission, parsing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from depchain import (
     heatmap_filename,
     parse_heatmap_csv,
 )
-from depchain.models import EncodedInput, random_instance
+from depchain.models import random_instance
 from depchain.nncore import softmax_xent
 
 
@@ -40,12 +42,8 @@ class TestComputeSaliency:
         smap = compute_saliency(model, inst, label=label)
 
         def loss_at(X):
-            probe = EncodedInput(
-                forms=inst.forms, X=X, rows=inst.rows, children=inst.children,
-                root_pos=inst.root_pos, target_pos=inst.target_pos,
-            )
-            logits, _ = model.forward(probe)
-            return softmax_xent(logits, int(label))[0]
+            logits, _ = model.forward([replace(inst, vectors=X)])
+            return softmax_xent(logits[0], int(label))[0]
 
         eps = 1e-6
         rng = np.random.default_rng(1)
@@ -89,7 +87,7 @@ class TestComputeSaliency:
         smap = compute_saliency(model, inst)
         assert calls == ["forward", "backward"]
         pred, _ = classify(model, inst)
-        _, _, dX = model_loss(model, inst, int(pred))
+        _, _, (dX,) = model_loss(model, [inst], [int(pred)])
         assert smap.predicted is pred
         assert np.array_equal(smap.raw, np.abs(dX))
 
