@@ -9,7 +9,8 @@ mood). Membership is tested against the stage-1 set only; there is no
 fixpoint iteration. The result is ordered by surface position.
 
 The window baseline is the contiguous run of half_width tokens to each side
-of the target, clipped to the sentence.
+of the target, clipped to the sentence. :func:`representation_ids` is the one
+place that maps a representation name (chain, window or tree) to token ids.
 """
 
 from __future__ import annotations
@@ -28,8 +29,12 @@ __all__ = [
     "extract_window",
     "chain_stats",
     "ChainStats",
+    "REPRESENTATIONS",
+    "representation_ids",
     "representation_record",
 ]
+
+REPRESENTATIONS = ("chain", "window", "tree")
 
 # Relations added in stage 2, matched on the base label before any ':' subtype
 # (UD v2 writes "aux:pass" for the older "auxpass").
@@ -60,14 +65,6 @@ class ContextWindow:
     half_width: int
 
 
-def _children_map(sent: DepSentence) -> dict[int, list[int]]:
-    children: dict[int, list[int]] = {t.id: [] for t in sent.tokens}
-    for t in sent.tokens:
-        if t.head != 0:
-            children[t.head].append(t.id)
-    return children
-
-
 def _base_rel(deprel: str) -> str:
     return deprel.split(":", 1)[0]
 
@@ -75,7 +72,7 @@ def _base_rel(deprel: str) -> str:
 def extract_chain(sent: DepSentence, target_id: int) -> DependencyChain:
     """Extract the two-stage dependency chain for the token ``target_id``."""
     sent.token(target_id)  # validates the id
-    children = _children_map(sent)
+    children = sent.children
 
     stage1: set[int] = {target_id}
     cur = sent.token(target_id).head
@@ -152,14 +149,23 @@ def chain_stats(
     )
 
 
+def representation_ids(
+    sent: DepSentence, target_id: int, representation: str, half_width: int = 7
+) -> tuple[int, ...]:
+    """Token ids, in surface order, that a representation of the mention at
+    ``target_id`` holds: its chain, its window, or the whole tree."""
+    if representation == "chain":
+        return extract_chain(sent, target_id).member_ids
+    if representation == "window":
+        return extract_window(sent, target_id, half_width).member_ids
+    if representation == "tree":
+        return tuple(range(1, len(sent) + 1))
+    raise ValueError(f"unknown representation {representation!r}")
+
+
 def representation_record(sent: DepSentence, mention: EventMention, kind: str, half_width: int = 7) -> str:
-    """One JSON line describing a mention's chain or window representation."""
-    if kind == "chain":
-        ids = extract_chain(sent, mention.token_id).member_ids
-    elif kind == "window":
-        ids = extract_window(sent, mention.token_id, half_width).member_ids
-    else:
-        raise ValueError(f"unknown representation kind {kind!r}")
+    """One JSON line describing a mention's representation of the given kind."""
+    ids = representation_ids(sent, mention.token_id, kind, half_width)
     rec = {
         "doc_id": mention.doc_id,
         "sent_id": mention.sent_id,

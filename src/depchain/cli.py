@@ -17,7 +17,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
-from .chain import representation_record
+from .chain import REPRESENTATIONS, representation_record
 from .corpus import (
     SynthConfig,
     generate_synthetic,
@@ -30,7 +30,6 @@ from .corpus import (
 )
 from .errors import DepchainError
 from .harness import (
-    REPRESENTATIONS,
     TrainConfig,
     cross_validate,
     encode_input,

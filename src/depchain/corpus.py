@@ -16,7 +16,8 @@ from __future__ import annotations
 import enum
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CorpusError
 
@@ -149,12 +150,17 @@ class DepSentence:
             )
         return self.tokens[token_id - 1]
 
+    @cached_property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """Dependent ids of each token id in surface order; entry 0 holds the root."""
+        kids: list[list[int]] = [[] for _ in range(len(self.tokens) + 1)]
+        for t in self.tokens:
+            kids[t.head].append(t.id)
+        return tuple([tuple(k) for k in kids])
+
     @property
     def root_id(self) -> int:
-        for t in self.tokens:
-            if t.head == 0:
-                return t.id
-        raise CorpusError("unreachable: validated sentence has a root")
+        return self.children[0][0]
 
     def forms(self) -> list[str]:
         return [t.form for t in self.tokens]
@@ -179,88 +185,71 @@ def parse_conllu(text: str) -> list[DepSentence]:
 
     Consumes columns ID, FORM, LEMMA, UPOS, HEAD, DEPREL of the 10-column
     format. Multiword-token lines (id "3-4") and empty-node lines (id "3.1")
-    are skipped. `# sent_id = ...` and `# newdoc id = ...` comments are
-    honored; missing ids are synthesized as sequence numbers.
+    are skipped. A blank line or the end of the text closes a block. The
+    document id is "1" until the first `# newdoc id = ...`, which holds until
+    the next one. A block without `# sent_id = ...` is named by its ordinal
+    among the blocks that have rows or a sent_id; other comments are ignored.
+    Row faults name their line, tree faults the line of the block's first row.
     """
     sentences: list[DepSentence] = []
-    doc_id: str | None = None
-    doc_seq = 0
-    sent_seq = 0
-
-    block: list[tuple[int, str]] = []  # (line number, line)
-    pending_sent_id: str | None = None
-    pending_doc: str | None = None
-
-    def flush():
-        nonlocal block, pending_sent_id, pending_doc, doc_id, doc_seq, sent_seq
-        if pending_doc is not None:
-            doc_id = pending_doc
-        rows = [(no, ln) for no, ln in block if not ln.startswith("#")]
-        if not rows and pending_sent_id is None:
-            # Comment-only or empty block: nothing to emit.
-            block, pending_sent_id, pending_doc = [], None, None
-            return
-        sent_seq += 1
-        sid = pending_sent_id if pending_sent_id is not None else str(sent_seq)
-        if doc_id is None:
-            doc_seq += 1
-            doc_id = str(doc_seq)
-        loc = f"{doc_id}/{sid}"
-        tokens: list[Token] = []
-        for lineno, line in rows:
-            cols = line.split("\t")
-            if len(cols) != 10:
-                raise CorpusError(
-                    f"sentence {loc} (line {lineno}): expected 10 tab-separated columns, got {len(cols)}"
-                )
-            tid, form, lemma, upos, _xpos, _feats, head, deprel, _deps, _misc = cols
-            if "-" in tid or "." in tid:
-                continue  # multiword token or empty node
-            try:
-                tid_i = int(tid)
-            except ValueError:
-                raise CorpusError(f"sentence {loc} (line {lineno}): bad token id {tid!r}") from None
-            try:
-                head_i = int(head)
-            except ValueError:
-                raise CorpusError(f"sentence {loc} (line {lineno}): non-integer head {head!r}") from None
-            try:
-                tokens.append(
-                    Token(
-                        id=tid_i,
-                        form=form,
-                        head=head_i,
-                        deprel=deprel,
-                        lemma=None if lemma == "_" else lemma,
-                        upos=None if upos == "_" else upos,
-                    )
-                )
-            except CorpusError as e:
-                raise CorpusError(f"sentence {loc} (line {lineno}): {e}") from None
-        if not tokens:
-            block, pending_sent_id, pending_doc = [], None, None
-            return
-        sentences.append(DepSentence(doc_id=doc_id, sent_id=sid, tokens=tuple(tokens)))
-        block, pending_sent_id, pending_doc = [], None, None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
-        if line.strip() == "":
-            flush()
-            continue
+    doc_id, sent_id = "1", None
+    rows: list[tuple[int, str]] = []  # (line number, line) of the open block
+    ordinal = 0
+    for lineno, line in enumerate(text.splitlines() + [""], start=1):
         if line.startswith("#"):
-            body = line[1:].strip()
-            key, _, value = body.partition("=")
+            key, _, value = line[1:].partition("=")
             key = key.strip()
             if key == "sent_id":
-                pending_sent_id = value.strip()
+                sent_id = value.strip()
             elif key == "newdoc id":
-                pending_doc = value.strip()
-            block.append((lineno, line))
-        else:
-            block.append((lineno, line))
-    flush()
+                doc_id = value.strip()
+        elif line.strip():
+            rows.append((lineno, line))
+        elif rows or sent_id is not None:
+            ordinal += 1
+            sid = str(ordinal) if sent_id is None else sent_id
+            where = f"sentence {doc_id}/{sid}"
+            tokens = []
+            for no, row in rows:
+                try:
+                    token = _parse_row(row)
+                except CorpusError as e:
+                    raise CorpusError(f"{where} (line {no}): {e}") from None
+                if token is not None:
+                    tokens.append(token)
+            if tokens:
+                try:
+                    sentences.append(DepSentence(doc_id=doc_id, sent_id=sid, tokens=tuple(tokens)))
+                except CorpusError as e:  # a tree fault, its message led by `where`
+                    raise CorpusError(f"{where} (line {rows[0][0]}){str(e)[len(where):]}") from None
+            sent_id, rows = None, []
     return sentences
+
+
+def _parse_row(line: str) -> Token | None:
+    """One 10-column row as a Token; None for a multiword or empty-node row."""
+    cols = line.split("\t")
+    if len(cols) != 10:
+        raise CorpusError(f"expected 10 tab-separated columns, got {len(cols)}")
+    tid, form, lemma, upos, _xpos, _feats, head, deprel, _deps, _misc = cols
+    if "-" in tid or "." in tid:
+        return None
+    try:
+        tid_i = int(tid)
+    except ValueError:
+        raise CorpusError(f"bad token id {tid!r}") from None
+    try:
+        head_i = int(head)
+    except ValueError:
+        raise CorpusError(f"non-integer head {head!r}") from None
+    return Token(
+        id=tid_i,
+        form=form,
+        head=head_i,
+        deprel=deprel,
+        lemma=None if lemma == "_" else lemma,
+        upos=None if upos == "_" else upos,
+    )
 
 
 def serialize_conllu(sentences: list[DepSentence]) -> str:

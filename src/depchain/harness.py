@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import extract_chain, extract_window
+from .chain import REPRESENTATIONS, representation_ids
 from .corpus import DepSentence, EventMention, TemporalStatus, index_sentences
 from .errors import CheckpointError, CorpusError, TrainingError
 from .models import (
@@ -38,7 +38,6 @@ from .nncore import (
 )
 
 __all__ = [
-    "REPRESENTATIONS",
     "TrainConfig",
     "Metrics",
     "FoldPlan",
@@ -54,8 +53,6 @@ __all__ = [
     "save_trained",
     "load_trained",
 ]
-
-REPRESENTATIONS = ("chain", "window", "tree")
 
 CLASS_ORDER = (TemporalStatus.PAST, TemporalStatus.ONGOING, TemporalStatus.FUTURE)
 
@@ -272,32 +269,18 @@ def encode_input(
     table: EmbeddingTable,
     half_width: int = 7,
 ) -> EncodedInput:
-    if representation == "chain":
-        ids = extract_chain(sent, mention.token_id).member_ids
-    elif representation == "window":
-        ids = extract_window(sent, mention.token_id, half_width).member_ids
-    elif representation == "tree":
-        ids = tuple(t.id for t in sent.tokens)
-    else:
-        raise ValueError(f"unknown representation {representation!r}")
+    ids = representation_ids(sent, mention.token_id, representation, half_width)
     forms = tuple(sent.token(i).form for i in ids)
     rows = table.rows(forms)
     if representation != "tree":
         target_pos = ids.index(mention.token_id)
         return EncodedInput(forms=forms, rows=rows, vectors=table.vectors, target_pos=target_pos)
-    children: list[list[int]] = [[] for _ in sent.tokens]
-    root_pos = -1
-    for t in sent.tokens:
-        if t.head == 0:
-            root_pos = t.id - 1
-        else:
-            children[t.head - 1].append(t.id - 1)
     return EncodedInput(
         forms=forms,
         rows=rows,
         vectors=table.vectors,
-        children=tuple(tuple(c) for c in children),
-        root_pos=root_pos,
+        children=tuple(tuple([c - 1 for c in kids]) for kids in sent.children[1:]),
+        root_pos=sent.root_id - 1,
         target_pos=mention.token_id - 1,
     )
 

@@ -403,6 +403,9 @@ def _is_param_entry(entry) -> bool:
 
 
 def load_checkpoint(path: str) -> tuple[str, ParamSet, EmbeddingTable, dict]:
+    """Read a save_checkpoint file: (model_type, params, table, config).
+    Raises CheckpointError on a malformed header, a payload of the wrong
+    length, or a non-finite value."""
     if not os.path.exists(path):
         raise CheckpointError(f"checkpoint not found: {path}")
     with open(path, "rb") as f:
@@ -421,12 +424,13 @@ def load_checkpoint(path: str) -> tuple[str, ParamSet, EmbeddingTable, dict]:
             raise CheckpointError(f"checkpoint header field {key!r} missing or not a {kind.__name__}")
     if not all(_is_param_entry(e) for e in header["params"]):
         raise CheckpointError("checkpoint header has a malformed params entry")
-    if not all(isinstance(w, str) for w in header["vocab"]) or header["dim"] < 1:
+    vocab = header["vocab"]
+    if not all(isinstance(w, str) for w in vocab) or len(set(vocab)) < len(vocab) or header["dim"] < 1:
         raise CheckpointError("checkpoint header has a malformed vocab or dim")
     params = ParamSet()
     offset = 0
 
-    def take(shape) -> np.ndarray:
+    def take(shape, what: str) -> np.ndarray:
         nonlocal offset
         count = math.prod(shape)  # Python ints: a forged shape cannot overflow
         nbytes = count * 8
@@ -434,14 +438,16 @@ def load_checkpoint(path: str) -> tuple[str, ParamSet, EmbeddingTable, dict]:
             raise CheckpointError("checkpoint payload truncated")
         arr = np.frombuffer(payload[offset : offset + nbytes], dtype="<f8").reshape(shape)
         offset += nbytes
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"checkpoint {what} has a non-finite value")
         return arr.astype(np.float64)
 
     for entry in header["params"]:
         if entry["name"] in params.values:
             raise CheckpointError(f"checkpoint repeats parameter {entry['name']!r}")
-        params.add(entry["name"], take(tuple(entry["shape"])))
-    vectors = take((len(header["vocab"]) + 1, header["dim"]))
+        params.add(entry["name"], take(tuple(entry["shape"]), f"parameter {entry['name']!r}"))
+    vectors = take((len(vocab) + 1, header["dim"]), "embedding vectors")
     if offset != len(payload):
         raise CheckpointError("checkpoint payload has trailing bytes")
-    table = EmbeddingTable(header["vocab"], vectors)
+    table = EmbeddingTable(vocab, vectors)
     return header["model_type"], params, table, header["config"]

@@ -19,7 +19,7 @@ from depchain import (
     index_sentences,
     synthetic_cue_forms,
 )
-from depchain.chain import representation_record
+from depchain.chain import REPRESENTATIONS, representation_ids, representation_record
 
 from test_corpus import FIXTURE, make_sentence
 from depchain import parse_conllu
@@ -322,3 +322,15 @@ class TestRepresentationRecord:
         m = EventMention("doc1", "s1", 8, None)
         with pytest.raises(ValueError):
             representation_record(example_sentence, m, "zigzag")
+
+    def test_representation_ids(self, example_sentence):
+        expected = {
+            "chain": extract_chain(example_sentence, 8).member_ids,
+            "window": extract_window(example_sentence, 8, 2).member_ids,
+            "tree": tuple(range(1, 9)),
+        }
+        assert set(expected) == set(REPRESENTATIONS)
+        for name, ids in expected.items():
+            assert representation_ids(example_sentence, 8, name, 2) == ids
+        with pytest.raises(ValueError, match="unknown representation 'zigzag'"):
+            representation_ids(example_sentence, 8, "zigzag")

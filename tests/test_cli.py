@@ -1,9 +1,11 @@
 """End-to-end command-line coverage, driven in-process through main()."""
 
 import json
+import math
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
 from depchain import TrainConfig, parse_heatmap_csv
@@ -205,6 +207,27 @@ class TestTrainEval:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "do not fit a cnn model" in err
+
+    @pytest.mark.parametrize("command", ["eval", "saliency"])
+    def test_non_finite_checkpoint_value(self, tmp_path, capsys, command):
+        conllu, events = gen_corpus(tmp_path)
+        ckpt = train_tiny(tmp_path, conllu, events)
+        with open(ckpt, "rb") as f:
+            header, payload = f.read().split(b"\n", 1)
+        offset = 0
+        for entry in json.loads(header)["params"]:
+            if entry["name"] == "Wy":
+                break
+            offset += 8 * math.prod(entry["shape"])
+        nan = np.array([np.nan], dtype="<f8").tobytes()
+        with open(ckpt, "wb") as f:
+            f.write(header + b"\n" + payload[:offset] + nan + payload[offset + 8:])
+        capsys.readouterr()
+        rc = main([command, "--model", ckpt, "--conllu", conllu, "--events", events,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "parameter 'Wy' has a non-finite value" in err
 
     def test_tree_repr_mismatch_usage_error(self, tmp_path, capsys):
         conllu, events = gen_corpus(tmp_path)

@@ -1,6 +1,7 @@
 """CoNLL-U parsing, event loading, and the synthetic generator."""
 
 import collections
+import re
 
 import pytest
 
@@ -73,6 +74,7 @@ class TestParseConllu:
         assert s.token(3).head == 0
         assert s.token(7).deprel == "nmod:poss"
         assert s.root_id == 3
+        assert s.children == ((3,), (), (), (1, 2, 5, 6), (), (4,), (8,), (), (7,))
 
     def test_multiword_and_empty_nodes_skipped(self):
         text = (
@@ -102,11 +104,16 @@ class TestParseConllu:
             ("1\thi\t_\t_\t_\t_\t9\tdet\t_\t_", "head"),
             ("1\thi\t_\t_\t_\t_\t1\tdet\t_\t_", "head"),
             ("1\thi\t_\t_\t_\t_\t0\troot", "column"),
+            ("0\thi\t_\t_\t_\t_\t0\troot\t_\t_", "token id must be >= 1"),
+            ("x\thi\t_\t_\t_\t_\t0\troot\t_\t_", "bad token id 'x'"),
+            ("1\thi\t_\t_\t_\t_\tx\troot\t_\t_", "non-integer head 'x'"),
+            ("1\thi\t_\t_\t_\t_\t-1\troot\t_\t_", "negative head"),
         ],
     )
     def test_malformed_sentences(self, rows, pattern):
-        with pytest.raises(CorpusError, match=pattern):
+        with pytest.raises(CorpusError, match=pattern) as exc:
             parse_conllu(rows + "\n")
+        assert re.search(r"^sentence 1/1 \(line \d+\): ", str(exc.value))
 
     def test_cycle_detected(self):
         text = (
@@ -114,8 +121,32 @@ class TestParseConllu:
             "2\tb\t_\t_\t_\t_\t3\tdep\t_\t_\n"
             "3\tc\t_\t_\t_\t_\t2\tdep\t_\t_\n"
         )
-        with pytest.raises(CorpusError, match="cycle"):
+        with pytest.raises(CorpusError, match=r"\(line \d+\): cycle"):
             parse_conllu(text)
+
+    def test_tree_fault_names_first_row_of_its_block(self):
+        text = (
+            "# sent_id = ok\n1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n\n"
+            "# sent_id = bad\n# text = b c\n"
+            "1\tb\t_\t_\t_\t_\t0\troot\t_\t_\n"
+            "2\tc\t_\t_\t_\t_\t0\troot\t_\t_\n"
+        )
+        with pytest.raises(CorpusError) as exc:
+            parse_conllu(text)
+        assert str(exc.value) == "sentence 1/bad (line 6): multiple roots [1, 2]"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_block_ordinals_and_document_ids(self, newline):
+        # Every block with rows or a sent_id takes an ordinal, even when none
+        # of its rows is a token; comment-only blocks take none.
+        row = "1\tx\t_\t_\t_\t_\t0\troot\t_\t_"
+        lines = [
+            "# text = no id", "", row, "",
+            "1-2\tdel\t_\t_\t_\t_\t_\t_\t_\t_", "", "# sent_id = lone", "",
+            row, "  ", "# newdoc id = D", row, "", "# note", row,
+        ]
+        sents = parse_conllu(newline.join(lines))
+        assert [(s.doc_id, s.sent_id) for s in sents] == [("1", "1"), ("1", "4"), ("D", "5"), ("D", "6")]
 
     def test_error_carries_locator(self):
         text = "# sent_id = bad1\n1\thi\t_\t_\t_\t_\t5\tdet\t_\t_\n"
@@ -177,6 +208,7 @@ class TestEvents:
             ('{"doc_id": "doc1", "sent_id": "s1", "token_id": 8, "label": "FU", "extra": 1}', "field"),
             ("not json", "line 1"),
             ('{"doc_id": "doc1", "sent_id": "s1", "token_id": true, "label": "FU"}', "out of range"),
+            ('{"doc_id": "doc1", "sent_id": "s1", "token_id": 8, "label": 2}', "string or null"),
         ],
     )
     def test_malformed(self, line, pattern):

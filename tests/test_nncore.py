@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -282,6 +283,7 @@ class TestEmbeddings:
             pytest.param("2 2\ncat 0.1 0.2\ndog nan 1\n", id="nan"),
             pytest.param("2 2\ncat 0.1 0.2\ndog 1 inf\n", id="inf"),
             pytest.param("2 2\ncat 0.1 0.2\ndog -Infinity 1\n", id="minus-inf"),
+            pytest.param("2 2\ncat 0.1 0.2\ndog 1 x\n", id="non-numeric"),
         ],
     )
     def test_bad_row_reports_line(self, bad):
@@ -291,6 +293,18 @@ class TestEmbeddings:
     def test_malformed_header(self):
         with pytest.raises(EmbeddingError, match="header"):
             load_embeddings("banana\ncat 1 2\n")
+
+    @pytest.mark.parametrize(
+        "text,pattern",
+        [
+            pytest.param("", "empty embedding file", id="empty"),
+            pytest.param("1 two\ncat 1 2\n", "malformed header", id="non-integer"),
+            pytest.param("1 0\ncat\n", "bad header values", id="dim-0"),
+        ],
+    )
+    def test_bad_header_values(self, text, pattern):
+        with pytest.raises(EmbeddingError, match=pattern):
+            load_embeddings(text)
 
     def test_vocab_count_mismatch(self):
         with pytest.raises(EmbeddingError, match="2 words"):
@@ -408,6 +422,10 @@ class TestCheckpoint:
                          id="huge-hidden"),
             pytest.param(lambda h: h | {"config": h["config"] | {"finetune_embeddings": "no"}},
                          id="string-finetune-flag"),
+            pytest.param(lambda h: h | {"params": h["params"][:1] + h["params"]},
+                         id="repeated-param"),
+            pytest.param(lambda h: h | {"vocab": [1, "dos"]}, id="non-string-word"),
+            pytest.param(lambda h: h | {"dim": 0}, id="dim-0"),
         ],
     )
     def test_bad_header_rejected(self, tmp_path, damage):
@@ -425,6 +443,29 @@ class TestCheckpoint:
         path.write_bytes(header + b"\n" + payload)
         with pytest.raises(CheckpointError):
             load_trained(str(path))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "index,what", [(0, "parameter 'W'"), (13, "parameter 'b'"), (-1, "embedding vectors")]
+    )
+    def test_non_finite_value_rejected(self, tmp_path, value, index, what):
+        p, t = self._sample()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), "lstm", p, t, {})
+        header, payload = path.read_bytes().split(b"\n", 1)
+        floats = np.frombuffer(payload, dtype="<f8").copy()
+        floats[index] = value
+        path.write_bytes(header + b"\n" + floats.tobytes())
+        with pytest.raises(CheckpointError, match=f"{re.escape(what)} has a non-finite value"):
+            load_checkpoint(str(path))
+
+    def test_repeated_vocabulary_word_rejected(self, tmp_path):
+        p, t = self._sample()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), "lstm", p, t, {})
+        path.write_bytes(path.read_bytes().replace(b'"dos"', b'"uno"', 1))
+        with pytest.raises(CheckpointError, match="malformed vocab"):
+            load_checkpoint(str(path))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="not found"):
