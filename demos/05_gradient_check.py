@@ -24,8 +24,7 @@ for model_type in ("lstm", "cnn", "treelstm"):
 # descends fast and then hovers on a floor set by the learning rate.
 print("\nRMSProp on f(w) = w0^2 + 100 w1^2, from w = [3.0, 0.3]")
 for lr in (0.05, 0.02):
-    params = ParamSet()
-    params.add("w", np.array([3.0, 0.3]))
+    params = ParamSet.of({"w": np.array([3.0, 0.3])})
     opt = RmsProp(params, learning_rate=lr)
     print(f"  learning rate {lr}")
     for step in range(1, 201):

@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from dataclasses import asdict, fields
-from pathlib import Path
 
 from . import __version__
 from .chain import REPRESENTATIONS, representation_record
@@ -28,7 +27,7 @@ from .corpus import (
     serialize_events,
     synthetic_vocabulary,
 )
-from .errors import DepchainError
+from .errors import CorpusError, DepchainError
 from .harness import (
     TrainConfig,
     cross_validate,
@@ -40,7 +39,7 @@ from .harness import (
     train,
 )
 from .models import MODEL_TYPES, gradcheck_model
-from .nncore import atomic_open, random_embeddings, write_embeddings
+from .nncore import atomic_open, random_embeddings, read_utf8, write_embeddings
 from .saliency import compute_saliency, emit_heatmap, heatmap_filename
 
 __all__ = ["main", "build_parser"]
@@ -79,8 +78,8 @@ def _write_manifest(
 
 
 def _read_corpus(conllu_path: str, events_path: str):
-    corpus = parse_conllu(Path(conllu_path).read_text(encoding="utf-8"))
-    mentions = load_events(Path(events_path).read_text(encoding="utf-8"), corpus)
+    corpus = parse_conllu(read_utf8(conllu_path, CorpusError))
+    mentions = load_events(read_utf8(events_path, CorpusError), corpus)
     return corpus, mentions
 
 

@@ -234,18 +234,17 @@ def _parse_row(line: str) -> Token | None:
     tid, form, lemma, upos, _xpos, _feats, head, deprel, _deps, _misc = cols
     if "-" in tid or "." in tid:
         return None
-    try:
-        tid_i = int(tid)
-    except ValueError:
-        raise CorpusError(f"bad token id {tid!r}") from None
-    try:
-        head_i = int(head)
-    except ValueError:
-        raise CorpusError(f"non-integer head {head!r}") from None
+    # CoNLL-U numbers are ASCII digits; int() would also take "+1", " 1",
+    # "0_1" and other scripts' digits. A negative head passes here and is
+    # reported as negative by the tree check.
+    if not (tid.isascii() and tid.isdigit()):
+        raise CorpusError(f"bad token id {tid!r}")
+    if not (head.isascii() and head.removeprefix("-").isdigit()):
+        raise CorpusError(f"non-integer head {head!r}")
     return Token(
-        id=tid_i,
+        id=int(tid),
         form=form,
-        head=head_i,
+        head=int(head),
         deprel=deprel,
         lemma=None if lemma == "_" else lemma,
         upos=None if upos == "_" else upos,

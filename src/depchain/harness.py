@@ -11,13 +11,12 @@ from __future__ import annotations
 import concurrent.futures
 import math
 from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 from .chain import REPRESENTATIONS, representation_ids
 from .corpus import DepSentence, EventMention, TemporalStatus, index_sentences
-from .errors import CheckpointError, CorpusError, TrainingError
+from .errors import CheckpointError, CorpusError, EmbeddingError, TrainingError
 from .models import (
     EncodedInput,
     MODEL_TYPES,
@@ -34,6 +33,7 @@ from .nncore import (
     load_checkpoint,
     load_embeddings,
     random_embeddings,
+    read_utf8,
     save_checkpoint,
 )
 
@@ -312,7 +312,7 @@ def resolve_embeddings(config: TrainConfig, corpus: list[DepSentence]) -> Embedd
     """Load the configured table, or build a seeded random one over the
     corpus vocabulary."""
     if config.embeddings is not None:
-        return load_embeddings(Path(config.embeddings).read_text(encoding="utf-8"))
+        return load_embeddings(read_utf8(config.embeddings, EmbeddingError))
     vocab = sorted({t.form for sent in corpus for t in sent.tokens})
     return random_embeddings(vocab, config.embedding_dim, config.seed)
 
@@ -364,12 +364,14 @@ def train(
     emb_params = None
     emb_opt = None
     if config.finetune_embeddings:
-        # the inputs gather from table.vectors on every forward, so each
-        # step trains on the vectors as the previous steps tuned them
-        emb_params = ParamSet()
-        emb_params.add("vectors", table.vectors)
+        # the parameter buffer is table.vectors itself (a flat view of the
+        # C-contiguous array), and the inputs gather from it on every
+        # forward, so each step trains on the vectors as earlier steps tuned them
+        emb_params = ParamSet({"vectors": table.vectors.shape}, table.vectors.reshape(-1))
         emb_opt = RmsProp(emb_params, learning_rate=config.learning_rate)
 
+    inputs = [inst for inst, _ in data]
+    golds = np.array([gold for _, gold in data], dtype=np.int64)
     history: list[float] = []
     n = len(data)
     for epoch in range(config.epochs):
@@ -377,10 +379,9 @@ def train(
         epoch_loss = 0.0
         for b, start in enumerate(range(0, n, config.batch_size)):
             idx = perm[start : start + config.batch_size]
-            batch = [data[i][0] for i in idx]
-            golds = [data[i][1] for i in idx]
+            batch = [inputs[i] for i in idx.tolist()]
             try:
-                losses, _, dX = model_loss(model, batch, golds, config.dropout, drop_rng)
+                losses, _, dX = model_loss(model, batch, golds[idx], config.dropout, drop_rng)
             except NonFiniteError as e:
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {b}, "
@@ -391,9 +392,8 @@ def train(
             for loss in losses.tolist():
                 epoch_loss += loss
             if emb_params is not None:
-                # add.at, not +=: a row repeated in one batch gets every gradient
-                rows = np.concatenate([inst.rows for inst in batch])
-                np.add.at(emb_params.grads["vectors"], rows, np.concatenate(dX))
+                _scatter_rows(emb_params.grads["vectors"],
+                              np.concatenate([inst.rows for inst in batch]), dX)
             scale = 1.0 / len(idx)
             model.params.scale_grads(scale)
             opt.step()
@@ -402,6 +402,19 @@ def train(
                 emb_opt.step()
         history.append(epoch_loss / n)
     return TrainedModel(model=model, table=table, config=config, history=history)
+
+
+def _scatter_rows(grad: np.ndarray, rows: np.ndarray, dX: np.ndarray) -> None:
+    """grad[rows] += dX, every repeat of a row included (add.at, not +=);
+    -1 is the last (unk) row.
+
+    One np.add.at on the raveled array, where element (r, d) is r*dim + d:
+    each element adds its gradients in the order of rows, as the slower
+    2-D np.add.at(grad, rows, dX) does, so the sums are bitwise the same.
+    """
+    n_rows, dim = grad.shape
+    flat = ((rows % n_rows)[:, None] * dim + np.arange(dim)).ravel()
+    np.add.at(grad.reshape(-1), flat, dX.ravel())
 
 
 def evaluate(

@@ -2,8 +2,9 @@
 
 Each model maps a batch (a list) of encoded inputs to (B, 3) logits (PAST,
 ONGOING, FUTURE), exposes a backward pass that accumulates parameter
-gradients and returns each input's gradient with respect to its embeddings,
-and is deterministic unless given a dropout ratio, which only training does.
+gradients and returns the batch's gradient with respect to its embeddings
+(one (sum of lengths, dim) array in batch order), and is deterministic
+unless given a dropout ratio, which only training does.
 Dropout touches only the penultimate vector (final hidden state or pooled
 feature vector). A single input runs as a batch of one; there is no other
 path. The LSTM and the tree-LSTM share one cell: the LSTM is the child-sum
@@ -13,7 +14,7 @@ tree-LSTM run on a chain.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "classify",
     "random_tree_children",
     "random_instance",
+    "random_batch",
     "gradcheck_model",
 ]
 
@@ -46,11 +48,12 @@ FILTER_WIDTH = 5
 class EncodedInput:
     """Model-ready view of one mention.
 
-    ``X`` is the (T, dim) input: the rows of ``vectors`` that ``rows`` picks,
-    gathered on every read, so an input sees the embeddings as they are now,
-    fine-tuned ones included. Sequence models read forms/X only. The tree
-    model additionally needs the children lists (positions, not token ids),
-    the root position, and the target position for the alternative readout.
+    The (T, dim) input is the rows of ``vectors`` that ``rows`` picks,
+    gathered by the model's forward, so an input sees the embeddings as they
+    are then, fine-tuned ones included. Sequence models read forms/rows
+    only. The tree model additionally needs the children lists (positions,
+    not token ids), the root position, and the target position for the
+    alternative readout.
     """
 
     forms: tuple[str, ...]
@@ -62,10 +65,6 @@ class EncodedInput:
 
     def __len__(self) -> int:
         return len(self.forms)
-
-    @property
-    def X(self) -> np.ndarray:
-        return self.vectors[self.rows]
 
     @cached_property
     def tree_levels(self) -> tuple[np.ndarray, np.ndarray]:
@@ -110,6 +109,15 @@ class EncodedInput:
         return height, padded
 
 
+def _batch_rows(batch: list[EncodedInput]) -> tuple[np.ndarray, np.ndarray]:
+    """(vectors, rows) of a batch: the one vectors array its inputs read and
+    their rows laid end to end, so one gather embeds the whole batch."""
+    vectors = batch[0].vectors
+    if any(inst.vectors is not vectors for inst in batch):
+        raise ValueError("a batch must read one vectors array")
+    return vectors, np.concatenate([inst.rows for inst in batch])
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # the logistic function through tanh: one expression, no overflow
     return 0.5 * np.tanh(0.5 * x) + 0.5
@@ -133,30 +141,31 @@ class CnnClassifier:
 
     @classmethod
     def init(cls, dim: int, n_filters: int, rng: np.random.Generator) -> "CnnClassifier":
-        p = ParamSet()
-        for name, shape in param_shapes("cnn", dim, n_filters).items():
-            p.add(name, uniform_init(rng, shape))
-        return cls(p, dim, n_filters)
+        shapes = param_shapes("cnn", dim, n_filters)
+        return cls(ParamSet.of({name: uniform_init(rng, s) for name, s in shapes.items()}),
+                   dim, n_filters)
 
     def forward(self, batch: list[EncodedInput], drop_ratio: float = 0.0, drop_rng=None):
         sizes = [len(inst) for inst in batch]
         if not all(sizes):
             raise ValueError("cnn forward: empty sequence")
+        vectors, rows = _batch_rows(batch)
         p = self.params
         B, W, F = len(batch), FILTER_WIDTH, self.n_filters
         padded = [max(T, W) for T in sizes]
-        Xp = np.zeros((B, max(padded), self.dim))
-        for b, inst in enumerate(batch):
-            Xp[b, : sizes[b]] = inst.X
+        T_max = max(padded)
+        present = np.arange(T_max) < np.array(sizes)[:, None]  # row-major: batch order
+        Xp = np.zeros((B, T_max, self.dim))
+        Xp[present] = vectors[rows]
         # im2col: row (b, s) is positions s..s+W-1 of input b, flattened,
         # gathered as W slices of Xp at offsets 0..W-1
-        n_pos = Xp.shape[1] - W + 1
+        n_pos = T_max - W + 1
         windows = np.concatenate([Xp[:, k : k + n_pos] for k in range(W)], axis=2)
         windows = windows.reshape(-1, W * self.dim)
         pre = (windows @ p["Wconv"].T + p["bconv"]).reshape(B, n_pos, F)
         act = np.maximum(pre, 0.0)
         pool = act
-        if min(padded) < Xp.shape[1]:
+        if min(padded) < T_max:
             # windows past an input's padded length never win its max-pool:
             # the rectifier is >= 0, so a masked -1 loses to any window
             valid = np.arange(n_pos) <= np.subtract(padded, W)[:, None]
@@ -166,18 +175,18 @@ class CnnClassifier:
         pooled = act[pick]
         pd, mask = dropout(pooled, drop_ratio, drop_rng)
         logits = pd @ p["Wy"] + p["by"]
-        cache = (sizes, Xp.shape, windows, pre, pick, pd, mask)
+        cache = (present, Xp.shape, windows, pre, pick, pd, mask)
         return logits, cache
 
-    def backward(self, cache, dlogits: np.ndarray) -> list[np.ndarray]:
-        sizes, padded_shape, windows, pre, pick, pd, mask = cache
+    def backward(self, cache, dlogits: np.ndarray) -> np.ndarray:
+        present, padded_shape, windows, pre, pick, pd, mask = cache
         p = self.params
         g_ = self.params.grads
         g_["Wy"] += pd.T @ dlogits
         g_["by"] += dlogits.sum(axis=0)
         dpooled = (dlogits @ p["Wy"].T) * mask
         # max routing: each filter's gradient reaches its argmax window only
-        dpre = np.zeros_like(pre)
+        dpre = np.zeros(pre.shape)
         dpre[pick] = dpooled
         dpre *= pre > 0.0
         dpre = dpre.reshape(-1, self.n_filters)
@@ -190,7 +199,7 @@ class CnnClassifier:
         # sums each position's windows in window order
         for k in reversed(range(FILTER_WIDTH)):
             dXp[:, k : k + n_pos] += dwindows[:, :, k]
-        return [dXp[b, :T] for b, T in enumerate(sizes)]
+        return dXp[present]
 
 
 class TreeLstmClassifier:
@@ -232,27 +241,26 @@ class TreeLstmClassifier:
         drawn = {gate: [uniform_init(rng, s) for s in shapes] for gate in "ifou"}
         if model_type == "lstm":
             drawn["f"][2] = np.ones(hidden)  # standard forget-gate bias, helps long gaps
-        p = ParamSet()
+        values = {}
         for k, kind in enumerate("WUb"):
-            p.add(kind + "_iou", np.concatenate([drawn[g][k] for g in "iou"], axis=-1))
+            values[kind + "_iou"] = np.concatenate([drawn[g][k] for g in "iou"], axis=-1)
         for k, kind in enumerate("WUb"):
-            p.add(kind + "_f", drawn["f"][k])
-        p.add("Wy", uniform_init(rng, (hidden, N_CLASSES)))
-        p.add("by", uniform_init(rng, (N_CLASSES,)))
-        return cls(p, dim, hidden, model_type, readout)
+            values[kind + "_f"] = drawn["f"][k]
+        values["Wy"] = uniform_init(rng, (hidden, N_CLASSES))
+        values["by"] = uniform_init(rng, (N_CLASSES,))
+        return cls(ParamSet.of(values), dim, hidden, model_type, readout)
 
     def _schedule(self, batch: list[EncodedInput]):
         """Level schedule of a batch, over its N nodes sorted by height.
 
-        Returns (order, rank, levels, kids, read, spans). order[s] is the
+        Returns (order, rank, levels, kids, read). order[s] is the
         node at sorted index s, counting over the inputs laid end to end, and
         rank is its inverse. kids is the (N x max fan-out) matrix of sorted
         child indices, padded with the sentinel index N. levels holds
         (start, stop, level_kids, parents) per height: the level's slice of
         kids cut to its own fan-out (None on the leaf level), and the sorted
-        parent index of each of its nodes (N for a root). read holds the
-        sorted index of each input's readout node, and spans its (start,
-        stop) among the inputs laid end to end.
+        parent index of each of its nodes (N for a root), and read the
+        sorted index of each input's readout node.
         """
         sizes = [len(inst) for inst in batch]
         if not all(sizes):
@@ -285,10 +293,10 @@ class TreeLstmClassifier:
         fan_out = np.maximum.reduceat((kids < N).sum(axis=1), edges[:-1]).tolist()
         levels = [(a, b, kids[a:b, :w] if w else None, parents[a:b])
                   for a, b, w in zip(edges, edges[1:], fan_out)]
-        return order, rank[:N], levels, kids, rank[read], list(zip(starts, ends))
+        return order, rank[:N], levels, kids, rank[read]
 
     def forward(self, batch: list[EncodedInput], drop_ratio: float = 0.0, drop_rng=None):
-        order, rank, levels, kids, read, spans = self._schedule(batch)
+        order, rank, levels, kids, read = self._schedule(batch)
         p = self.params
         N, H = len(order), self.hidden
         # sigmoid(x) = 0.5 tanh(x/2) + 0.5, so one tanh serves the i, o and u
@@ -296,7 +304,8 @@ class TreeLstmClassifier:
         scale = np.repeat([0.5, 0.5, 1.0], H)
         shift = np.repeat([0.5, 0.5, 0.0], H)
         U_iou, U_f = p["U_iou"] * scale, p["U_f"]
-        X = np.concatenate([inst.X for inst in batch])[order]
+        vectors, rows = _batch_rows(batch)
+        X = vectors[rows[order]]
         x_iou = (X @ p["W_iou"] + p["b_iou"]) * scale  # input terms of every node at once
         x_f = X @ p["W_f"] + p["b_f"]
         # row N is the zero sentinel that padded child slots read
@@ -326,11 +335,11 @@ class TreeLstmClassifier:
             np.multiply(gates[:, H : 2 * H], tanh_c[a:b], out=h[a:b])
         hd, mask = dropout(h[read], drop_ratio, drop_rng)
         logits = hd @ p["Wy"] + p["by"]
-        cache = (rank, levels, kids, read, spans, X, h_sum, iou, f, c, tanh_c, h, hd, mask)
+        cache = (rank, levels, kids, read, X, h_sum, iou, f, c, tanh_c, h, hd, mask)
         return logits, cache
 
-    def backward(self, cache, dlogits: np.ndarray) -> list[np.ndarray]:
-        rank, levels, kids, read, spans, X, h_sum, iou, f, c, tanh_c, h, hd, mask = cache
+    def backward(self, cache, dlogits: np.ndarray) -> np.ndarray:
+        rank, levels, kids, read, X, h_sum, iou, f, c, tanh_c, h, hd, mask = cache
         p = self.params
         g_ = self.params.grads
         N, H = len(rank), self.hidden
@@ -367,8 +376,7 @@ class TreeLstmClassifier:
         g_["W_f"] += X.T @ dz_f_sum
         g_["U_f"] += h[:N].T @ dz_f[:N]
         g_["b_f"] += dz_f_sum.sum(axis=0)
-        dX = (dz_iou @ p["W_iou"].T + dz_f_sum @ p["W_f"].T)[rank]
-        return [dX[a:b] for a, b in spans]
+        return (dz_iou @ p["W_iou"].T + dz_f_sum @ p["W_f"].T)[rank]
 
 
 MODEL_TYPES = ("lstm", "cnn", "treelstm")
@@ -404,8 +412,8 @@ def restore_model(model_type: str, params: ParamSet, dim: int, hidden: int,
 def model_loss(model, batch: list[EncodedInput], golds, drop_ratio: float = 0.0,
                drop_rng=None):
     """Forward + cross-entropy + backward over a batch. Returns (losses, probs,
-    dX): (B,) losses, (B, 3) probabilities and one (T, dim) input gradient per
-    input.
+    dX): (B,) losses, (B, 3) probabilities and the batch's input gradient,
+    one (sum of lengths, dim) array in batch order.
 
     Accumulates the gradient of the summed loss into model.params without
     zeroing first, so callers can average over a batch.
@@ -449,6 +457,16 @@ def random_instance(model_type: str, dim: int, length: int,
     )
 
 
+def random_batch(model_type: str, dim: int, lengths,
+                 rng: np.random.Generator) -> list[EncodedInput]:
+    """Random inputs of the given lengths over one shared vectors array, as
+    a batch needs; each input draws what random_instance draws."""
+    batch = [random_instance(model_type, dim, int(n), rng) for n in lengths]
+    vectors = np.concatenate([inst.vectors for inst in batch])
+    starts = itertools.accumulate([len(inst) for inst in batch[:-1]], initial=0)
+    return [replace(inst, rows=inst.rows + s, vectors=vectors) for inst, s in zip(batch, starts)]
+
+
 def gradcheck_model(model_type: str, seed: int, dim: int = 6, hidden: int = 8,
                     length: int | None = None) -> float:
     """Max relative error between analytic and central-difference gradients
@@ -464,7 +482,7 @@ def gradcheck_model(model_type: str, seed: int, dim: int = 6, hidden: int = 8,
         length = 9 if model_type == "cnn" else 5
     rng = np.random.default_rng(seed)
     model = build_model(model_type, dim, hidden, rng)
-    batch = [random_instance(model_type, dim, n, rng) for n in (length, (length + 1) // 2, 1)]
+    batch = random_batch(model_type, dim, (length, (length + 1) // 2, 1), rng)
     golds = rng.integers(0, N_CLASSES, size=len(batch))
 
     def loss_fn():

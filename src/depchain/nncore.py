@@ -9,8 +9,8 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import operator
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "load_embeddings",
     "write_embeddings",
     "random_embeddings",
+    "read_utf8",
     "atomic_open",
     "save_checkpoint",
     "load_checkpoint",
@@ -38,36 +39,59 @@ CHECKPOINT_FORMAT_VERSION = 2
 
 
 class ParamSet:
-    """Named float64 parameter arrays with mirrored gradient buffers."""
+    """Named float64 parameters with mirrored gradients, as views into two
+    flat buffers.
 
-    def __init__(self):
+    ``buffer`` holds every value and ``grad_buffer`` every gradient, one
+    contiguous slice per parameter in the order of ``shapes``; ``values`` and
+    ``grads`` map each name to its shaped view. Zeroing, scaling, an
+    optimizer step and a checkpoint write are each one operation on a buffer.
+    """
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]], buffer: np.ndarray):
+        """Views over ``buffer``, a flat float64 array of the total size,
+        which the set reads and updates in place (it is not copied)."""
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        if buffer.dtype != np.float64 or buffer.shape != (sum(sizes),):
+            raise ValueError(f"a ParamSet of {sum(sizes)} values needs a flat float64 buffer "
+                             f"of that size, got {buffer.dtype} {buffer.shape}")
+        self.buffer = buffer
+        self.grad_buffer = np.zeros(buffer.size)  # not zeros_like: 4x slower at this size
         self.values: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
+        start = 0
+        for (name, shape), size in zip(shapes.items(), sizes):
+            self.values[name] = buffer[start : start + size].reshape(shape)
+            self.grads[name] = self.grad_buffer[start : start + size].reshape(shape)
+            start += size
+        self._grad_views = tuple(self.grads.values())
 
-    def add(self, name: str, value: np.ndarray) -> np.ndarray:
-        if name in self.values:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        arr = np.asarray(value, dtype=np.float64)
-        self.values[name] = arr
-        self.grads[name] = np.zeros_like(arr)
-        return arr
+    @classmethod
+    def of(cls, values: dict[str, np.ndarray]) -> "ParamSet":
+        """A set holding copies of ``values``, in their order."""
+        flat = np.concatenate([np.zeros(0), *map(np.ravel, values.values())])
+        return cls({name: np.shape(v) for name, v in values.items()}, flat)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.values[name]
 
+    def check_grads(self):
+        """Raise ValueError unless ``grads`` still maps each parameter to its
+        view of ``grad_buffer``, the only gradient memory a step reads."""
+        views = self._grad_views
+        if len(self.grads) != len(views) or any(map(operator.is_not, self.grads.values(), views)):
+            changed = [name for (name, g), v in zip(self.grads.items(), views) if g is not v]
+            raise ValueError(f"gradients {changed or list(self.grads)} are not this set's "
+                             "views of its gradient buffer; write into the views instead")
+
     def zero_grads(self):
-        for g in self.grads.values():
-            g[...] = 0.0
+        self.grad_buffer.fill(0.0)
 
     def scale_grads(self, factor: float):
-        for g in self.grads.values():
-            g *= factor
+        self.grad_buffer *= factor
 
     def copy(self) -> "ParamSet":
-        out = ParamSet()
-        for name, v in self.values.items():
-            out.add(name, v.copy())
-        return out
+        return ParamSet({name: v.shape for name, v in self.values.items()}, self.buffer.copy())
 
 
 def uniform_init(rng: np.random.Generator, shape) -> np.ndarray:
@@ -149,25 +173,34 @@ RMSPROP_EPSILON = 1e-8
 class RmsProp:
     """RMSProp: acc <- rho*acc + (1-rho)*g^2; theta <- theta - lr*g/(sqrt(acc)+eps).
 
-    rho and eps are the standard RMSPROP_DECAY and RMSPROP_EPSILON. Gradients
-    are zeroed after each step.
+    rho and eps are the standard RMSPROP_DECAY and RMSPROP_EPSILON. A step
+    updates the whole parameter buffer at once, with ``acc`` one accumulator
+    buffer beside it, and allocates nothing. Gradients are zeroed after each
+    step.
     """
 
     def __init__(self, params: ParamSet, learning_rate: float = 0.001):
         self.params = params
         self.learning_rate = learning_rate
-        self.acc = {name: np.zeros_like(v) for name, v in params.values.items()}
+        self.acc = np.zeros(params.buffer.size)
+        self._tmp = np.empty(params.buffer.size)
 
     def step(self):
-        for name, theta in self.params.values.items():
-            g = self.params.grads[name]
-            if g.shape != theta.shape:
-                raise ValueError(f"gradient shape mismatch for {name!r}")
-            acc = self.acc[name]
-            acc *= RMSPROP_DECAY
-            acc += (1.0 - RMSPROP_DECAY) * g * g
-            theta -= self.learning_rate * g / (np.sqrt(acc) + RMSPROP_EPSILON)
-        self.params.zero_grads()
+        p, acc, tmp = self.params, self.acc, self._tmp
+        p.check_grads()
+        g = p.grad_buffer
+        # acc = rho*acc + ((1-rho)*g)*g; theta -= (lr*g) / (sqrt(acc) + eps),
+        # term by term in place; the gradient buffer is zeroed at the end anyway
+        np.multiply(g, 1.0 - RMSPROP_DECAY, out=tmp)
+        tmp *= g
+        acc *= RMSPROP_DECAY
+        acc += tmp
+        np.sqrt(acc, out=tmp)
+        tmp += RMSPROP_EPSILON
+        g *= self.learning_rate
+        g /= tmp
+        p.buffer -= g
+        p.zero_grads()
 
 
 GRAD_CHECK_EPS = 1e-5
@@ -235,7 +268,7 @@ class EmbeddingTable:
     """
 
     def __init__(self, words: list[str], vectors: np.ndarray):
-        vectors = np.asarray(vectors, dtype=np.float64)
+        vectors = np.ascontiguousarray(vectors, dtype=np.float64)  # train tunes it as a flat view
         if vectors.ndim != 2 or vectors.shape[0] != len(words) + 1:
             raise EmbeddingError("embedding vectors must have one row per word plus the unk row")
         self.words = list(words)
@@ -335,6 +368,16 @@ def random_embeddings(vocab: list[str], dim: int, seed: int) -> EmbeddingTable:
 # Artifact files
 
 
+def read_utf8(path: str, error: type[Exception]) -> str:
+    """The text of a UTF-8 file, newlines read as ``open`` reads them; a file
+    that is not UTF-8 raises ``error`` naming the path."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+
 @contextlib.contextmanager
 def atomic_open(path: str, mode: str = "w"):
     """Open ``path`` for writing ("w" text as UTF-8, or "wb") so that readers
@@ -381,8 +424,8 @@ def save_checkpoint(
         "vocab": table.words,
         "dim": table.dim,
     }
-    blobs = [np.ascontiguousarray(v, dtype="<f8").tobytes() for v in params.values.values()]
-    blobs.append(np.ascontiguousarray(table.vectors, dtype="<f8").tobytes())
+    blobs = [np.ascontiguousarray(params.buffer, dtype="<f8").tobytes(),
+             np.ascontiguousarray(table.vectors, dtype="<f8").tobytes()]
     with atomic_open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8"))
         f.write(b"\n")
@@ -427,27 +470,27 @@ def load_checkpoint(path: str) -> tuple[str, ParamSet, EmbeddingTable, dict]:
     vocab = header["vocab"]
     if not all(isinstance(w, str) for w in vocab) or len(set(vocab)) < len(vocab) or header["dim"] < 1:
         raise CheckpointError("checkpoint header has a malformed vocab or dim")
-    params = ParamSet()
-    offset = 0
-
-    def take(shape, what: str) -> np.ndarray:
-        nonlocal offset
-        count = math.prod(shape)  # Python ints: a forged shape cannot overflow
-        nbytes = count * 8
-        if offset + nbytes > len(payload):
-            raise CheckpointError("checkpoint payload truncated")
-        arr = np.frombuffer(payload[offset : offset + nbytes], dtype="<f8").reshape(shape)
-        offset += nbytes
-        if not np.isfinite(arr).all():
-            raise CheckpointError(f"checkpoint {what} has a non-finite value")
-        return arr.astype(np.float64)
-
+    shapes: dict[str, tuple[int, ...]] = {}
     for entry in header["params"]:
-        if entry["name"] in params.values:
+        if entry["name"] in shapes:
             raise CheckpointError(f"checkpoint repeats parameter {entry['name']!r}")
-        params.add(entry["name"], take(tuple(entry["shape"]), f"parameter {entry['name']!r}"))
-    vectors = take((len(vocab) + 1, header["dim"]), "embedding vectors")
-    if offset != len(payload):
+        shapes[entry["name"]] = tuple(entry["shape"])
+    # Python ints, checked against the payload before anything is allocated:
+    # a forged shape can neither overflow nor ask for a huge array
+    n_params = sum(math.prod(shape) for shape in shapes.values())
+    n_values = n_params + (len(vocab) + 1) * header["dim"]
+    if len(payload) < 8 * n_values:
+        raise CheckpointError("checkpoint payload truncated")
+    if len(payload) > 8 * n_values:
         raise CheckpointError("checkpoint payload has trailing bytes")
+    flat = np.frombuffer(payload, dtype="<f8")
+    # the parameter block is the ParamSet buffer, in header order
+    params = ParamSet(shapes, flat[:n_params].astype(np.float64))
+    if not np.isfinite(params.buffer).all():
+        bad = next(name for name, v in params.values.items() if not np.isfinite(v).all())
+        raise CheckpointError(f"checkpoint parameter {bad!r} has a non-finite value")
+    vectors = flat[n_params:].astype(np.float64).reshape(len(vocab) + 1, header["dim"])
+    if not np.isfinite(vectors).all():
+        raise CheckpointError("checkpoint embedding vectors has a non-finite value")
     table = EmbeddingTable(vocab, vectors)
     return header["model_type"], params, table, header["config"]

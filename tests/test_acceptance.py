@@ -181,8 +181,8 @@ def test_criterion_5_saliency(record_criterion, corpus700, chain_cv):
         flat = np.argsort(-smap.raw.reshape(-1))[:16]
         eps = 1e-5
         for fi in flat:
-            t, d = divmod(int(fi), inst.X.shape[1])
-            Xp = inst.X.copy()
+            t, d = divmod(int(fi), inst.vectors.shape[1])
+            Xp = inst.vectors[inst.rows]
             Xp[t, d] += eps
             up = loss_at(Xp)
             Xp[t, d] -= 2 * eps

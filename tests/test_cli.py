@@ -4,6 +4,7 @@ import json
 import math
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,11 +119,11 @@ class TestExtract:
         rc = main(["extract", "--conllu", conllu, "--events", events,
                    "--mode", "chain", "--out", out])
         assert rc == 0
-        rec = json.loads(open(out).read().splitlines()[0])
+        rec = json.loads(Path(out).read_text().splitlines()[0])
         assert rec["forms"] == ["will", "launch", "describing", "their", "protest"]
         assert rec["member_ids"] == [2, 3, 6, 7, 8]
         assert rec["kind"] == "chain"
-        manifest = json.loads(open(out + ".manifest.json").read())
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert manifest["command"] == "extract"
         assert conllu in manifest["inputs"]
 
@@ -132,7 +133,7 @@ class TestExtract:
         rc = main(["extract", "--conllu", conllu, "--events", events,
                    "--mode", "window", "--half-width", "0", "--out", out])
         assert rc == 0
-        rec = json.loads(open(out).read().splitlines()[0])
+        rec = json.loads(Path(out).read_text().splitlines()[0])
         assert rec["forms"] == ["protest"]
         assert rec["member_ids"] == [8]
 
@@ -155,13 +156,34 @@ class TestExtract:
         assert "error:" in capsys.readouterr().err
 
 
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("kind", ["conllu", "events", "embeddings"])
+    def test_error_line_names_the_file(self, tmp_path, capsys, kind):
+        conllu, events = write_fixture(tmp_path)
+        files = {"conllu": conllu, "events": events}
+        if kind == "embeddings":
+            files["embeddings"] = str(tmp_path / "emb.txt")
+            Path(files["embeddings"]).write_bytes(b"1 2\nwill 0.5 0.25\n\xff")
+            argv = ["train", "--model", "lstm", "--repr", "chain",
+                    "--embeddings", files["embeddings"], "--out", str(tmp_path / "m.ckpt")]
+        else:
+            bad = Path(files[kind])
+            bad.write_bytes(b"\xff\xfe" + bad.read_bytes())  # a UTF-16 byte-order mark
+            argv = ["extract", "--mode", "chain", "--out", str(tmp_path / "x.jsonl")]
+        rc = main(argv + ["--conllu", files["conllu"], "--events", files["events"]])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"{files[kind]}: not UTF-8 text" in err
+
+
 class TestTrainEval:
     def test_train_writes_checkpoint_and_manifest(self, tmp_path, capsys):
         conllu, events = gen_corpus(tmp_path)
         ckpt = train_tiny(tmp_path, conllu, events)
         out = capsys.readouterr().out
         assert "checkpoint:" in out
-        manifest = json.loads(open(ckpt + ".manifest.json").read())
+        manifest = json.loads(Path(ckpt + ".manifest.json").read_text())
         assert manifest["command"] == "train"
         assert manifest["config"]["model_type"] == "lstm"
         assert ckpt in manifest["outputs"]
@@ -170,7 +192,7 @@ class TestTrainEval:
         conllu, events = gen_corpus(tmp_path)
         a = train_tiny(tmp_path, conllu, events, name="a.ckpt")
         b = train_tiny(tmp_path, conllu, events, name="b.ckpt")
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_eval_prints_table_and_writes_report(self, tmp_path, capsys):
         conllu, events = gen_corpus(tmp_path)
@@ -183,7 +205,7 @@ class TestTrainEval:
         out = capsys.readouterr().out
         assert out.splitlines()[0].split() == ["PA", "OG", "FU", "Macro", "Micro"]
         assert out.splitlines()[1].startswith("test")
-        doc = json.loads(open(report).read())
+        doc = json.loads(Path(report).read_text())
         assert doc["n"] == 12
         assert set(doc["per_class"]) == {"PA", "OG", "FU"}
 
@@ -275,10 +297,10 @@ class TestCv:
         assert "pooled" in out
         for i in range(3):
             assert (models_dir / f"fold_{i}.ckpt").is_file()
-        doc = json.loads(open(report).read())
+        doc = json.loads(Path(report).read_text())
         assert len(doc["folds"]) == 3
         assert doc["pooled"]["n"] == 12
-        manifest = json.loads(open(report + ".manifest.json").read())
+        manifest = json.loads(Path(report + ".manifest.json").read_text())
         assert manifest["config"]["folds"] == 3
 
     def test_jobs_do_not_change_stdout(self, tmp_path, capsys):
@@ -338,7 +360,7 @@ class TestSaliency:
         ckpt = train_tiny(tmp_path, conllu, events)
         stripped = tmp_path / "unlabeled.jsonl"
         lines = []
-        for line in open(events):
+        for line in Path(events).read_text().splitlines():
             rec = json.loads(line)
             rec["label"] = None
             lines.append(json.dumps(rec))

@@ -108,6 +108,11 @@ class TestParseConllu:
             ("x\thi\t_\t_\t_\t_\t0\troot\t_\t_", "bad token id 'x'"),
             ("1\thi\t_\t_\t_\t_\tx\troot\t_\t_", "non-integer head 'x'"),
             ("1\thi\t_\t_\t_\t_\t-1\troot\t_\t_", "negative head"),
+            # ID and HEAD are ASCII digits only, whatever int() accepts
+            *((f"{n}\thi\t_\t_\t_\t_\t0\troot\t_\t_", re.escape(f"bad token id {n!r}"))
+              for n in ("+1", " 1", "0_1", "\u0661")),
+            *((f"1\thi\t_\t_\t_\t_\t{n}\troot\t_\t_", re.escape(f"non-integer head {n!r}"))
+              for n in ("+0", " 0", "0_0", "\u0660")),
         ],
     )
     def test_malformed_sentences(self, rows, pattern):

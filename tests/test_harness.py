@@ -287,9 +287,10 @@ class TestEncodeInput:
         inst = encode_input(self.sent, self.mention, "chain", self.table)
         assert inst.forms == ("will", "launch", "describing", "their", "protest")
         assert inst.target_pos == 4
-        assert inst.X.shape == (5, 4)
-        assert np.array_equal(inst.X[0], self.table.vectors[self.table.row_of("will")])
-        assert np.array_equal(inst.X, self.table.vectors[inst.rows])
+        assert inst.vectors is self.table.vectors  # shared, never copied
+        X = inst.vectors[inst.rows]
+        assert X.shape == (5, 4)
+        assert np.array_equal(X[0], self.table.vectors[self.table.row_of("will")])
 
     def test_window_forms(self):
         inst = encode_input(self.sent, self.mention, "window", self.table, half_width=1)
@@ -467,7 +468,7 @@ class TestTrain:
 
         def recording_loss(model, batch, *args, **kwargs):
             out = loss_fn(model, batch, *args, **kwargs)
-            (inst,), (dX,) = batch, out[2]
+            (inst,), dX = batch, out[2]
             contributions.append((inst.rows.copy(), dX.copy()))
             return out
 
@@ -486,6 +487,40 @@ class TestTrain:
             for row, d in zip(rows, dX):
                 expected[row] += d
             assert np.array_equal(grad, expected)
+
+    def test_finetune_tunes_table_vectors_in_place(self):
+        sents, mentions = small_corpus(n=12)
+        cfg = tiny_config(model_type="cnn", finetune_embeddings=True, epochs=2)
+        table = resolve_embeddings(cfg, sents)
+        vectors, before = table.vectors, table.vectors.copy()
+        by_key = {(s.doc_id, s.sent_id): s for s in sents}
+        m = mentions[0]
+        inst = encode_input(by_key[(m.doc_id, m.sent_id)], m, "chain", table)  # before training
+        trained = train(cfg, sents, mentions, table=table)
+        assert table.vectors is vectors and trained.table is table
+        assert inst.vectors is vectors
+        seen = inst.vectors[inst.rows]
+        assert np.array_equal(seen, table.vectors[inst.rows])
+        assert not np.array_equal(seen, before[inst.rows])
+
+    def test_scatter_equals_two_dimensional_add_at(self):
+        rng = np.random.default_rng(4)
+        for n_rows, dim, n in ((1, 3, 5), (7, 5, 40), (50, 24, 200)):
+            rows = rng.integers(-1, n_rows, size=n)
+            rows[: n // 4] = rows[0]  # a row repeated many times
+            rows[n // 4 : n // 4 + 3] = -1  # and the unk row
+            rows = rng.permutation(rows)
+            # magnitudes 1e-8..1e8, so the order of the additions shows in the bits
+            dX = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
+            start = rng.standard_normal((n_rows, dim))
+            want, got = start.copy(), start.copy()
+            np.add.at(want, rows, dX)
+            harness._scatter_rows(got, rows, dX)
+            assert got.tobytes() == want.tobytes()
+            reordered = start.copy()
+            order = np.argsort(rows, kind="stable")[::-1]
+            np.add.at(reordered, rows[order], dX[order])
+            assert reordered.tobytes() != want.tobytes()  # the test can see order
 
     def test_frozen_embeddings_unchanged(self):
         sents, mentions = small_corpus(n=12)

@@ -17,6 +17,7 @@ from depchain import (
 from depchain.models import (
     FILTER_WIDTH,
     param_shapes,
+    random_batch,
     random_instance,
     random_tree_children,
 )
@@ -156,7 +157,7 @@ class TestOneCell:
         X = rng.standard_normal((length, 5))
         dlogits = rng.standard_normal(3)
         logits, cache = m.forward([seq_input(X)])
-        (dX,) = m.backward(cache, dlogits[None])
+        dX = m.backward(cache, dlogits[None])
         want_logits, want_dX = textbook_lstm(m.params, X, dlogits)
         assert np.abs(logits[0] - want_logits).max() <= 1e-12
         assert np.abs(dX - want_dX).max() <= 1e-12
@@ -201,7 +202,7 @@ class TestCnnWindows:
         rng = np.random.default_rng(10)
         m = build_model("cnn", 3, 4, rng)
         inst = seq_input(rng.standard_normal((2, 3)))
-        _, _, (dX,) = model_loss(m, [inst], [0])
+        _, _, dX = model_loss(m, [inst], [0])
         assert dX.shape == (2, 3)
 
 
@@ -231,7 +232,7 @@ class TestGradients:
         m = build_model(model_type, 4, 5, rng)
         length = 9 if model_type == "cnn" else 4
         inst = random_instance(model_type, 4, length, rng)
-        _, _, (dX,) = model_loss(m, [inst], [1])
+        _, _, dX = model_loss(m, [inst], [1])
         m.params.zero_grads()
 
         def loss_at(X):
@@ -244,7 +245,7 @@ class TestGradients:
             (int(rng2.integers(length)), int(rng2.integers(4))) for _ in range(12)
         ]
         for t, d in idx:
-            Xp = inst.X.copy()
+            Xp = inst.vectors[inst.rows]
             Xp[t, d] += eps
             up = loss_at(Xp)
             Xp[t, d] -= 2 * eps
@@ -402,15 +403,18 @@ def batch_case(model_type, seed, readout="root", dim=4, hidden=5):
     rng = np.random.default_rng(seed)
     model = build_model(model_type, dim, hidden, rng, tree_readout=readout)
     lengths = [1, 2, 13] + rng.integers(1, 14, size=int(rng.integers(0, 6))).tolist()
-    batch = [random_instance(model_type, dim, int(n), rng) for n in rng.permutation(lengths)]
+    batch = random_batch(model_type, dim, rng.permutation(lengths), rng)
     return model, batch, rng.standard_normal((len(batch), 3))
 
 
 def run_batch(model, batch, dlogits, drop_ratio=0.0, drop_rng=None):
-    """(logits, dX, parameter gradients) of one forward and backward."""
+    """(logits, dX, parameter gradients) of one forward and backward, with
+    the batch's input gradient split into one array per input."""
     model.params.zero_grads()
     logits, cache = model.forward(batch, drop_ratio, drop_rng)
     dX = model.backward(cache, dlogits)
+    assert dX.shape == (sum(map(len, batch)), batch[0].vectors.shape[1])
+    dX = np.split(dX, np.cumsum([len(inst) for inst in batch])[:-1])
     grads = {k: v.copy() for k, v in model.params.grads.items()}
     model.params.zero_grads()
     return logits, dX, grads
@@ -423,7 +427,7 @@ def run_singles(model, batch, dlogits, drop_ratio=0.0, drop_rng=None):
     for inst, d in zip(batch, dlogits):
         out, cache = model.forward([inst], drop_ratio, drop_rng)
         logits.append(out[0])
-        dX.extend(model.backward(cache, d[None]))
+        dX.append(model.backward(cache, d[None]))
     grads = {k: v.copy() for k, v in model.params.grads.items()}
     model.params.zero_grads()
     return np.array(logits), dX, grads
@@ -448,8 +452,18 @@ class TestBatch:
         model, batch, dlogits = batch_case(model_type, seed, readout)
         batched = run_batch(model, batch, dlogits)
         singles = run_singles(model, batch, dlogits)
-        assert [x.shape for x in batched[1]] == [inst.X.shape for inst in batch]
+        assert [x.shape for x in batched[1]] == [(len(inst), 4) for inst in batch]
         assert max_diff(batched, singles) <= 1e-12
+
+    @pytest.mark.parametrize("model_type", ["lstm", "cnn", "treelstm"])
+    def test_batch_reads_one_vectors_array(self, model_type):
+        model, batch, _ = batch_case(model_type, 40)
+        assert all(inst.vectors is batch[0].vectors for inst in batch)
+        own = random_instance(model_type, 4, 3, np.random.default_rng(0))
+        for mixed in (batch + [own], [own] + batch,
+                      batch[:1] + [replace(batch[1], vectors=batch[1].vectors.copy())]):
+            with pytest.raises(ValueError, match="one vectors array"):
+                model.forward(mixed)
 
     @pytest.mark.parametrize("model_type", ["lstm", "cnn", "treelstm"])
     def test_dropout_draws_the_stream_of_single_calls(self, model_type):
@@ -485,6 +499,7 @@ class TestBatch:
             "two parents": tree_input(X, [(1, 2), (2,), ()]),
             "no tree": seq_input(X),
         }[bad]
+        invalid = replace(invalid, vectors=batch[0].vectors)  # fails on structure alone
         match = {"empty": "empty", "cycle": "cycle", "not spanning": "span",
                  "two parents": "one parent each", "no tree": "tree structure"}[bad]
         with pytest.raises(ValueError, match=match):

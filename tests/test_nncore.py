@@ -88,26 +88,22 @@ class TestSoftmaxXent:
 
 class TestRmsProp:
     def test_zero_gradient_fixed_point(self):
-        p = ParamSet()
-        p.add("w", np.array([1.0, -2.0, 3.0]))
+        p = ParamSet.of({"w": np.array([1.0, -2.0, 3.0])})
         opt = RmsProp(p)
         opt.step()
         assert np.array_equal(p["w"], [1.0, -2.0, 3.0])
 
     def test_scalar_step_derived(self):
-        p = ParamSet()
-        p.add("w", np.array([1.0]))
+        p = ParamSet.of({"w": np.array([1.0])})
         p.grads["w"][0] = 1.0
         opt = RmsProp(p, learning_rate=0.001)  # decay 0.9, epsilon 1e-8
         opt.step()
-        assert abs(opt.acc["w"][0] - 0.1) < 1e-15
+        assert abs(opt.acc[0] - 0.1) < 1e-15
         # independently computed: 1 - 0.001/(sqrt(0.1) + 1e-8)
         assert abs(p["w"][0] - 0.9968377224398316) < 1e-12
 
     def test_odd_symmetry(self):
-        pa, pb = ParamSet(), ParamSet()
-        pa.add("w", np.full(4, 2.0))
-        pb.add("w", np.full(4, 2.0))
+        pa, pb = ParamSet.of({"w": np.full(4, 2.0)}), ParamSet.of({"w": np.full(4, 2.0)})
         g = np.array([0.5, -1.0, 2.0, -3.0])
         pa.grads["w"][...] = g
         pb.grads["w"][...] = -g
@@ -116,16 +112,14 @@ class TestRmsProp:
         assert np.allclose(pa["w"] - 2.0, -(pb["w"] - 2.0), atol=1e-15)
 
     def test_grads_zeroed_after_step(self):
-        p = ParamSet()
-        p.add("w", np.ones(3))
+        p = ParamSet.of({"w": np.ones(3)})
         p.grads["w"][...] = 5.0
         RmsProp(p).step()
         assert np.array_equal(p.grads["w"], np.zeros(3))
 
     def test_bitwise_deterministic(self):
         def run():
-            p = ParamSet()
-            p.add("w", np.linspace(-1, 1, 8))
+            p = ParamSet.of({"w": np.linspace(-1, 1, 8)})
             opt = RmsProp(p)
             for k in range(5):
                 p.grads["w"][...] = np.sin(np.arange(8) + k)
@@ -134,9 +128,41 @@ class TestRmsProp:
 
         assert run() == run()
 
+    def test_flat_step_equals_per_array_reference(self):
+        """One step over the flat buffer is bitwise the per-array update."""
+        rng = np.random.default_rng(7)
+        shapes = {"W": (3, 4), "b": (4,), "v": (2, 5, 2)}
+        start = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        p = ParamSet.of(start)
+        opt = RmsProp(p, learning_rate=0.01)
+        theta = {name: v.copy() for name, v in start.items()}
+        acc = {name: np.zeros(shape) for name, shape in shapes.items()}
+        for k in range(7):
+            grads = {name: rng.standard_normal(shape) * 10.0 ** (k - 3)
+                     for name, shape in shapes.items()}
+            if k in (2, 5):
+                grads = {name: np.zeros(shape) for name, shape in shapes.items()}
+            grads["b"][1] = 0.0
+            for name, g in grads.items():
+                p.grads[name][...] = g
+                # the parent's per-array step, kept here as the reference
+                acc[name] *= 0.9
+                acc[name] += (1.0 - 0.9) * g * g
+                theta[name] -= 0.01 * g / (np.sqrt(acc[name]) + 1e-8)
+            opt.step()
+            for name in shapes:
+                assert p[name].tobytes() == theta[name].tobytes()
+            assert opt.acc.tobytes() == np.concatenate([a.ravel() for a in acc.values()]).tobytes()
+            assert not p.grad_buffer.any()
+
+    def test_replaced_gradient_rejected(self):
+        p = ParamSet.of({"w": np.ones(3)})
+        p.grads["w"] = np.ones(3)  # same shape, but a step would never read it
+        with pytest.raises(ValueError, match=r"\['w'\] are not this set's views"):
+            RmsProp(p).step()
+
     def test_shape_mismatch_rejected(self):
-        p = ParamSet()
-        p.add("w", np.ones(3))
+        p = ParamSet.of({"w": np.ones(3)})
         opt = RmsProp(p)
         p.grads["w"] = np.ones(4)
         with pytest.raises(ValueError):
@@ -179,9 +205,8 @@ class TestDropout:
 class TestGradCheck:
     def test_linear_softmax_toy(self):
         rng = np.random.default_rng(0)
-        p = ParamSet()
-        p.add("W", rng.standard_normal((4, 3)) * 0.3)
-        p.add("b", rng.standard_normal(3) * 0.3)
+        p = ParamSet.of({"W": rng.standard_normal((4, 3)) * 0.3,
+                         "b": rng.standard_normal(3) * 0.3})
         x = rng.standard_normal(4)
 
         def loss_fn():
@@ -194,8 +219,7 @@ class TestGradCheck:
         assert grad_check(loss_fn, p) < 1e-6
 
     def test_flat_direction_guard(self):
-        p = ParamSet()
-        p.add("unused", np.zeros(4))
+        p = ParamSet.of({"unused": np.zeros(4)})
 
         def loss_fn():
             return 1.25  # constant: analytic and numeric both exactly zero
@@ -207,8 +231,7 @@ class TestGradCheck:
         assert gradcheck_model("lstm", seed=0, dim=6, hidden=8, length=4) < 1e-4
 
     def test_wrong_gradient_detected(self):
-        p = ParamSet()
-        p.add("w", np.array([0.7]))
+        p = ParamSet.of({"w": np.array([0.7])})
 
         def loss_fn():
             p.grads["w"][0] += 2 * p["w"][0] * 1.1  # deliberately off by 10%
@@ -217,8 +240,7 @@ class TestGradCheck:
         assert grad_check(loss_fn, p) > 0.05
 
     def test_nonfinite_loss_rejected(self):
-        p = ParamSet()
-        p.add("w", np.ones(1))
+        p = ParamSet.of({"w": np.ones(1)})
 
         def loss_fn():
             return float("inf")
@@ -228,15 +250,37 @@ class TestGradCheck:
 
 
 class TestParamSet:
-    def test_duplicate_name_rejected(self):
-        p = ParamSet()
-        p.add("w", np.ones(2))
-        with pytest.raises(ValueError):
-            p.add("w", np.ones(2))
+    def test_views_share_the_flat_buffers(self):
+        values = {"W": np.arange(6.0).reshape(2, 3), "b": np.array([7.0]), "e": np.zeros((0, 2))}
+        p = ParamSet.of(values)
+        assert p.buffer.shape == p.grad_buffer.shape == (7,)
+        assert np.array_equal(p.buffer, [0, 1, 2, 3, 4, 5, 7])
+        assert list(p.values) == list(p.grads) == ["W", "b", "e"]
+        for name, v in values.items():
+            assert p[name].shape == p.grads[name].shape == v.shape
+            assert np.array_equal(p[name], v) and p[name] is not v
+            assert np.shares_memory(p[name], p.buffer) or v.size == 0
+            assert np.shares_memory(p.grads[name], p.grad_buffer) or v.size == 0
+        p.buffer[3:6] = -1.0
+        p.grads["W"][1] = 2.0
+        assert np.array_equal(p["W"], [[0, 1, 2], [-1, -1, -1]])
+        assert np.array_equal(p.grad_buffer, [0, 0, 0, 2, 2, 2, 0])
+
+    def test_buffer_used_in_place(self):
+        buffer = np.arange(5.0)
+        p = ParamSet({"a": (2, 2), "b": (1,)}, buffer)
+        assert p.buffer is buffer
+        p["b"][0] = 9.0
+        assert buffer[4] == 9.0
+
+    @pytest.mark.parametrize("buffer", [np.zeros(4), np.zeros(6), np.zeros((1, 5)),
+                                        np.zeros(5, dtype=np.float32)])
+    def test_wrong_buffer_rejected(self, buffer):
+        with pytest.raises(ValueError, match="flat float64 buffer"):
+            ParamSet({"a": (2, 2), "b": (1,)}, buffer)
 
     def test_zero_and_scale(self):
-        p = ParamSet()
-        p.add("w", np.ones(3))
+        p = ParamSet.of({"w": np.ones(3)})
         p.grads["w"][...] = 4.0
         p.scale_grads(0.25)
         assert np.array_equal(p.grads["w"], np.ones(3))
@@ -244,8 +288,7 @@ class TestParamSet:
         assert np.array_equal(p.grads["w"], np.zeros(3))
 
     def test_copy_is_deep(self):
-        p = ParamSet()
-        p.add("w", np.ones(3))
+        p = ParamSet.of({"w": np.ones(3)})
         q = p.copy()
         q["w"][0] = 9.0
         assert p["w"][0] == 1.0
@@ -350,10 +393,8 @@ class TestEmbeddings:
 
 class TestCheckpoint:
     def _sample(self):
-        p = ParamSet()
         rng = np.random.default_rng(5)
-        p.add("W", rng.standard_normal((3, 4)))
-        p.add("b", rng.standard_normal(4))
+        p = ParamSet.of({"W": rng.standard_normal((3, 4)), "b": rng.standard_normal(4)})
         t = random_embeddings(["uno", "dos"], 4, seed=1)
         return p, t
 
@@ -370,6 +411,16 @@ class TestCheckpoint:
         assert t2.words == t.words
         assert np.array_equal(t2.matrix, t.matrix)
         assert np.array_equal(t2.unk, t.unk)
+
+    def test_parameter_block_is_the_buffer(self, tmp_path):
+        p, t = self._sample()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), "lstm", p, t, {})
+        payload = path.read_bytes().split(b"\n", 1)[1]
+        assert payload == p.buffer.astype("<f8").tobytes() + t.vectors.astype("<f8").tobytes()
+        _, p2, _, _ = load_checkpoint(str(path))
+        assert p2.buffer.tobytes() == p.buffer.tobytes()
+        assert all(np.shares_memory(v, p2.buffer) for v in p2.values.values())
 
     def test_bitwise_identical_saves(self, tmp_path):
         p, t = self._sample()

@@ -49,8 +49,8 @@ class TestComputeSaliency:
         rng = np.random.default_rng(1)
         for _ in range(10):
             t = int(rng.integers(len(inst)))
-            d = int(rng.integers(inst.X.shape[1]))
-            Xp = inst.X.copy()
+            d = int(rng.integers(inst.vectors.shape[1]))
+            Xp = inst.vectors[inst.rows]
             Xp[t, d] += eps
             up = loss_at(Xp)
             Xp[t, d] -= 2 * eps
@@ -87,7 +87,7 @@ class TestComputeSaliency:
         smap = compute_saliency(model, inst)
         assert calls == ["forward", "backward"]
         pred, _ = classify(model, inst)
-        _, _, (dX,) = model_loss(model, [inst], [int(pred)])
+        _, _, dX = model_loss(model, [inst], [int(pred)])
         assert smap.predicted is pred
         assert np.array_equal(smap.raw, np.abs(dX))
 
