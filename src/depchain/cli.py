@@ -320,16 +320,23 @@ def _cmd_saliency(parser, args) -> int:
     trained = load_trained(args.model)
     corpus, mentions = _read_corpus(args.conllu, args.events)
     by_key = index_sentences(corpus)
+    names = [heatmap_filename(m.doc_id, m.sent_id, m.token_id, args.format) for m in mentions]
+    owners: dict[str, tuple] = {}
+    for name, m in zip(names, mentions):
+        key = (m.doc_id, m.sent_id, m.token_id)
+        owner = owners.setdefault(name, key)
+        if owner != key:
+            raise CorpusError(f"mentions {owner[0]}/{owner[1]} token {owner[2]} and "
+                              f"{key[0]}/{key[1]} token {key[2]} both map to heatmap {name}")
     os.makedirs(args.out, exist_ok=True)
     outputs = []
-    for m in mentions:
+    for name, m in zip(names, mentions):
         sent = by_key[(m.doc_id, m.sent_id)]
         inst = encode_input(sent, m, trained.config.representation,
                             trained.table, trained.config.half_width)
         label = None if args.at_predicted else m.label
         smap = compute_saliency(trained.model, inst, label)
-        path = os.path.join(args.out, heatmap_filename(m.doc_id, m.sent_id,
-                                                       m.token_id, args.format))
+        path = os.path.join(args.out, name)
         with atomic_open(path) as f:
             f.write(emit_heatmap(smap, args.format))
         outputs.append(path)

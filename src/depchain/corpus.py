@@ -311,6 +311,8 @@ def load_events(text: str, corpus: list[DepSentence]) -> list[EventMention]:
             rec = json.loads(line)
         except json.JSONDecodeError as e:
             raise CorpusError(f"events line {lineno}: invalid JSON ({e.msg})") from None
+        except RecursionError:
+            raise CorpusError(f"events line {lineno}: JSON nested too deeply") from None
         if not isinstance(rec, dict) or set(rec) != _EVENT_FIELDS:
             raise CorpusError(
                 f"events line {lineno}: fields must be exactly doc_id, sent_id, token_id, label"

@@ -274,11 +274,10 @@ def encode_input(
     rows = table.rows(forms)
     if representation != "tree":
         target_pos = ids.index(mention.token_id)
-        return EncodedInput(forms=forms, rows=rows, vectors=table.vectors, target_pos=target_pos)
+        return EncodedInput(forms=forms, rows=rows, target_pos=target_pos)
     return EncodedInput(
         forms=forms,
         rows=rows,
-        vectors=table.vectors,
         children=tuple(tuple([c - 1 for c in kids]) for kids in sent.children[1:]),
         root_pos=sent.root_id - 1,
         target_pos=mention.token_id - 1,
@@ -341,6 +340,7 @@ def train(
 
     ``encoded`` may hold the mentions' (input, gold) pairs, already encoded
     with ``table``: cross_validate encodes each mention once for all folds.
+    The model reads ``table.vectors`` itself, which fine-tuning tunes in place.
     """
     if not mentions:
         raise CorpusError("no mentions to train on")
@@ -352,7 +352,7 @@ def train(
     init_ss, order_ss, drop_ss = np.random.SeedSequence(config.seed).spawn(3)
     model = build_model(
         config.model_type,
-        table.dim,
+        table.vectors,
         config.hidden,
         np.random.default_rng(init_ss),
         tree_readout=config.tree_readout,
@@ -364,9 +364,6 @@ def train(
     emb_params = None
     emb_opt = None
     if config.finetune_embeddings:
-        # the parameter buffer is table.vectors itself (a flat view of the
-        # C-contiguous array), and the inputs gather from it on every
-        # forward, so each step trains on the vectors as earlier steps tuned them
         emb_params = ParamSet({"vectors": table.vectors.shape}, table.vectors.reshape(-1))
         emb_opt = RmsProp(emb_params, learning_rate=config.learning_rate)
 
@@ -498,7 +495,7 @@ def cross_validate(
     by fold index regardless of completion order, and each fold derives its
     own seed from (config.seed, fold), so the outcome does not depend on jobs.
     At most k worker processes start, one per fold; each receives the encoded
-    inputs and the table they read.
+    inputs and the table.
     """
     plan = kfold(mentions, k, config.seed)
     table = resolve_embeddings(config, corpus)
@@ -510,8 +507,6 @@ def cross_validate(
             raise CorpusError(f"fold {f}: {e}") from e
         for i, pair in zip(fold, encoded):
             data[i] = pair
-    # the table travels in the same tuple as the inputs that read it, so a
-    # worker's inputs read the worker's copy of the table
     args = [(config, corpus, mentions, data, plan, f, table, keep_models) for f in range(k)]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, k)) as pool:
@@ -567,7 +562,5 @@ def load_trained(path: str) -> TrainedModel:
             f"{path}: parameters {found} do not fit a {model_type} model "
             f"with dim {table.dim} and hidden {config.hidden}: expected {expected}"
         )
-    model = restore_model(
-        model_type, params, table.dim, config.hidden, tree_readout=config.tree_readout
-    )
+    model = restore_model(model_type, params, table.vectors, tree_readout=config.tree_readout)
     return TrainedModel(model=model, table=table, config=config, history=[])

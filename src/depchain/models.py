@@ -1,10 +1,11 @@
 """Three classifiers over token representations: LSTM, CNN, tree-LSTM.
 
-Each model maps a batch (a list) of encoded inputs to (B, 3) logits (PAST,
-ONGOING, FUTURE), exposes a backward pass that accumulates parameter
-gradients and returns the batch's gradient with respect to its embeddings
-(one (sum of lengths, dim) array in batch order), and is deterministic
-unless given a dropout ratio, which only training does.
+Each model holds its embedding matrix, its first layer, and maps a batch (a
+list) of encoded inputs, which hold row indices into that matrix, to (B, 3)
+logits (PAST, ONGOING, FUTURE). It exposes a backward pass that accumulates
+parameter gradients and returns the batch's gradient with respect to its
+embeddings (one (sum of lengths, dim) array in batch order), and is
+deterministic unless given a dropout ratio, which only training does.
 Dropout touches only the penultimate vector (final hidden state or pooled
 feature vector). A single input runs as a batch of one; there is no other
 path. The LSTM and the tree-LSTM share one cell: the LSTM is the child-sum
@@ -14,7 +15,7 @@ tree-LSTM run on a chain.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -46,19 +47,18 @@ FILTER_WIDTH = 5
 
 @dataclass(frozen=True)
 class EncodedInput:
-    """Model-ready view of one mention.
+    """Model-ready view of one mention: indices, no embeddings.
 
-    The (T, dim) input is the rows of ``vectors`` that ``rows`` picks,
-    gathered by the model's forward, so an input sees the embeddings as they
-    are then, fine-tuned ones included. Sequence models read forms/rows
-    only. The tree model additionally needs the children lists (positions,
-    not token ids), the root position, and the target position for the
-    alternative readout.
+    The (T, dim) input is the rows of the model's embedding matrix that
+    ``rows`` picks, gathered by its forward, so an input sees the embeddings
+    as they are then, fine-tuned ones included. Sequence models read
+    forms/rows only. The tree model additionally needs the children lists
+    (positions, not token ids), the root position, and the target position
+    for the alternative readout.
     """
 
     forms: tuple[str, ...]
-    rows: np.ndarray  # (T,) row of vectors per position; -1 is the last (unk) row
-    vectors: np.ndarray = field(repr=False, compare=False)  # shared, never copied
+    rows: np.ndarray  # (T,) embedding row per position; -1 is the last (unk) row
     children: tuple[tuple[int, ...], ...] | None = None
     root_pos: int = 0
     target_pos: int = 0
@@ -109,15 +109,6 @@ class EncodedInput:
         return height, padded
 
 
-def _batch_rows(batch: list[EncodedInput]) -> tuple[np.ndarray, np.ndarray]:
-    """(vectors, rows) of a batch: the one vectors array its inputs read and
-    their rows laid end to end, so one gather embeds the whole batch."""
-    vectors = batch[0].vectors
-    if any(inst.vectors is not vectors for inst in batch):
-        raise ValueError("a batch must read one vectors array")
-    return vectors, np.concatenate([inst.rows for inst in batch])
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # the logistic function through tanh: one expression, no overflow
     return 0.5 * np.tanh(0.5 * x) + 0.5
@@ -134,29 +125,28 @@ class CnnClassifier:
 
     model_type = "cnn"
 
-    def __init__(self, params: ParamSet, dim: int, n_filters: int):
+    def __init__(self, params: ParamSet, vectors: np.ndarray):
         self.params = params
-        self.dim = dim
-        self.n_filters = n_filters
+        self.vectors = vectors
+        self.dim = vectors.shape[1]
+        self.n_filters = params["bconv"].shape[0]
 
     @classmethod
-    def init(cls, dim: int, n_filters: int, rng: np.random.Generator) -> "CnnClassifier":
-        shapes = param_shapes("cnn", dim, n_filters)
-        return cls(ParamSet.of({name: uniform_init(rng, s) for name, s in shapes.items()}),
-                   dim, n_filters)
+    def init(cls, vectors: np.ndarray, n_filters: int, rng: np.random.Generator) -> "CnnClassifier":
+        shapes = param_shapes("cnn", vectors.shape[1], n_filters)
+        return cls(ParamSet.of({name: uniform_init(rng, s) for name, s in shapes.items()}), vectors)
 
     def forward(self, batch: list[EncodedInput], drop_ratio: float = 0.0, drop_rng=None):
         sizes = [len(inst) for inst in batch]
         if not all(sizes):
             raise ValueError("cnn forward: empty sequence")
-        vectors, rows = _batch_rows(batch)
         p = self.params
         B, W, F = len(batch), FILTER_WIDTH, self.n_filters
         padded = [max(T, W) for T in sizes]
         T_max = max(padded)
         present = np.arange(T_max) < np.array(sizes)[:, None]  # row-major: batch order
         Xp = np.zeros((B, T_max, self.dim))
-        Xp[present] = vectors[rows]
+        Xp[present] = self.vectors[np.concatenate([inst.rows for inst in batch])]
         # im2col: row (b, s) is positions s..s+W-1 of input b, flattened,
         # gathered as W slices of Xp at offsets 0..W-1
         n_pos = T_max - W + 1
@@ -220,24 +210,24 @@ class TreeLstmClassifier:
     matmuls whatever the batch size.
     """
 
-    def __init__(self, params: ParamSet, dim: int, hidden: int,
+    def __init__(self, params: ParamSet, vectors: np.ndarray,
                  model_type: str = "treelstm", readout: str = "root"):
         if model_type not in ("lstm", "treelstm"):
             raise ValueError(f"unknown model type {model_type!r}")
         if readout not in ("root", "target"):
             raise ValueError(f"readout must be 'root' or 'target', got {readout!r}")
         self.params = params
-        self.dim = dim
-        self.hidden = hidden
+        self.vectors = vectors
+        self.hidden = params["b_f"].shape[0]
         self.model_type = model_type
         self.readout = readout
 
     @classmethod
-    def init(cls, dim: int, hidden: int, rng: np.random.Generator,
+    def init(cls, vectors: np.ndarray, hidden: int, rng: np.random.Generator,
              model_type: str = "treelstm", readout: str = "root") -> "TreeLstmClassifier":
         # draw W, U, b gate by gate in the order i, f, o, u, then fuse i/o/u:
         # a seed gives the same numbers as one matrix per gate would
-        shapes = ((dim, hidden), (hidden, hidden), (hidden,))
+        shapes = ((vectors.shape[1], hidden), (hidden, hidden), (hidden,))
         drawn = {gate: [uniform_init(rng, s) for s in shapes] for gate in "ifou"}
         if model_type == "lstm":
             drawn["f"][2] = np.ones(hidden)  # standard forget-gate bias, helps long gaps
@@ -248,7 +238,7 @@ class TreeLstmClassifier:
             values[kind + "_f"] = drawn["f"][k]
         values["Wy"] = uniform_init(rng, (hidden, N_CLASSES))
         values["by"] = uniform_init(rng, (N_CLASSES,))
-        return cls(ParamSet.of(values), dim, hidden, model_type, readout)
+        return cls(ParamSet.of(values), vectors, model_type, readout)
 
     def _schedule(self, batch: list[EncodedInput]):
         """Level schedule of a batch, over its N nodes sorted by height.
@@ -304,8 +294,7 @@ class TreeLstmClassifier:
         scale = np.repeat([0.5, 0.5, 1.0], H)
         shift = np.repeat([0.5, 0.5, 0.0], H)
         U_iou, U_f = p["U_iou"] * scale, p["U_f"]
-        vectors, rows = _batch_rows(batch)
-        X = vectors[rows[order]]
+        X = self.vectors[np.concatenate([inst.rows for inst in batch])[order]]
         x_iou = (X @ p["W_iou"] + p["b_iou"]) * scale  # input terms of every node at once
         x_f = X @ p["W_f"] + p["b_f"]
         # row N is the zero sentinel that padded child slots read
@@ -382,12 +371,13 @@ class TreeLstmClassifier:
 MODEL_TYPES = ("lstm", "cnn", "treelstm")
 
 
-def build_model(model_type: str, dim: int, hidden: int,
+def build_model(model_type: str, vectors: np.ndarray, hidden: int,
                 rng: np.random.Generator, tree_readout: str = "root"):
-    """Initialize a fresh classifier; hidden doubles as the CNN filter count."""
+    """Initialize a fresh classifier over the embedding matrix ``vectors``
+    (held, not copied); hidden doubles as the CNN filter count."""
     if model_type == "cnn":
-        return CnnClassifier.init(dim, hidden, rng)
-    return TreeLstmClassifier.init(dim, hidden, rng, model_type, tree_readout)
+        return CnnClassifier.init(vectors, hidden, rng)
+    return TreeLstmClassifier.init(vectors, hidden, rng, model_type, tree_readout)
 
 
 def param_shapes(model_type: str, dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
@@ -401,12 +391,13 @@ def param_shapes(model_type: str, dim: int, hidden: int) -> dict[str, tuple[int,
             "Wy": (hidden, N_CLASSES), "by": (N_CLASSES,)}
 
 
-def restore_model(model_type: str, params: ParamSet, dim: int, hidden: int,
+def restore_model(model_type: str, params: ParamSet, vectors: np.ndarray,
                   tree_readout: str = "root"):
-    """Wrap already-loaded parameters (checkpoint restore path)."""
+    """Wrap already-loaded parameters and an embedding matrix (checkpoint
+    restore path)."""
     if model_type == "cnn":
-        return CnnClassifier(params, dim, hidden)
-    return TreeLstmClassifier(params, dim, hidden, model_type, tree_readout)
+        return CnnClassifier(params, vectors)
+    return TreeLstmClassifier(params, vectors, model_type, tree_readout)
 
 
 def model_loss(model, batch: list[EncodedInput], golds, drop_ratio: float = 0.0,
@@ -439,32 +430,33 @@ def random_tree_children(n: int, rng: np.random.Generator) -> tuple[tuple[int, .
     return tuple(tuple(c) for c in children)
 
 
-def random_instance(model_type: str, dim: int, length: int,
-                    rng: np.random.Generator) -> EncodedInput:
-    """Synthetic input for gradient checks and invariance tests."""
-    X = rng.standard_normal((length, dim))
+def random_instance(model_type: str, vectors: np.ndarray, rng: np.random.Generator,
+                    rows: np.ndarray | None = None) -> EncodedInput:
+    """Synthetic input for gradient checks and invariance tests over ``rows``
+    of ``vectors`` (default: every row), which it fills in place with
+    standard normal draws before it draws the tree."""
+    rows = np.arange(len(vectors)) if rows is None else rows
+    length = len(rows)
+    vectors[rows] = rng.standard_normal((length, vectors.shape[1]))
     forms = tuple(f"w{t}" for t in range(length))
-    rows = np.arange(length)
     if model_type != "treelstm":
-        return EncodedInput(forms=forms, rows=rows, vectors=X)
+        return EncodedInput(forms=forms, rows=rows)
     return EncodedInput(
         forms=forms,
         rows=rows,
-        vectors=X,
         children=random_tree_children(length, rng),
         root_pos=0,
         target_pos=int(rng.integers(0, length)),
     )
 
 
-def random_batch(model_type: str, dim: int, lengths,
+def random_batch(model_type: str, vectors: np.ndarray, lengths,
                  rng: np.random.Generator) -> list[EncodedInput]:
-    """Random inputs of the given lengths over one shared vectors array, as
-    a batch needs; each input draws what random_instance draws."""
-    batch = [random_instance(model_type, dim, int(n), rng) for n in lengths]
-    vectors = np.concatenate([inst.vectors for inst in batch])
-    starts = itertools.accumulate([len(inst) for inst in batch[:-1]], initial=0)
-    return [replace(inst, rows=inst.rows + s, vectors=vectors) for inst, s in zip(batch, starts)]
+    """Random inputs of the given lengths over consecutive rows of
+    ``vectors`` from row 0, as random_instance draws them in turn."""
+    ends = itertools.accumulate(lengths)
+    return [random_instance(model_type, vectors, rng, np.arange(end - n, end))
+            for n, end in zip(lengths, ends)]
 
 
 def gradcheck_model(model_type: str, seed: int, dim: int = 6, hidden: int = 8,
@@ -481,8 +473,11 @@ def gradcheck_model(model_type: str, seed: int, dim: int = 6, hidden: int = 8,
     if length is None:
         length = 9 if model_type == "cnn" else 5
     rng = np.random.default_rng(seed)
-    model = build_model(model_type, dim, hidden, rng)
-    batch = random_batch(model_type, dim, (length, (length + 1) // 2, 1), rng)
+    lengths = (length, (length + 1) // 2, 1)
+    # rng draws the parameters first, then the inputs' rows of this matrix
+    vectors = np.empty((sum(lengths), dim))
+    model = build_model(model_type, vectors, hidden, rng)
+    batch = random_batch(model_type, vectors, lengths, rng)
     golds = rng.integers(0, N_CLASSES, size=len(batch))
 
     def loss_fn():

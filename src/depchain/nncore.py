@@ -117,30 +117,28 @@ class NonFiniteError(ValueError):
 
 
 def softmax_xent(logits: np.ndarray, gold) -> tuple:
-    """Cross-entropy over a softmax along the last axis, stabilized by
+    """Cross-entropy over a softmax along each row, stabilized by
     max-subtraction.
 
-    Takes (C,) logits with one gold index, or (B, C) logits with B of them.
-    Returns (loss, prob, dlogits) with dlogits = prob - onehot(gold); loss is
-    a float for one row and a (B,) array for a batch. Non-finite logits
-    raise NonFiniteError, a ValueError naming the first bad row.
+    Takes (B, C) logits with B gold indices. Returns (loss, prob, dlogits):
+    (B,) losses, (B, C) probabilities and dlogits = prob - onehot(gold).
+    Non-finite logits raise NonFiniteError, a ValueError naming the first
+    bad row.
     """
     logits = np.asarray(logits, dtype=np.float64)
     gold = np.asarray(gold)
-    if gold.shape != logits.shape[:-1]:
+    if logits.ndim != 2 or gold.shape != logits.shape[:1]:
         raise ValueError(f"softmax_xent: {gold.shape} gold for {logits.shape} logits")
     if not np.isfinite(logits).all():
-        finite = np.isfinite(logits.reshape(-1, logits.shape[-1])).all(axis=1)
-        raise NonFiniteError(int(np.argmin(finite)))
-    if gold.min() < 0 or gold.max() >= logits.shape[-1]:
+        raise NonFiniteError(int(np.argmin(np.isfinite(logits).all(axis=1))))
+    if gold.min() < 0 or gold.max() >= logits.shape[1]:
         raise ValueError(f"softmax_xent: gold index {gold} out of range")
-    z = logits - logits.max(axis=-1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z = logits - logits.max(axis=1, keepdims=True)
+    logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))
     prob = np.exp(z - logsumexp)
-    onehot = np.arange(logits.shape[-1]) == gold[..., None]
+    onehot = np.arange(logits.shape[1]) == gold[:, None]
     loss = (logsumexp - z)[onehot]  # one entry per row
-    dlogits = prob - onehot
-    return (float(loss[0]) if logits.ndim == 1 else loss), prob, dlogits
+    return loss, prob, prob - onehot
 
 
 def dropout(
@@ -456,7 +454,7 @@ def load_checkpoint(path: str) -> tuple[str, ParamSet, EmbeddingTable, dict]:
         payload = f.read()
     try:
         header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):  # too deeply nested
         raise CheckpointError(f"unreadable checkpoint header in {path}") from None
     if not isinstance(header, dict):
         raise CheckpointError(f"checkpoint header in {path} is not a JSON object")

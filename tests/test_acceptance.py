@@ -30,6 +30,7 @@ from depchain import (
     extract_chain,
     generate_synthetic,
     parse_conllu,
+    restore_model,
     synthetic_cue_forms,
 )
 from depchain.models import gradcheck_model, random_instance
@@ -169,20 +170,21 @@ def test_criterion_5_saliency(record_criterion, corpus700, chain_cv):
     worst_rel = 0.0
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        model = build_model("lstm", 6, 8, rng)
-        inst = random_instance("lstm", 6, 5, rng)
+        X = np.empty((5, 6))
+        model = build_model("lstm", X, 8, rng)
+        inst = random_instance("lstm", X, rng)
         label = TemporalStatus(int(rng.integers(0, 3)))
         smap = compute_saliency(model, inst, label=label)
 
-        def loss_at(X):
-            logits, _ = model.forward([replace(inst, vectors=X)])
-            return softmax_xent(logits[0], int(label))[0]
+        def loss_at(Xp):
+            logits, _ = restore_model("lstm", model.params, Xp).forward([inst])
+            return softmax_xent(logits, [int(label)])[0][0]
 
         flat = np.argsort(-smap.raw.reshape(-1))[:16]
         eps = 1e-5
         for fi in flat:
-            t, d = divmod(int(fi), inst.vectors.shape[1])
-            Xp = inst.vectors[inst.rows]
+            t, d = divmod(int(fi), X.shape[1])
+            Xp = X[inst.rows]
             Xp[t, d] += eps
             up = loss_at(Xp)
             Xp[t, d] -= 2 * eps
@@ -288,8 +290,9 @@ def test_criterion_7_tree_invariance(record_criterion):
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 14))
-        model = build_model("treelstm", 5, 7, rng)
-        inst = random_instance("treelstm", 5, n, rng)
+        X = np.empty((n, 5))
+        model = build_model("treelstm", X, 7, rng)
+        inst = random_instance("treelstm", X, rng)
         base, _ = model.forward([inst])
         shuffled = tuple(
             tuple(int(x) for x in rng.permutation(list(kids)))

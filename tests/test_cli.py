@@ -177,6 +177,29 @@ class TestNonUtf8Input:
         assert f"{files[kind]}: not UTF-8 text" in err
 
 
+class TestDeepNesting:
+    @pytest.mark.parametrize("kind", ["events", "checkpoint"])
+    def test_error_line_not_recursion_error(self, tmp_path, capsys, kind):
+        # 100,000 '[' then 100,000 ']' is valid JSON nested past the recursion limit
+        deep = b"[" * 100_000 + b"]" * 100_000
+        conllu, events = gen_corpus(tmp_path)
+        if kind == "events":
+            Path(events).write_bytes(deep + b"\n")
+            argv = ["extract", "--mode", "chain", "--out", str(tmp_path / "x.jsonl")]
+            named = "events line 1"
+        else:
+            ckpt = train_tiny(tmp_path, conllu, events)
+            payload = Path(ckpt).read_bytes().split(b"\n", 1)[1]
+            Path(ckpt).write_bytes(deep + b"\n" + payload)
+            argv = ["eval", "--model", ckpt]
+            named = ckpt
+        capsys.readouterr()
+        rc = main(argv + ["--conllu", conllu, "--events", events])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "Traceback" not in err and named in err
+
+
 class TestTrainEval:
     def test_train_writes_checkpoint_and_manifest(self, tmp_path, capsys):
         conllu, events = gen_corpus(tmp_path)
@@ -341,6 +364,39 @@ class TestSaliency:
         assert manifest["command"] == "saliency"
         assert manifest["config"]["format"] == "csv"
         assert len(manifest["outputs"]) == 5
+
+    def test_mentions_sharing_a_heatmap_name_rejected(self, tmp_path, capsys):
+        # sentence ids s.1 and s-1 both sanitize to s-1
+        conllu = tmp_path / "c.conllu"
+        second = FIXTURE.replace("# newdoc id = doc1\n# sent_id = s1", "# sent_id = s-1")
+        conllu.write_text(FIXTURE.replace("sent_id = s1", "sent_id = s.1") + "\n" + second)
+        events = tmp_path / "e.jsonl"
+        events.write_text(EVENTS.replace('"s1", "token_id": 8, "label": "FU"',
+                                         '"s.1", "token_id": 8, "label": "PA"')
+                          + EVENTS.replace('"s1"', '"s-1"'))
+        ckpt = train_tiny(tmp_path, str(conllu), str(events))
+        out = tmp_path / "heat"
+        capsys.readouterr()
+        rc = main(["saliency", "--model", ckpt, "--conllu", str(conllu),
+                   "--events", str(events), "--out", str(out), "--format", "csv"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "doc1/s.1 token 8" in err and "doc1/s-1 token 8" in err
+        assert "doc1_s-1_8.csv" in err
+        assert not out.exists()  # nothing written
+
+    def test_same_mention_twice_writes_its_heatmap(self, tmp_path, capsys):
+        conllu, events = write_fixture(tmp_path)
+        Path(events).write_text(EVENTS * 2)
+        ckpt = train_tiny(tmp_path, conllu, events)
+        out = tmp_path / "heat"
+        capsys.readouterr()
+        rc = main(["saliency", "--model", ckpt, "--conllu", conllu,
+                   "--events", events, "--out", str(out), "--format", "csv"])
+        assert rc == 0
+        assert "wrote 2 heatmaps" in capsys.readouterr().out
+        assert sorted(p.name for p in out.iterdir()) == ["doc1_s1_8.csv", "manifest.json"]
 
     def test_html_default_format(self, tmp_path):
         conllu, events = gen_corpus(tmp_path, n=3, seed=2)

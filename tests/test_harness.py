@@ -1,6 +1,7 @@
 """Training harness: configs, metrics, splits, training, cross-validation."""
 
 import math
+import pickle
 from dataclasses import asdict
 
 import numpy as np
@@ -287,10 +288,23 @@ class TestEncodeInput:
         inst = encode_input(self.sent, self.mention, "chain", self.table)
         assert inst.forms == ("will", "launch", "describing", "their", "protest")
         assert inst.target_pos == 4
-        assert inst.vectors is self.table.vectors  # shared, never copied
-        X = inst.vectors[inst.rows]
+        X = self.table.vectors[inst.rows]
         assert X.shape == (5, 4)
         assert np.array_equal(X[0], self.table.vectors[self.table.row_of("will")])
+
+    @pytest.mark.parametrize("representation", ["chain", "tree"])
+    def test_pickle_size_does_not_grow_with_table(self, representation):
+        # an input holds indices only: pickled over a 10-row and a
+        # 10,000-row table it has one size
+        forms = sorted({t.form for t in self.sent.tokens})
+        sizes = []
+        for n_words in (9, 9_999):
+            words = forms + [f"x{i}" for i in range(n_words - len(forms))]
+            table = random_embeddings(words, 4, seed=0)
+            assert table.vectors.shape[0] == n_words + 1
+            inst = encode_input(self.sent, self.mention, representation, table)
+            sizes.append(len(pickle.dumps(inst)))
+        assert sizes[0] == sizes[1]
 
     def test_window_forms(self):
         inst = encode_input(self.sent, self.mention, "window", self.table, half_width=1)
@@ -498,10 +512,16 @@ class TestTrain:
         inst = encode_input(by_key[(m.doc_id, m.sent_id)], m, "chain", table)  # before training
         trained = train(cfg, sents, mentions, table=table)
         assert table.vectors is vectors and trained.table is table
-        assert inst.vectors is vectors
-        seen = inst.vectors[inst.rows]
+        assert trained.model.vectors is vectors
+        seen = trained.model.vectors[inst.rows]
         assert np.array_equal(seen, table.vectors[inst.rows])
         assert not np.array_equal(seen, before[inst.rows])
+
+    @pytest.mark.parametrize("finetune", [False, True])
+    def test_model_reads_the_table_matrix(self, finetune):
+        sents, mentions = small_corpus(n=12)
+        trained = train(tiny_config(finetune_embeddings=finetune), sents, mentions)
+        assert trained.model.vectors is trained.table.vectors
 
     def test_scatter_equals_two_dimensional_add_at(self):
         rng = np.random.default_rng(4)
@@ -619,6 +639,13 @@ class TestCrossValidate:
             m = evaluate(trained, sents, [mentions[i] for i in fold])
             assert m.n == len(fold)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_kept_models_read_their_table(self, jobs):
+        sents, mentions = small_corpus(n=12)
+        res = cross_validate(tiny_config(epochs=1, finetune_embeddings=True), sents, mentions,
+                             k=3, jobs=jobs, keep_models=True)
+        assert all(t.model.vectors is t.table.vectors for t in res.models)
+
     def test_fold_error_prefixed(self):
         sents, mentions = small_corpus(n=12)
         from dataclasses import replace
@@ -658,3 +685,10 @@ class TestTrainedRoundTrip:
         b, pb = classify(loaded.model, inst)
         assert a is b
         assert pa.tobytes() == pb.tobytes()
+
+    def test_loaded_model_reads_the_table_matrix(self, tmp_path):
+        sents, mentions = small_corpus(n=12)
+        path = str(tmp_path / "m.ckpt")
+        save_trained(train(tiny_config(epochs=1), sents, mentions), path)
+        loaded = load_trained(path)
+        assert loaded.model.vectors is loaded.table.vectors

@@ -3,10 +3,13 @@
 CoNLL-U, event and embedding texts are truncated, byte-flipped and
 line-edited. Checkpoints are truncated, byte-flipped, and have NaN or inf
 written into one payload float; each must load with finite values or raise
-CheckpointError. numpy's seeded generator drives every choice, so a failure
-names a case that reruns the same way.
+CheckpointError. Corpus, events and embeddings files are byte-flipped,
+truncated and grown by inserted bytes, then run through the command line,
+which must exit 0, or exit 1 with an error line. numpy's seeded generator
+drives every choice, so a failure names a case that reruns the same way.
 """
 
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -25,6 +28,7 @@ from depchain import (
     serialize_events,
     synthetic_vocabulary,
 )
+from depchain.cli import main
 from depchain.models import build_model
 from depchain.nncore import load_embeddings, random_embeddings, save_checkpoint, write_embeddings
 
@@ -104,9 +108,9 @@ def test_text_mutations_parse_or_raise_depchain_error(fmt):
 
 
 def test_checkpoint_mutations_load_finite_or_raise_checkpoint_error(tmp_path):
-    model = build_model("lstm", 4, 3, np.random.default_rng(0))
-    config = TrainConfig("lstm", "chain", hidden=3, embedding_dim=4)
     table = random_embeddings(["uno", "dos", "tres"], 4, seed=1)
+    model = build_model("lstm", table.vectors, 3, np.random.default_rng(0))
+    config = TrainConfig("lstm", "chain", hidden=3, embedding_dim=4)
     path = tmp_path / "m.ckpt"
     save_checkpoint(str(path), "lstm", model.params, table, asdict(config))
     base = path.read_bytes()
@@ -138,3 +142,76 @@ def test_checkpoint_mutations_load_finite_or_raise_checkpoint_error(tmp_path):
         assert all(np.isfinite(a).all() for a in arrays), f"checkpoint case {case}"
         outcomes["loaded"] += 1
     assert outcomes["loaded"] and outcomes["rejected"], outcomes
+
+
+# Inserted into files: separators, JSON openers, digits, a non-UTF-8 byte.
+INSERTS = [b"\n", b"\t", b" ", b"[", b"{", b'"', b"-", b"0", b"9" * 20, b"1e400", b"nan", b"\xff"]
+DEEP = b"[" * 100_000 + b"]" * 100_000  # valid JSON nested past the recursion limit
+
+
+def _mutate_bytes(data: bytes, rng: np.random.Generator) -> bytes:
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return data[: int(rng.integers(len(data) + 1))]
+    if kind == 1:
+        flipped = bytearray(data)
+        for _ in range(int(rng.integers(1, 4))):
+            flipped[int(rng.integers(len(flipped)))] ^= 1 << int(rng.integers(8))
+        return bytes(flipped)
+    at = int(rng.integers(len(data) + 1))
+    if rng.integers(2):
+        insert = INSERTS[int(rng.integers(len(INSERTS)))]
+    else:
+        insert = rng.integers(0, 256, size=int(rng.integers(1, 5)), dtype=np.uint8).tobytes()
+    return data[:at] + insert + data[at:]
+
+
+def test_cli_mutations_exit_zero_or_print_an_error_line(tmp_path, capsys):
+    clean = {
+        "conllu": serialize_conllu(CORPUS).encode(),
+        "events": serialize_events(MENTIONS).encode(),
+        "embeddings": write_embeddings(
+            random_embeddings(synthetic_vocabulary()[:12], 3, seed=0)).encode(),
+    }
+    paths = {kind: tmp_path / kind for kind in clean}
+    for kind, data in clean.items():
+        paths[kind].write_bytes(data)
+    ckpt = tmp_path / "fixed.ckpt"
+    inputs = ["--conllu", str(paths["conllu"]), "--events", str(paths["events"])]
+    train = ["train", "--model", "lstm", "--repr", "chain", "--epochs", "1", "--hidden", "3",
+             "--embeddings", str(paths["embeddings"])]
+    argvs = {
+        "extract": ["extract", "--mode", "chain", "--out", str(tmp_path / "x.jsonl")] + inputs,
+        "eval": ["eval", "--model", str(ckpt)] + inputs,
+        "train": train + ["--out", str(tmp_path / "m.ckpt")] + inputs,
+    }
+    assert main(train + ["--out", str(ckpt)] + inputs) == 0
+    ckpt_bytes = ckpt.read_bytes()
+
+    def run(case, command):
+        capsys.readouterr()
+        try:
+            rc = main(argvs[command])
+        except Exception as e:  # noqa: BLE001 - any exception is the failure
+            pytest.fail(f"case {case}, {command}: {type(e).__name__}: {e}")
+        err = capsys.readouterr().err
+        assert rc == 0 or (rc == 1 and err.startswith("error: ")), (case, command, rc, err)
+        return rc
+
+    paths["events"].write_bytes(DEEP + b"\n")
+    assert run("deep events line", "extract") == 1
+    paths["events"].write_bytes(clean["events"])
+    ckpt.write_bytes(DEEP + b"\n" + ckpt_bytes.split(b"\n", 1)[1])
+    assert run("deep checkpoint header", "eval") == 1
+    ckpt.write_bytes(ckpt_bytes)
+
+    rng = np.random.default_rng(5)
+    outcomes = Counter()
+    for case in range(200):
+        kind = ("conllu", "events", "embeddings")[int(rng.integers(3))]
+        # only train reads the embeddings file
+        command = "train" if kind == "embeddings" else list(argvs)[int(rng.integers(3))]
+        paths[kind].write_bytes(_mutate_bytes(clean[kind], rng))
+        outcomes[run(case, command)] += 1
+        paths[kind].write_bytes(clean[kind])
+    assert outcomes[0] and outcomes[1], outcomes

@@ -36,17 +36,17 @@ LN3 = 1.0986122886681098
 
 class TestSoftmaxXent:
     def test_uniform(self):
-        loss, prob, dlogits = softmax_xent(np.zeros(3), 0)
+        loss, prob, dlogits = (a[0] for a in softmax_xent(np.zeros((1, 3)), [0]))
         assert abs(loss - LN3) < 1e-12
         assert np.allclose(prob, 1 / 3, atol=1e-12)
         assert np.allclose(dlogits, [1 / 3 - 1, 1 / 3, 1 / 3], atol=1e-12)
 
     def test_saturated(self):
-        loss, _, _ = softmax_xent(np.array([10.0, -10.0, -10.0]), 0)
-        assert loss < 1e-8
+        loss, _, _ = softmax_xent(np.array([[10.0, -10.0, -10.0]]), [0])
+        assert loss[0] < 1e-8
 
     def test_derived_value(self):
-        loss, prob, _ = softmax_xent(np.array([1.0, 2.0, 3.0]), 2)
+        loss, prob, _ = (a[0] for a in softmax_xent(np.array([[1.0, 2.0, 3.0]]), [2]))
         assert abs(loss - XENT_123_GOLD2) < 1e-12
         assert abs(loss + math.log(prob[2])) < 1e-12
 
@@ -54,7 +54,7 @@ class TestSoftmaxXent:
         rng = np.random.default_rng(0)
         for _ in range(20):
             logits = rng.standard_normal(5) * 10
-            _, prob, _ = softmax_xent(logits, 0)
+            prob = softmax_xent(logits[None], [0])[1][0]
             assert abs(prob.sum() - 1.0) < 1e-12
             assert ((prob > 0) & (prob < 1)).all()
             assert abs(softmax(logits).sum() - 1.0) < 1e-12
@@ -62,28 +62,33 @@ class TestSoftmaxXent:
     def test_dlogits_matches_finite_difference(self):
         rng = np.random.default_rng(1)
         logits = rng.standard_normal(3)
-        _, _, dlogits = softmax_xent(logits, 1)
+        dlogits = softmax_xent(logits[None], [1])[2][0]
         eps = 1e-6
         for j in range(3):
             bumped = logits.copy()
             bumped[j] += eps
-            lp, _, _ = softmax_xent(bumped, 1)
+            lp = softmax_xent(bumped[None], [1])[0][0]
             bumped[j] -= 2 * eps
-            lm, _, _ = softmax_xent(bumped, 1)
+            lm = softmax_xent(bumped[None], [1])[0][0]
             assert abs((lp - lm) / (2 * eps) - dlogits[j]) < 1e-8
 
     def test_large_logits_stable(self):
-        loss, prob, _ = softmax_xent(np.array([1000.0, 999.0, 998.0]), 0)
+        loss, prob, _ = (a[0] for a in softmax_xent(np.array([[1000.0, 999.0, 998.0]]), [0]))
         assert math.isfinite(loss)
         assert abs(prob.sum() - 1.0) < 1e-12
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            softmax_xent(np.array([1.0, float("nan"), 0.0]), 0)
+            softmax_xent(np.array([[1.0, float("nan"), 0.0]]), [0])
 
     def test_gold_out_of_range(self):
         with pytest.raises(ValueError):
-            softmax_xent(np.zeros(3), 3)
+            softmax_xent(np.zeros((1, 3)), [3])
+
+    @pytest.mark.parametrize("shape,gold", [((3,), 0), ((3,), [0, 0, 0]), ((1, 1, 3), [0])])
+    def test_only_batch_form_accepted(self, shape, gold):
+        with pytest.raises(ValueError, match="gold for"):
+            softmax_xent(np.zeros(shape), gold)
 
 
 class TestRmsProp:
@@ -211,10 +216,10 @@ class TestGradCheck:
 
         def loss_fn():
             logits = x @ p["W"] + p["b"]
-            loss, _, dlogits = softmax_xent(logits, 1)
-            p.grads["W"] += np.outer(x, dlogits)
-            p.grads["b"] += dlogits
-            return loss
+            loss, _, dlogits = softmax_xent(logits[None], [1])
+            p.grads["W"] += np.outer(x, dlogits[0])
+            p.grads["b"] += dlogits[0]
+            return loss[0]
 
         assert grad_check(loss_fn, p) < 1e-6
 
@@ -482,9 +487,9 @@ class TestCheckpoint:
     def test_bad_header_rejected(self, tmp_path, damage):
         # a real lstm checkpoint whose header is then damaged; load_trained
         # runs every check, those of load_checkpoint included
-        model = build_model("lstm", 4, 3, np.random.default_rng(0))
-        config = TrainConfig("lstm", "chain", hidden=3, embedding_dim=4)
         table = random_embeddings(["uno", "dos"], 4, seed=1)
+        model = build_model("lstm", table.vectors, 3, np.random.default_rng(0))
+        config = TrainConfig("lstm", "chain", hidden=3, embedding_dim=4)
         path = tmp_path / "m.ckpt"
         save_checkpoint(str(path), "lstm", model.params, table, asdict(config))
         header_line, payload = path.read_bytes().split(b"\n", 1)

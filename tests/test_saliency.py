@@ -1,7 +1,5 @@
 """Saliency maps: gradient correctness, CSV/HTML emission, parsing."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -15,6 +13,7 @@ from depchain import (
     emit_heatmap,
     heatmap_filename,
     parse_heatmap_csv,
+    restore_model,
 )
 from depchain.models import random_instance
 from depchain.nncore import softmax_xent
@@ -22,8 +21,9 @@ from depchain.nncore import softmax_xent
 
 def fresh(model_type="lstm", dim=4, hidden=5, length=6, seed=0):
     rng = np.random.default_rng(seed)
-    model = build_model(model_type, dim, hidden, rng)
-    inst = random_instance(model_type, dim, length, rng)
+    X = np.empty((length, dim))
+    model = build_model(model_type, X, hidden, rng)
+    inst = random_instance(model_type, X, rng)
     return model, inst
 
 
@@ -41,16 +41,16 @@ class TestComputeSaliency:
         label = TemporalStatus.ONGOING
         smap = compute_saliency(model, inst, label=label)
 
-        def loss_at(X):
-            logits, _ = model.forward([replace(inst, vectors=X)])
-            return softmax_xent(logits[0], int(label))[0]
+        def loss_at(Xp):
+            logits, _ = restore_model(model_type, model.params, Xp).forward([inst])
+            return softmax_xent(logits, [int(label)])[0][0]
 
         eps = 1e-6
         rng = np.random.default_rng(1)
         for _ in range(10):
             t = int(rng.integers(len(inst)))
-            d = int(rng.integers(inst.vectors.shape[1]))
-            Xp = inst.vectors[inst.rows]
+            d = int(rng.integers(model.vectors.shape[1]))
+            Xp = model.vectors[inst.rows]
             Xp[t, d] += eps
             up = loss_at(Xp)
             Xp[t, d] -= 2 * eps
