@@ -204,6 +204,10 @@ def _cmd_gen(parser, args) -> int:
         parser.error(f"--out is required (or set ${DATA_DIR_VAR})")
     if args.n <= 0:
         parser.error("--n must be positive")
+    if args.distractor_len < 0:
+        parser.error("--distractor-len must be >= 0")
+    if args.emb_dim is not None and args.emb_dim < 1:
+        parser.error("--emb-dim must be >= 1")
     weights = _parse_weights(parser, args.weights) if args.weights else None
     kwargs = {"n_sentences": args.n, "seed": args.seed, "distractor_len": args.distractor_len}
     if weights is not None:
@@ -237,9 +241,9 @@ def _cmd_gen(parser, args) -> int:
 
 
 def _cmd_extract(parser, args) -> int:
-    corpus, mentions = _read_corpus(args.conllu, args.events)
     if args.half_width < 0:
         parser.error("--half-width must be >= 0")
+    corpus, mentions = _read_corpus(args.conllu, args.events)
     by_key = index_sentences(corpus)
     lines = []
     for m in mentions:
@@ -354,6 +358,8 @@ def _cmd_gradcheck(parser, args) -> int:
         parser.error("--n-seeds must be >= 1")
     if args.length is not None and args.length < 1:
         parser.error("--length must be >= 1")
+    if args.dim < 1 or args.hidden < 1:
+        parser.error("--dim and --hidden must be >= 1")
     worst = 0.0
     for s in range(args.seed, args.seed + args.n_seeds):
         err = gradcheck_model(args.model, s, dim=args.dim,

@@ -9,6 +9,7 @@ in parallel; aggregation is ordered by fold index.
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import math
 from dataclasses import asdict, dataclass, field, replace
 
@@ -534,33 +535,33 @@ def _run_fold_star(a):
 
 
 def save_trained(trained: TrainedModel, path: str) -> None:
-    save_checkpoint(
-        path,
-        trained.model.model_type,
-        trained.model.params,
-        trained.table,
-        asdict(trained.config),
-    )
+    save_checkpoint(path, trained.model.params.buffer, trained.table, asdict(trained.config))
 
 
 def load_trained(path: str) -> TrainedModel:
-    """Restore a save_trained checkpoint; CheckpointError when its config or
-    parameters do not fit the model it declares."""
-    model_type, params, table, config_dict = load_checkpoint(path)
+    """Restore a save_trained checkpoint. The config fixes the model, whose
+    parameter shapes the table's dim and the config's hidden size fix in
+    turn; CheckpointError when the config is invalid, the parameter block
+    has another length, or a parameter value is not finite."""
+    config_dict, block, table = load_checkpoint(path)
     try:
         config = TrainConfig(**config_dict)
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: bad config: {e}") from None
-    if model_type != config.model_type:
+    shapes = param_shapes(config.model_type, table.dim, config.hidden)
+    # Python ints, so a forged hidden size cannot ask for a huge array
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    if block.size != sum(sizes):
         raise CheckpointError(
-            f"{path}: header model_type {model_type!r} differs from config {config.model_type!r}"
+            f"{path}: {block.size} parameter values do not fit a {config.model_type} model "
+            f"with dim {table.dim} and hidden {config.hidden}, which has {sum(sizes)}"
         )
-    found = {n: v.shape for n, v in params.values.items()}
-    expected = param_shapes(model_type, table.dim, config.hidden)
-    if found != expected:
-        raise CheckpointError(
-            f"{path}: parameters {found} do not fit a {model_type} model "
-            f"with dim {table.dim} and hidden {config.hidden}: expected {expected}"
-        )
-    model = restore_model(model_type, params, table.vectors, tree_readout=config.tree_readout)
+    finite = np.isfinite(block)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        bad = next(name for name, end in zip(shapes, itertools.accumulate(sizes)) if first < end)
+        raise CheckpointError(f"{path}: checkpoint parameter {bad!r} has a non-finite value")
+    params = ParamSet(shapes, block.astype(np.float64))
+    model = restore_model(config.model_type, params, table.vectors,
+                          tree_readout=config.tree_readout)
     return TrainedModel(model=model, table=table, config=config, history=[])

@@ -35,7 +35,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 
 class ParamSet:
@@ -344,7 +344,11 @@ def load_embeddings(text: str) -> EmbeddingTable:
         vectors.append(vec)
     if len(words) != vocab_size:
         raise EmbeddingError(f"header declares {vocab_size} words, file has {len(words)}")
-    return EmbeddingTable(words, np.vstack(vectors + [_unk_vector(dim)]))
+    try:
+        unk = _unk_vector(dim)  # an empty vocabulary leaves dim unchecked until here
+    except (ValueError, MemoryError):  # numpy: "array is too big", or out of memory
+        raise EmbeddingError(f"line 1: cannot allocate vectors of dim {dim}") from None
+    return EmbeddingTable(words, np.vstack(vectors + [unk]))
 
 
 def write_embeddings(table: EmbeddingTable) -> str:
@@ -401,28 +405,23 @@ def atomic_open(path: str, mode: str = "w"):
 # ---------------------------------------------------------------------------
 # Checkpoints
 #
-# Layout: one JSON header line (sorted keys, no timestamps), then raw
-# little-endian float64 payloads in header order: each parameter flattened,
-# then the embedding vectors (the vocabulary rows, then the unk row).
-# Byte-identical for identical inputs.
+# Layout: one JSON header line (sorted keys, no timestamps: format_version,
+# config, vocab, dim), then two raw little-endian float64 blocks: the model's
+# flat parameter buffer, then the (V+1, dim) embedding vectors (the vocabulary
+# rows, then the unk row). The parameter block is whatever precedes the
+# table; the config alone gives it meaning. Byte-identical for identical inputs.
 
 
-def save_checkpoint(
-    path: str,
-    model_type: str,
-    params: ParamSet,
-    table: EmbeddingTable,
-    config: dict,
-) -> None:
+def save_checkpoint(path: str, params: np.ndarray, table: EmbeddingTable, config: dict) -> None:
+    """Write ``params``, a flat float64 parameter buffer, and ``table``
+    under a header holding ``config``."""
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "model_type": model_type,
         "config": config,
-        "params": [{"name": n, "shape": list(v.shape)} for n, v in params.values.items()],
         "vocab": table.words,
         "dim": table.dim,
     }
-    blobs = [np.ascontiguousarray(params.buffer, dtype="<f8").tobytes(),
+    blobs = [np.ascontiguousarray(params, dtype="<f8").tobytes(),
              np.ascontiguousarray(table.vectors, dtype="<f8").tobytes()]
     with atomic_open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8"))
@@ -431,22 +430,17 @@ def save_checkpoint(
             f.write(b)
 
 
-_HEADER_FIELDS = {"model_type": str, "config": dict, "params": list, "vocab": list, "dim": int}
+_HEADER_FIELDS = {"config": dict, "vocab": list, "dim": int}
 
 
-def _is_param_entry(entry) -> bool:
-    return (
-        isinstance(entry, dict)
-        and isinstance(entry.get("name"), str)
-        and isinstance(entry.get("shape"), list)
-        and all(isinstance(n, int) and n >= 0 for n in entry["shape"])
-    )
+def load_checkpoint(path: str) -> tuple[dict, np.ndarray, EmbeddingTable]:
+    """Read a save_checkpoint file: (config, parameter block, table).
 
-
-def load_checkpoint(path: str) -> tuple[str, ParamSet, EmbeddingTable, dict]:
-    """Read a save_checkpoint file: (model_type, params, table, config).
-    Raises CheckpointError on a malformed header, a payload of the wrong
-    length, or a non-finite value."""
+    The parameter block is a read-only float64 view of the file's bytes,
+    unchecked: its length and values mean something only against the model
+    the config describes. Raises CheckpointError on a malformed header, a
+    payload too short for the table or not whole float64 values, or a
+    non-finite embedding value."""
     if not os.path.exists(path):
         raise CheckpointError(f"checkpoint not found: {path}")
     with open(path, "rb") as f:
@@ -463,32 +457,19 @@ def load_checkpoint(path: str) -> tuple[str, ParamSet, EmbeddingTable, dict]:
     for key, kind in _HEADER_FIELDS.items():
         if not isinstance(header.get(key), kind):
             raise CheckpointError(f"checkpoint header field {key!r} missing or not a {kind.__name__}")
-    if not all(_is_param_entry(e) for e in header["params"]):
-        raise CheckpointError("checkpoint header has a malformed params entry")
-    vocab = header["vocab"]
-    if not all(isinstance(w, str) for w in vocab) or len(set(vocab)) < len(vocab) or header["dim"] < 1:
+    vocab, dim = header["vocab"], header["dim"]
+    if not all(isinstance(w, str) for w in vocab) or len(set(vocab)) < len(vocab) or dim < 1:
         raise CheckpointError("checkpoint header has a malformed vocab or dim")
-    shapes: dict[str, tuple[int, ...]] = {}
-    for entry in header["params"]:
-        if entry["name"] in shapes:
-            raise CheckpointError(f"checkpoint repeats parameter {entry['name']!r}")
-        shapes[entry["name"]] = tuple(entry["shape"])
     # Python ints, checked against the payload before anything is allocated:
-    # a forged shape can neither overflow nor ask for a huge array
-    n_params = sum(math.prod(shape) for shape in shapes.values())
-    n_values = n_params + (len(vocab) + 1) * header["dim"]
-    if len(payload) < 8 * n_values:
+    # a forged dim can neither overflow nor ask for a huge array
+    n_table = (len(vocab) + 1) * dim
+    if len(payload) < 8 * n_table:
         raise CheckpointError("checkpoint payload truncated")
-    if len(payload) > 8 * n_values:
-        raise CheckpointError("checkpoint payload has trailing bytes")
+    if len(payload) % 8:
+        raise CheckpointError("checkpoint payload is not whole float64 values")
     flat = np.frombuffer(payload, dtype="<f8")
-    # the parameter block is the ParamSet buffer, in header order
-    params = ParamSet(shapes, flat[:n_params].astype(np.float64))
-    if not np.isfinite(params.buffer).all():
-        bad = next(name for name, v in params.values.items() if not np.isfinite(v).all())
-        raise CheckpointError(f"checkpoint parameter {bad!r} has a non-finite value")
-    vectors = flat[n_params:].astype(np.float64).reshape(len(vocab) + 1, header["dim"])
+    n_params = flat.size - n_table
+    vectors = flat[n_params:].astype(np.float64).reshape(len(vocab) + 1, dim)
     if not np.isfinite(vectors).all():
         raise CheckpointError("checkpoint embedding vectors has a non-finite value")
-    table = EmbeddingTable(vocab, vectors)
-    return header["model_type"], params, table, header["config"]
+    return header["config"], flat[:n_params], EmbeddingTable(vocab, vectors)

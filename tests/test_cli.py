@@ -11,6 +11,7 @@ import pytest
 
 from depchain import TrainConfig, parse_heatmap_csv
 from depchain.cli import _config_from_args, build_parser, main
+from depchain.models import param_shapes
 
 from test_corpus import FIXTURE
 
@@ -254,16 +255,43 @@ class TestTrainEval:
         assert err.startswith("error:") and "do not fit a cnn model" in err
 
     @pytest.mark.parametrize("command", ["eval", "saliency"])
+    def test_version_2_checkpoint_rejected(self, tmp_path, capsys, command):
+        conllu, events = gen_corpus(tmp_path)
+        ckpt = Path(train_tiny(tmp_path, conllu, events))
+        ckpt.write_bytes(ckpt.read_bytes().replace(b'"format_version": 3', b'"format_version": 2', 1))
+        capsys.readouterr()
+        rc = main([command, "--model", str(ckpt), "--conllu", conllu, "--events", events,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "format_version 2" in err
+
+    def test_unallocatable_embeddings_dim(self, tmp_path, capsys):
+        # numpy refuses a (1, 2**62) array before allocating any of it
+        conllu, events = gen_corpus(tmp_path)
+        emb = tmp_path / "emb.txt"
+        emb.write_text(f"0 {2**62}\n")
+        capsys.readouterr()
+        rc = main(["train", "--model", "lstm", "--repr", "chain", "--conllu", conllu,
+                   "--events", events, "--embeddings", str(emb),
+                   "--out", str(tmp_path / "m.ckpt")] + TINY_HYPERS)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: ") and "Traceback" not in err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "saliency"])
     def test_non_finite_checkpoint_value(self, tmp_path, capsys, command):
         conllu, events = gen_corpus(tmp_path)
         ckpt = train_tiny(tmp_path, conllu, events)
         with open(ckpt, "rb") as f:
             header, payload = f.read().split(b"\n", 1)
+        doc = json.loads(header)
         offset = 0
-        for entry in json.loads(header)["params"]:
-            if entry["name"] == "Wy":
+        for name, shape in param_shapes("lstm", doc["dim"], doc["config"]["hidden"]).items():
+            if name == "Wy":
                 break
-            offset += 8 * math.prod(entry["shape"])
+            offset += 8 * math.prod(shape)
         nan = np.array([np.nan], dtype="<f8").tobytes()
         with open(ckpt, "wb") as f:
             f.write(header + b"\n" + payload[:offset] + nan + payload[offset + 8:])
@@ -461,6 +489,27 @@ class TestGradcheck:
 
 
 class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--model", "cnn", "--hidden", "0"],
+        ["gradcheck", "--model", "treelstm", "--hidden", "-1"],
+        ["gradcheck", "--model", "cnn", "--dim", "0"],
+        ["gradcheck", "--model", "lstm", "--dim", "0"],
+        ["gen", "--out", "data", "--n", "5", "--seed", "1", "--emb-dim", "0"],
+        ["gen", "--out", "data", "--n", "5", "--seed", "1", "--emb-dim", "-3"],
+        ["gen", "--out", "data", "--n", "5", "--seed", "1", "--distractor-len", "-1"],
+        ["extract", "--conllu", "nope.conllu", "--events", "nope.jsonl", "--mode", "chain",
+         "--half-width", "-1", "--out", "x.jsonl"],
+    ], ids=["cnn-hidden-0", "treelstm-hidden-neg", "cnn-dim-0", "lstm-dim-0", "gen-emb-dim-0",
+            "gen-emb-dim-neg", "gen-distractor-neg", "extract-half-width-neg"])
+    def test_numeric_flag_usage_error_writes_nothing(self, tmp_path, monkeypatch, argv):
+        # checked before any file is read or written: the missing corpus of
+        # the extract case would otherwise exit 1 naming the file
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_arguments_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])

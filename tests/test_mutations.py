@@ -10,7 +10,6 @@ drives every choice, so a failure names a case that reruns the same way.
 """
 
 from collections import Counter
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -20,17 +19,19 @@ from depchain import (
     DepchainError,
     SynthConfig,
     TrainConfig,
+    TrainedModel,
     generate_synthetic,
     load_events,
     load_trained,
     parse_conllu,
+    save_trained,
     serialize_conllu,
     serialize_events,
     synthetic_vocabulary,
 )
 from depchain.cli import main
 from depchain.models import build_model
-from depchain.nncore import load_embeddings, random_embeddings, save_checkpoint, write_embeddings
+from depchain.nncore import load_embeddings, random_embeddings, write_embeddings
 
 CORPUS, MENTIONS = generate_synthetic(SynthConfig(n_sentences=8, seed=1, distractor_len=3))
 
@@ -112,7 +113,7 @@ def test_checkpoint_mutations_load_finite_or_raise_checkpoint_error(tmp_path):
     model = build_model("lstm", table.vectors, 3, np.random.default_rng(0))
     config = TrainConfig("lstm", "chain", hidden=3, embedding_dim=4)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(str(path), "lstm", model.params, table, asdict(config))
+    save_trained(TrainedModel(model=model, table=table, config=config), str(path))
     base = path.read_bytes()
     payload_start = base.index(b"\n") + 1
     n_floats = (len(base) - payload_start) // 8

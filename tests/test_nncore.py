@@ -3,7 +3,6 @@
 import json
 import math
 import re
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from depchain import (
     ParamSet,
     RmsProp,
     TrainConfig,
+    TrainedModel,
     build_model,
     grad_check,
     load_checkpoint,
@@ -22,6 +22,7 @@ from depchain import (
     load_trained,
     random_embeddings,
     save_checkpoint,
+    save_trained,
     softmax_xent,
     write_embeddings,
 )
@@ -403,52 +404,71 @@ class TestCheckpoint:
         t = random_embeddings(["uno", "dos"], 4, seed=1)
         return p, t
 
+    def _trained(self, path):
+        """A real lstm checkpoint (dim 4, hidden 3) saved through save_trained;
+        returns its header dict and its payload bytes."""
+        table = random_embeddings(["uno", "dos"], 4, seed=1)
+        model = build_model("lstm", table.vectors, 3, np.random.default_rng(0))
+        config = TrainConfig("lstm", "chain", hidden=3, embedding_dim=4)
+        save_trained(TrainedModel(model=model, table=table, config=config), str(path))
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        return json.loads(header_line), payload
+
     def test_round_trip(self, tmp_path):
         p, t = self._sample()
         path = str(tmp_path / "m.ckpt")
-        save_checkpoint(path, "lstm", p, t, {"hidden": 4, "seed": 0})
-        model_type, p2, t2, config = load_checkpoint(path)
-        assert model_type == "lstm"
+        save_checkpoint(path, p.buffer, t, {"hidden": 4, "seed": 0})
+        config, block, t2 = load_checkpoint(path)
         assert config == {"hidden": 4, "seed": 0}
-        assert list(p2.values) == list(p.values)
-        for name in p.values:
-            assert np.array_equal(p2[name], p[name])
+        assert np.array_equal(block, p.buffer)
         assert t2.words == t.words
         assert np.array_equal(t2.matrix, t.matrix)
         assert np.array_equal(t2.unk, t.unk)
 
+    def test_header_holds_config_vocab_and_dim(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        header, _ = self._trained(path)
+        assert sorted(header) == ["config", "dim", "format_version", "vocab"]
+        assert header["format_version"] == 3
+        assert header["config"]["model_type"] == "lstm"
+        assert (header["vocab"], header["dim"]) == (["uno", "dos"], 4)
+
     def test_parameter_block_is_the_buffer(self, tmp_path):
         p, t = self._sample()
         path = tmp_path / "m.ckpt"
-        save_checkpoint(str(path), "lstm", p, t, {})
+        save_checkpoint(str(path), p.buffer, t, {})
         payload = path.read_bytes().split(b"\n", 1)[1]
         assert payload == p.buffer.astype("<f8").tobytes() + t.vectors.astype("<f8").tobytes()
-        _, p2, _, _ = load_checkpoint(str(path))
-        assert p2.buffer.tobytes() == p.buffer.tobytes()
-        assert all(np.shares_memory(v, p2.buffer) for v in p2.values.values())
+        _, block, _ = load_checkpoint(str(path))
+        assert block.tobytes() == p.buffer.tobytes()
 
     def test_bitwise_identical_saves(self, tmp_path):
         p, t = self._sample()
         a, b = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
-        save_checkpoint(a, "cnn", p, t, {"k": 1})
-        save_checkpoint(b, "cnn", p, t, {"k": 1})
+        save_checkpoint(a, p.buffer, t, {"k": 1})
+        save_checkpoint(b, p.buffer, t, {"k": 1})
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
     def test_truncated_payload_rejected(self, tmp_path):
-        p, t = self._sample()
         path = tmp_path / "m.ckpt"
-        save_checkpoint(str(path), "lstm", p, t, {})
+        self._trained(path)
         data = path.read_bytes()
         path.write_bytes(data[:-8])
+        with pytest.raises(CheckpointError, match="107 parameter values do not fit"):
+            load_trained(str(path))
+        path.write_bytes(data[: data.index(b"\n") + 1 + 8 * 3 * 4 - 8])  # shorter than the table
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(str(path))
 
     def test_trailing_bytes_rejected(self, tmp_path):
-        p, t = self._sample()
         path = tmp_path / "m.ckpt"
-        save_checkpoint(str(path), "lstm", p, t, {})
-        path.write_bytes(path.read_bytes() + b"\x00" * 8)
-        with pytest.raises(CheckpointError, match="trailing"):
+        self._trained(path)
+        data = path.read_bytes()
+        path.write_bytes(data + b"\x00" * 8)
+        with pytest.raises(CheckpointError, match="109 parameter values do not fit"):
+            load_trained(str(path))
+        path.write_bytes(data + b"\x00" * 3)
+        with pytest.raises(CheckpointError, match="not whole float64 values"):
             load_checkpoint(str(path))
 
     @pytest.mark.parametrize(
@@ -457,43 +477,34 @@ class TestCheckpoint:
             pytest.param(lambda h: b"not json", id="not-json"),
             pytest.param(lambda h: [h], id="not-an-object"),
             pytest.param(lambda h: h | {"format_version": 1}, id="format-v1"),
-            pytest.param(lambda h: {k: v for k, v in h.items() if k != "params"}, id="no-params"),
+            pytest.param(lambda h: h | {"format_version": 2}, id="format-v2"),
             pytest.param(lambda h: {k: v for k, v in h.items() if k != "vocab"}, id="no-vocab"),
-            pytest.param(lambda h: h | {"params": [{"name": "W_iou"}]}, id="param-without-shape"),
             pytest.param(lambda h: h | {"config": h["config"] | {"colour": "red"}},
                          id="unknown-config-key"),
             pytest.param(lambda h: h | {"config": h["config"] | {"half_width": 2.5}},
                          id="float-half-width"),
-            pytest.param(lambda h: h | {"params": [{"name": "W_iou", "shape": [2**40, 2**40]}]},
-                         id="huge-shape"),
-            pytest.param(lambda h: h | {"model_type": "transformer"}, id="unknown-model-type"),
-            pytest.param(lambda h: h | {"model_type": "cnn"}, id="header-cnn-config-lstm"),
-            pytest.param(lambda h: h | {"model_type": "cnn",
-                                        "config": h["config"] | {"model_type": "cnn"}},
+            pytest.param(lambda h: h | {"config": h["config"] | {"model_type": "transformer"}},
+                         id="config-transformer"),
+            pytest.param(lambda h: h | {"config": h["config"] | {"model_type": "cnn"}},
                          id="cnn-over-lstm-params"),
-            pytest.param(lambda h: h | {"params": [
-                p | {"name": {"W_iou": "Wi"}.get(p["name"], p["name"])} for p in h["params"]
-            ]}, id="renamed-param"),
+            pytest.param(lambda h: h | {"config": h["config"] | {"hidden": 4}}, id="hidden-3-to-4"),
             pytest.param(lambda h: h | {"config": h["config"] | {"hidden": 1000000}},
                          id="huge-hidden"),
             pytest.param(lambda h: h | {"config": h["config"] | {"finetune_embeddings": "no"}},
                          id="string-finetune-flag"),
-            pytest.param(lambda h: h | {"params": h["params"][:1] + h["params"]},
-                         id="repeated-param"),
+            pytest.param(lambda h: h | {"dim": 5}, id="dim-4-to-5"),
+            pytest.param(lambda h: h | {"vocab": h["vocab"] + ["tres"]}, id="word-added"),
             pytest.param(lambda h: h | {"vocab": [1, "dos"]}, id="non-string-word"),
             pytest.param(lambda h: h | {"dim": 0}, id="dim-0"),
         ],
     )
     def test_bad_header_rejected(self, tmp_path, damage):
         # a real lstm checkpoint whose header is then damaged; load_trained
-        # runs every check, those of load_checkpoint included
-        table = random_embeddings(["uno", "dos"], 4, seed=1)
-        model = build_model("lstm", table.vectors, 3, np.random.default_rng(0))
-        config = TrainConfig("lstm", "chain", hidden=3, embedding_dim=4)
+        # runs every check, those of load_checkpoint included. huge-hidden
+        # asks for 10^12 values: rejected by length, before any allocation
         path = tmp_path / "m.ckpt"
-        save_checkpoint(str(path), "lstm", model.params, table, asdict(config))
-        header_line, payload = path.read_bytes().split(b"\n", 1)
-        header = damage(json.loads(header_line))
+        header, payload = self._trained(path)
+        header = damage(header)
         if not isinstance(header, bytes):
             header = json.dumps(header).encode("utf-8")
         path.write_bytes(header + b"\n" + payload)
@@ -502,23 +513,23 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
-        "index,what", [(0, "parameter 'W'"), (13, "parameter 'b'"), (-1, "embedding vectors")]
+        "index,what",
+        [(0, "parameter 'W_iou'"), (107, "parameter 'by'"), (-1, "embedding vectors")],
     )
     def test_non_finite_value_rejected(self, tmp_path, value, index, what):
-        p, t = self._sample()
+        # the lstm's 108 parameter values run from W_iou[0, 0] to by[2]
         path = tmp_path / "m.ckpt"
-        save_checkpoint(str(path), "lstm", p, t, {})
-        header, payload = path.read_bytes().split(b"\n", 1)
+        header, payload = self._trained(path)
         floats = np.frombuffer(payload, dtype="<f8").copy()
         floats[index] = value
-        path.write_bytes(header + b"\n" + floats.tobytes())
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + floats.tobytes())
         with pytest.raises(CheckpointError, match=f"{re.escape(what)} has a non-finite value"):
-            load_checkpoint(str(path))
+            load_trained(str(path))
 
     def test_repeated_vocabulary_word_rejected(self, tmp_path):
         p, t = self._sample()
         path = tmp_path / "m.ckpt"
-        save_checkpoint(str(path), "lstm", p, t, {})
+        save_checkpoint(str(path), p.buffer, t, {})
         path.write_bytes(path.read_bytes().replace(b'"dos"', b'"uno"', 1))
         with pytest.raises(CheckpointError, match="malformed vocab"):
             load_checkpoint(str(path))
@@ -530,7 +541,7 @@ class TestCheckpoint:
     def test_layout_is_params_then_vocab_rows_then_unk(self, tmp_path):
         p, t = self._sample()
         path = tmp_path / "m.ckpt"
-        save_checkpoint(str(path), "lstm", p, t, {})
+        save_checkpoint(str(path), p.buffer, t, {})
         payload = path.read_bytes().split(b"\n", 1)[1]
         blocks = [p["W"], p["b"], t.matrix, t.unk]
         assert payload == b"".join(np.asarray(v, dtype="<f8").tobytes() for v in blocks)
@@ -559,7 +570,7 @@ class TestAtomicOpen:
     def test_failed_checkpoint_save_keeps_old_file(self, tmp_path, monkeypatch):
         p, t = TestCheckpoint()._sample()
         path = tmp_path / "m.ckpt"
-        save_checkpoint(str(path), "lstm", p, t, {})
+        save_checkpoint(str(path), p.buffer, t, {})
         before = path.read_bytes()
 
         def no_space(*args):
@@ -567,7 +578,7 @@ class TestAtomicOpen:
 
         monkeypatch.setattr(nncore.os, "replace", no_space)
         with pytest.raises(OSError, match="No space"):
-            save_checkpoint(str(path), "lstm", p, t, {"changed": 1})
+            save_checkpoint(str(path), p.buffer, t, {"changed": 1})
         assert path.read_bytes() == before
         assert sorted(x.name for x in tmp_path.iterdir()) == ["m.ckpt"]
 
