@@ -7,6 +7,8 @@
 import os
 import tempfile
 
+import numpy as np
+
 from depchain import (
     SynthConfig,
     TemporalStatus,
@@ -38,7 +40,7 @@ for tok, score in zip(smap.tokens, smap.scores):
     bar = "#" * int(40 * score / max(smap.scores))
     print(f"  {tok:<12} {score:.6f} {bar}")
 
-top = smap.tokens[smap.top_token()]
+top = smap.tokens[int(np.argmax(smap.scores))]
 print(f"\ntop token: {top!r}")
 
 # The same map renders as CSV or a standalone HTML page with shaded spans.

@@ -213,6 +213,9 @@ def _cmd_gen(parser, args) -> int:
     if weights is not None:
         kwargs["label_weights"] = weights
     cfg = SynthConfig(**kwargs)
+    # the table first: a dim that cannot be allocated fails before any write
+    table = (None if args.emb_dim is None
+             else random_embeddings(synthetic_vocabulary(), args.emb_dim, args.seed))
     sentences, mentions = generate_synthetic(cfg)
     os.makedirs(args.out, exist_ok=True)
     conllu_path = os.path.join(args.out, "corpus.conllu")
@@ -222,9 +225,8 @@ def _cmd_gen(parser, args) -> int:
         f.write(serialize_conllu(sentences))
     with atomic_open(events_path) as f:
         f.write(serialize_events(mentions))
-    if args.emb_dim is not None:
+    if table is not None:
         emb_path = os.path.join(args.out, "embeddings.txt")
-        table = random_embeddings(synthetic_vocabulary(), args.emb_dim, args.seed)
         with atomic_open(emb_path) as f:
             f.write(write_embeddings(table))
         outputs.append(emb_path)

@@ -149,15 +149,6 @@ class Metrics:
         acc = int(np.trace(confusion)) / self.n if self.n else 0.0
         self.micro = (acc, acc, acc)
 
-    @classmethod
-    def from_pairs(cls, gold: list[int], pred: list[int]) -> "Metrics":
-        if len(gold) != len(pred):
-            raise ValueError("gold and pred lengths differ")
-        confusion = np.zeros((3, 3), dtype=np.int64)
-        for g, p in zip(gold, pred):
-            confusion[g, p] += 1
-        return cls(confusion)
-
     @property
     def accuracy(self) -> float:
         return self.micro[0]
@@ -351,13 +342,17 @@ def train(
         table = resolve_embeddings(config, corpus)
     data = _encode_corpus(corpus, mentions, config, table) if encoded is None else encoded
     init_ss, order_ss, drop_ss = np.random.SeedSequence(config.seed).spawn(3)
-    model = build_model(
-        config.model_type,
-        table.vectors,
-        config.hidden,
-        np.random.default_rng(init_ss),
-        tree_readout=config.tree_readout,
-    )
+    try:
+        model = build_model(
+            config.model_type,
+            table.vectors,
+            config.hidden,
+            np.random.default_rng(init_ss),
+            tree_readout=config.tree_readout,
+        )
+    except (ValueError, MemoryError):  # numpy: "array is too big", or out of memory
+        raise TrainingError(f"cannot allocate {config.model_type} parameters with hidden "
+                            f"{config.hidden} over dim {table.dim}") from None
     order_rng = np.random.default_rng(order_ss)
     drop_rng = np.random.default_rng(drop_ss)
 

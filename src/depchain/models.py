@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .corpus import TemporalStatus
+from .errors import TrainingError
 from .nncore import ParamSet, dropout, grad_check, softmax, softmax_xent, uniform_init
 
 __all__ = [
@@ -468,15 +469,20 @@ def gradcheck_model(model_type: str, seed: int, dim: int = 6, hidden: int = 8,
     different shapes), so levels and CNN windows span several inputs.
     Default length: 9 for the CNN (several pooling positions; the shorter
     inputs are padded), 5 for the recurrent models (deeper inputs shrink the
-    verifiable gradient range).
+    verifiable gradient range). TrainingError when the model or its inputs
+    cannot be allocated.
     """
     if length is None:
         length = 9 if model_type == "cnn" else 5
     rng = np.random.default_rng(seed)
     lengths = (length, (length + 1) // 2, 1)
-    # rng draws the parameters first, then the inputs' rows of this matrix
-    vectors = np.empty((sum(lengths), dim))
-    model = build_model(model_type, vectors, hidden, rng)
+    try:
+        # rng draws the parameters first, then the inputs' rows of this matrix
+        vectors = np.empty((sum(lengths), dim))
+        model = build_model(model_type, vectors, hidden, rng)
+    except (ValueError, MemoryError):  # numpy: "array is too big", or out of memory
+        raise TrainingError(f"cannot allocate {model_type} parameters with hidden {hidden} "
+                            f"over dim {dim}") from None
     batch = random_batch(model_type, vectors, lengths, rng)
     golds = rng.integers(0, N_CLASSES, size=len(batch))
 

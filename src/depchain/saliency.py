@@ -44,10 +44,6 @@ class SaliencyMap:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def top_token(self) -> int:
-        """Position of the highest-scoring token (first on ties)."""
-        return int(np.argmax(np.array(self.scores)))
-
 
 def compute_saliency(model, inst: EncodedInput,
                      label: TemporalStatus | None = None) -> SaliencyMap:

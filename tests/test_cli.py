@@ -488,6 +488,37 @@ class TestGradcheck:
         assert exc.value.code == 2
 
 
+HUGE = str(2**62)  # numpy refuses any array this long before allocating it
+
+
+class TestUnallocatableSize:
+    @pytest.mark.parametrize("argv", [
+        ["train", "--model", "lstm", "--repr", "chain", "--emb-dim", HUGE],
+        ["train", "--model", "cnn", "--repr", "chain", "--hidden", HUGE],
+        ["cv", "--folds", "2", "--model", "treelstm", "--repr", "tree", "--hidden", HUGE],
+        ["cv", "--folds", "2", "--model", "lstm", "--repr", "window", "--emb-dim", HUGE],
+        ["gradcheck", "--model", "lstm", "--dim", HUGE],
+        ["gradcheck", "--model", "cnn", "--hidden", HUGE],
+        ["gradcheck", "--model", "treelstm", "--hidden", HUGE],
+        ["gen", "--n", "5", "--seed", "1", "--emb-dim", HUGE],
+    ], ids=["train-emb-dim", "train-hidden", "cv-hidden", "cv-emb-dim", "gradcheck-dim",
+            "gradcheck-cnn-hidden", "gradcheck-treelstm-hidden", "gen-emb-dim"])
+    def test_error_line_and_nothing_written(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        if argv[0] in ("train", "cv"):
+            conllu, events = gen_corpus(tmp_path)
+            # the huge size comes last, so it overrides the tiny one
+            argv = argv[:1] + ["--conllu", conllu, "--events", events] + TINY_HYPERS + argv[1:]
+        if argv[0] != "gradcheck":
+            argv = argv + ["--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cannot allocate" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestParser:
     @pytest.mark.parametrize("argv", [
         ["gradcheck", "--model", "cnn", "--hidden", "0"],

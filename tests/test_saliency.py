@@ -69,7 +69,6 @@ class TestComputeSaliency:
         model, inst = zero_model()
         smap = compute_saliency(model, inst)
         assert all(s == 0.0 for s in smap.scores)
-        assert smap.top_token() == 0  # first position wins ties
         assert smap.predicted is TemporalStatus.PAST  # equal logits: lowest index
 
     @pytest.mark.parametrize("model_type", ["lstm", "cnn", "treelstm"])
@@ -117,13 +116,6 @@ class TestComputeSaliency:
         compute_saliency(model, inst)
         for name in model.params.values:
             assert not model.params.grads[name].any()
-
-    def test_top_token_is_argmax(self):
-        smap = SaliencyMap(
-            tokens=("a", "b", "c"), scores=(0.1, 0.5, 0.3),
-            raw=None, predicted=None, gold=None,
-        )
-        assert smap.top_token() == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
