@@ -22,6 +22,7 @@ from .models import (
     EncodedInput,
     MODEL_TYPES,
     build_model,
+    check_param_memory,
     model_loss,
     param_shapes,
     restore_model,
@@ -301,9 +302,11 @@ def _mention_name(m: EventMention) -> str:
 
 def resolve_embeddings(config: TrainConfig, corpus: list[DepSentence]) -> EmbeddingTable:
     """Load the configured table, or build a seeded random one over the
-    corpus vocabulary."""
+    corpus vocabulary once the model's parameters are known to fit in
+    memory at that dim."""
     if config.embeddings is not None:
         return load_embeddings(read_utf8(config.embeddings, EmbeddingError))
+    check_param_memory(config.model_type, config.embedding_dim, config.hidden, copies=4)
     vocab = sorted({t.form for sent in corpus for t in sent.tokens})
     return random_embeddings(vocab, config.embedding_dim, config.seed)
 
@@ -342,6 +345,7 @@ def train(
         table = resolve_embeddings(config, corpus)
     data = _encode_corpus(corpus, mentions, config, table) if encoded is None else encoded
     init_ss, order_ss, drop_ss = np.random.SeedSequence(config.seed).spawn(3)
+    check_param_memory(config.model_type, table.dim, config.hidden, copies=4)
     try:
         model = build_model(
             config.model_type,

@@ -9,12 +9,17 @@ deterministic unless given a dropout ratio, which only training does.
 Dropout touches only the penultimate vector (final hidden state or pooled
 feature vector). A single input runs as a batch of one; there is no other
 path. The LSTM and the tree-LSTM share one cell: the LSTM is the child-sum
-tree-LSTM run on a chain.
+tree-LSTM run on a chain, in one loop over height levels that branches per
+level on what the level's nodes have below them (see TreeLstmClassifier).
+Its four gates are fused at use into one matrix with columns u, i, o, f;
+parameters and checkpoints keep the W_iou/W_f layout of param_shapes.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,10 +74,11 @@ class EncodedInput:
 
     @cached_property
     def tree_levels(self) -> tuple[np.ndarray, np.ndarray]:
-        """(height, kids) of the tree, computed on first use and kept with
+        """(height, edges) of the tree, computed on first use and kept with
         the input: height per position (leaves 0, a parent one above its
-        highest child) and the children as a (T, max fan-out) position
-        matrix padded with -1. Raises ValueError unless the children lists
+        highest child) and the T-1 edges as a (3, T-1) array of parent
+        positions, child positions and each child's place in its parent's
+        list, in list order. Raises ValueError unless the children lists
         form one tree over all positions, rooted at root_pos."""
         T = len(self)
         if self.children is None:
@@ -105,14 +111,8 @@ class EncodedInput:
         n_parents[self.root_pos] += 1
         if (n_parents != 1).any():
             raise ValueError("tree input does not span all positions with one parent each")
-        padded = np.full((T, int(fan.max())), -1, dtype=np.int64)
-        padded[parents, np.arange(kids.size) - np.repeat(np.cumsum(fan) - fan, fan)] = kids
-        return height, padded
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # the logistic function through tanh: one expression, no overflow
-    return 0.5 * np.tanh(0.5 * x) + 0.5
+        slot = np.arange(kids.size) - np.repeat(np.cumsum(fan) - fan, fan)
+        return height, np.stack([parents, kids, slot])
 
 
 class CnnClassifier:
@@ -206,9 +206,26 @@ class TreeLstmClassifier:
     child sum is the previous hidden state (Tai, Socher & Manning 2015).
 
     A batch runs level by level: every node of every input is sorted by
-    height (on a chain, its position), so one level is a contiguous slice
-    whose children are all on lower levels, and each level costs a few
-    matmuls whatever the batch size.
+    height (on a chain, its position), so one level is a contiguous row
+    range whose children are all on lower levels, and each level costs a few
+    matmuls whatever the batch size. The loop branches per level on what the
+    level's nodes have below them:
+    - nothing (the leaves);
+    - one child each (every chain level but the first, and tree levels such
+      as the nodes of a path): all four gates are one matmul
+      h_child @ [U_iou | U_f] and one tanh. On a chain, inputs are laid out
+      longest first, so level t's children are the first rows of level t-1
+      in the same order: a slice, read and written as a view;
+    - otherwise: each edge has its own forget-gate row. A level's nodes are
+      laid out most children first and its edges by place in the children
+      list, so the k-th children of all nodes that have one are a slice of
+      the edges and their parents a prefix of the level: a child sum adds
+      the children in list order, one slice per place (one block for the
+      places every node has).
+    The backward pass pushes each level's gradients into its children's
+    rows, top level first, and ends in one matmul for the gradients of W, U
+    and b together (trees add one over the edge rows) and one for the input
+    gradient.
     """
 
     def __init__(self, params: ParamSet, vectors: np.ndarray,
@@ -219,9 +236,23 @@ class TreeLstmClassifier:
             raise ValueError(f"readout must be 'root' or 'target', got {readout!r}")
         self.params = params
         self.vectors = vectors
-        self.hidden = params["b_f"].shape[0]
+        self.hidden = H = params["b_f"].shape[0]
         self.model_type = model_type
         self.readout = readout
+        shapes = param_shapes(model_type, vectors.shape[1], H)
+        if [(name, v.shape) for name, v in params.values.items()] != list(shapes.items()):
+            raise ValueError(f"{model_type} parameters do not have the layout {shapes}")
+        # the buffers hold W, U and b of the i/o/u gates, then those of f:
+        # each gate group is one (dim + hidden + 1, columns) matrix
+        size = (vectors.shape[1] + H + 1) * H
+        self._blocks, self._grad_blocks = (
+            (flat[: 3 * size].reshape(-1, 3 * H), flat[3 * size : 4 * size].reshape(-1, H))
+            for flat in (params.buffer, params.grad_buffer))
+        # forward's gate columns are u, i, o, f: the tanh gate first, so the
+        # sigmoid gates are one column range. sigmoid(x) = 0.5 tanh(x/2) + 0.5,
+        # so one tanh serves all four: their columns are halved going in
+        # (exactly), then scaled and shifted out
+        self._halve = np.repeat([1.0, 0.5, 0.5, 0.5], H)
 
     @classmethod
     def init(cls, vectors: np.ndarray, hidden: int, rng: np.random.Generator,
@@ -242,131 +273,232 @@ class TreeLstmClassifier:
         return cls(ParamSet.of(values), vectors, model_type, readout)
 
     def _schedule(self, batch: list[EncodedInput]):
-        """Level schedule of a batch, over its N nodes sorted by height.
+        """Level schedule of a batch over its N nodes, in sorted order.
 
-        Returns (order, rank, levels, kids, read). order[s] is the
-        node at sorted index s, counting over the inputs laid end to end, and
-        rank is its inverse. kids is the (N x max fan-out) matrix of sorted
-        child indices, padded with the sentinel index N. levels holds
-        (start, stop, level_kids, parents) per height: the level's slice of
-        kids cut to its own fan-out (None on the leaf level), and the sorted
-        parent index of each of its nodes (N for a root), and read the
-        sorted index of each input's readout node.
+        Returns (x_rows, rank, levels, read, single, multi).
+        - x_rows: the embedding row of each node; rank: the sorted index of
+          each node, counting over the inputs laid end to end; read: the
+          sorted index of each input's readout node.
+        - levels: (start, stop, kids, edges) per height, leaves first. On a
+          level where each node has one child, kids holds those children:
+          a slice on a chain, else an index array. On a level with more,
+          edges is (e0, e1, children, node, places): the level's rows e0:e1
+          of the batch's edge list, their children, each edge's node counted
+          from the level's first, and where each place of the children lists
+          lies among them (see _child_sum). Both are None on the leaf level.
+        - single: (rows, kids) over every node that has one child.
+        - multi: None unless some level has edges, else (children, parents)
+          of every edge.
         """
-        sizes = [len(inst) for inst in batch]
-        if not all(sizes):
+        sizes = np.array([len(inst) for inst in batch])
+        if not sizes.all():
             raise ValueError(f"{self.model_type} forward: empty sequence")
-        ends = list(itertools.accumulate(sizes))
-        starts = [e - T for e, T in zip(ends, sizes)]
-        N = ends[-1]
+        ends = sizes.cumsum()
+        starts = ends - sizes
+        N = int(ends[-1])
         if self.model_type == "lstm":
-            height = np.arange(N) - np.repeat(starts, sizes)
-            kids = np.arange(-1, N - 1)[:, None]
-            kids[starts] = -1
-            read = np.subtract(ends, 1)
+            # longest input first (stable): a level's r-th node is a position
+            # of the r-th longest input, and its child is the r-th node of
+            # the level below
+            by_length = (-sizes).argsort(kind="stable")
+            lengths = sizes[by_length]
+            present = np.arange(lengths[0])[:, None] < lengths  # (level, input)
+            order = (starts[by_length] + np.arange(lengths[0])[:, None])[present]
+            counts = present.sum(axis=1)
+            bounds = [0, *counts.cumsum().tolist()]
+            levels = [(0, bounds[1], None, None)]
+            levels += [(a, b, slice(k, k + b - a), None)
+                       for k, a, b in zip(bounds, bounds[1:], bounds[2:])]
+            rows = np.arange(bounds[1], N)
+            single = (rows, rows - counts[:-1].repeat(counts[1:]))
+            multi = None
+            read = ends - 1
         else:
             trees = [inst.tree_levels for inst in batch]
             height = np.concatenate([h for h, _ in trees])
-            kids = np.full((N, max(k.shape[1] for _, k in trees)), -1, dtype=np.int64)
-            for start, (_, k) in zip(starts, trees):
-                kids[start : start + len(k), : k.shape[1]] = np.where(k >= 0, k + start, -1)
-            read = np.add(starts, [inst.root_pos if self.readout == "root" else inst.target_pos
-                                   for inst in batch])
-        order = np.argsort(height, kind="stable")
-        rank = np.empty(N + 1, dtype=np.int64)
+            edges = np.concatenate([e for _, e in trees], axis=1)
+            edges[:2] += starts.repeat(sizes - 1)
+            fan = np.bincount(edges[0], minlength=N)
+            order = np.lexsort((-fan, height))  # by height, most children first
+            read = starts + [inst.root_pos if self.readout == "root" else inst.target_pos
+                             for inst in batch]
+        rank = np.empty(N, dtype=np.int64)
         rank[order] = np.arange(N)
-        rank[N] = N  # -1, a missing child, maps to the sentinel
-        kids = rank[kids[order]]
-        parents = np.full(N + 1, N)  # row N takes the sentinel's writes
-        parents[kids] = np.arange(N)[:, None]
-        height = height[order]
-        edges = [0, *(np.flatnonzero(height[1:] != height[:-1]) + 1).tolist(), N]
-        fan_out = np.maximum.reduceat((kids < N).sum(axis=1), edges[:-1]).tolist()
-        levels = [(a, b, kids[a:b, :w] if w else None, parents[a:b])
-                  for a, b, w in zip(edges, edges[1:], fan_out)]
-        return order, rank[:N], levels, kids, rank[read]
+        if self.model_type == "treelstm":
+            levels, single, multi = _tree_schedule(height, edges, rank)
+        x_rows = np.concatenate([inst.rows for inst in batch])[order]
+        return x_rows, rank, levels, rank[read], single, multi
 
     def forward(self, batch: list[EncodedInput], drop_ratio: float = 0.0, drop_rng=None):
-        order, rank, levels, kids, read = self._schedule(batch)
+        schedule = self._schedule(batch)
+        x_rows, rank, levels, read, _, multi = schedule
         p = self.params
-        N, H = len(order), self.hidden
-        # sigmoid(x) = 0.5 tanh(x/2) + 0.5, so one tanh serves the i, o and u
-        # gates: i and o columns are halved going in, scaled and shifted out
-        scale = np.repeat([0.5, 0.5, 1.0], H)
-        shift = np.repeat([0.5, 0.5, 0.0], H)
-        U_iou, U_f = p["U_iou"] * scale, p["U_f"]
-        X = self.vectors[np.concatenate([inst.rows for inst in batch])[order]]
-        x_iou = (X @ p["W_iou"] + p["b_iou"]) * scale  # input terms of every node at once
-        x_f = X @ p["W_f"] + p["b_f"]
-        # row N is the zero sentinel that padded child slots read
-        h = np.zeros((N + 1, H))
-        c = np.zeros((N + 1, H))
-        f = np.zeros((N + 1, H))  # row k: the forget gate k's parent applies to c[k]
-        h_sum = np.zeros((N, H))
-        iou = np.empty((N, 3 * H))
+        N, D, H = len(rank), self.vectors.shape[1], self.hidden
+        iou, f_block = self._blocks
+        stacked = np.concatenate([iou[:, 2 * H :], iou[:, : 2 * H], f_block], axis=1)
+        stacked *= self._halve
+        W_in, U_in, b_in = stacked[:D], stacked[D:-1], stacked[-1]
+        X = self.vectors[x_rows]
+        x = X @ W_in + b_in  # input terms of every node at once
+        h_in = np.zeros((N, H))  # child sums; backward fills in the single children
+        gates = np.empty((N, 4 * H))  # columns u, i, o, f; f only for a single child
+        c = np.empty((N, H))
+        h = np.empty((N, H))
         tanh_c = np.empty((N, H))
-        for a, b, level_kids, _ in levels:
-            gates = iou[a:b]
-            if level_kids is None:
-                np.tanh(x_iou[a:b], out=gates)
+        # forget gate and child's hidden state per edge; zero on one-child
+        # levels, which keep them in the node rows
+        E = 0 if multi is None else len(multi[0])
+        f_edge = np.zeros((E, H))
+        h_edge = np.zeros((E, H))
+        for a, b, kids, edges in levels:
+            if kids is not None:
+                g = np.matmul(h[kids], U_in, out=gates[a:b])
+                g += x[a:b]
+                np.tanh(g, out=g)
+            elif edges is None:
+                g = np.tanh(x[a:b, : 3 * H], out=gates[a:b, : 3 * H])
             else:
-                h_kids = h[level_kids]  # (nodes, fan-out, H)
-                h_sum[a:b] = h_kids.sum(axis=1)
-                np.tanh(x_iou[a:b] + h_sum[a:b] @ U_iou, out=gates)
-                f_kids = _sigmoid(x_f[a:b, None] + (h_kids.reshape(-1, H) @ U_f).reshape(h_kids.shape))
-                f[level_kids] = f_kids
-            gates *= scale
-            gates += shift
-            c_level = gates[:, :H] * gates[:, 2 * H :]
-            if level_kids is not None:
-                c_level += (f_kids * c[level_kids]).sum(axis=1)
-            c[a:b] = c_level
+                e0, e1, kids_e, node, places = edges
+                g = gates[a:b, : 3 * H]
+                h_kids = np.take(h, kids_e, axis=0, out=h_edge[e0:e1])
+                h_sum = _child_sum(h_kids, places, h_in[a:b])
+                np.matmul(h_sum, U_in[:, : 3 * H], out=g)
+                g += x[a:b, : 3 * H]
+                np.tanh(g, out=g)
+                g_f = np.matmul(h_kids, U_in[:, 3 * H :], out=f_edge[e0:e1])
+                g_f += x[a:b, 3 * H :][node]
+                np.tanh(g_f, out=g_f)
+                g_f *= 0.5
+                g_f += 0.5
+            sigmoids = g[:, H:]
+            sigmoids *= 0.5
+            sigmoids += 0.5
+            c_level = np.multiply(g[:, H : 2 * H], g[:, :H], out=c[a:b])
+            if kids is not None:
+                c_level += g[:, 3 * H :] * c[kids]
+            elif edges is not None:
+                c_level += _child_sum(g_f * c[kids_e], places, np.empty((b - a, H)))
             np.tanh(c_level, out=tanh_c[a:b])
-            np.multiply(gates[:, H : 2 * H], tanh_c[a:b], out=h[a:b])
+            np.multiply(g[:, 2 * H : 3 * H], tanh_c[a:b], out=h[a:b])
         hd, mask = dropout(h[read], drop_ratio, drop_rng)
         logits = hd @ p["Wy"] + p["by"]
-        cache = (rank, levels, kids, read, X, h_sum, iou, f, c, tanh_c, h, hd, mask)
+        cache = (schedule, X, h_in, gates, f_edge, h_edge, c, tanh_c, h, hd, mask)
         return logits, cache
 
     def backward(self, cache, dlogits: np.ndarray) -> np.ndarray:
-        rank, levels, kids, read, X, h_sum, iou, f, c, tanh_c, h, hd, mask = cache
+        schedule, X, h_in, gates, f_edge, h_edge, c, tanh_c, h, hd, mask = cache
+        _, rank, levels, read, (rows, children), multi = schedule
         p = self.params
-        g_ = self.params.grads
-        N, H = len(rank), self.hidden
-        U_iou_T, U_f_T = p["U_iou"].T, p["U_f"].T
-        g_["Wy"] += hd.T @ dlogits
-        g_["by"] += dlogits.sum(axis=0)
-        i, o, u = iou[:, :H], iou[:, H : 2 * H], iou[:, 2 * H :]
-        # the pre-activation gradient of node j is its (dc, dh, dc) times
-        # these per-node factors; the derivatives are s(1-s) and 1-tanh^2
-        dz_factor = np.concatenate(
-            [u * i * (1.0 - i), tanh_c * o * (1.0 - o), i * (1.0 - u * u)], axis=1)
+        N, D, H = len(rank), self.vectors.shape[1], self.hidden
+        p.grads["Wy"] += hd.T @ dlogits
+        p.grads["by"] += dlogits.sum(axis=0)
+        # in the parameters' column order i, o, u, f, the pre-activation
+        # gradient of a node is its (dc, dh, dc, dc) times these factors; the
+        # derivatives are s(1-s) and 1-tanh^2, and the forget column is zero
+        # unless the node has a single child
+        u, i, o, f = (gates[:, k * H : (k + 1) * H] for k in range(4))
+        factor = np.empty((N, 4 * H))
+        f_i, f_o, f_u, f_f = (factor[:, k * H : (k + 1) * H] for k in range(4))
+        np.multiply(u, i, out=f_i)
+        f_i *= 1.0 - i
+        np.multiply(tanh_c, o, out=f_o)
+        f_o *= 1.0 - o
+        np.multiply(u, u, out=f_u)
+        np.subtract(1.0, f_u, out=f_u)
+        f_u *= i
+        f_f[...] = 0.0
+        if len(rows):  # a node with one child reads it through its own row
+            h_in[rows] = h[children]
+            f_single = f[rows]
+            f_f[rows] = c[children] * f_single * (1.0 - f_single)
+        inputs = np.concatenate([X, h_in, np.ones((N, 1))], axis=1)  # what W, U and b multiply
         out_factor = o * (1.0 - tanh_c * tanh_c)  # dc of a node per unit of its dh
-        forget_factor = c[:N] * f[:N] * (1.0 - f[:N])  # dz_f of a child per unit of parent dc
+        if multi is not None:
+            edge_factor = c[multi[0]] * f_edge * (1.0 - f_edge)
+            dz_edge = np.zeros(f_edge.shape)  # forget pre-activation gradient per edge
+            dz_f_sum = np.zeros((N, H))  # summed over each node's edges
         dh = np.zeros((N, H))
         dh[read] = (dlogits @ p["Wy"].T) * mask
-        # row N is the zero sentinel that a root reads as its parent
-        dc = np.zeros((N + 1, H))  # total cell gradient per node
-        dz_iou = np.zeros((N + 1, 3 * H))  # pre-activation gradients per node
-        dz_f = np.zeros((N + 1, H))  # row k: forget pre-activation gradient of child k
-        for a, b, _, parents in reversed(levels):  # parents before children
-            dc_parent = dc[parents]
-            zf = dc_parent * forget_factor[a:b]
-            dz_f[a:b] = zf
-            dh_level = dh[a:b] + dz_iou[parents] @ U_iou_T + zf @ U_f_T
-            dc_level = dc_parent * f[a:b] + dh_level * out_factor[a:b]
-            dc[a:b] = dc_level
-            np.multiply(np.concatenate([dc_level, dh_level, dc_level], axis=1),
-                        dz_factor[a:b], out=dz_iou[a:b])
-        dz_iou = dz_iou[:N]
-        dz_f_sum = dz_f[kids].sum(axis=1)  # row j: dz_f summed over j's children
-        g_["W_iou"] += X.T @ dz_iou
-        g_["U_iou"] += h_sum.T @ dz_iou
-        g_["b_iou"] += dz_iou.sum(axis=0)
-        g_["W_f"] += X.T @ dz_f_sum
-        g_["U_f"] += h[:N].T @ dz_f[:N]
-        g_["b_f"] += dz_f_sum.sum(axis=0)
-        return (dz_iou @ p["W_iou"].T + dz_f_sum @ p["W_f"].T)[rank]
+        dc = np.zeros((N, H))  # set by the parent (a root's stays 0), then the node's total
+        dz = np.empty((N, 4 * H))  # pre-activation gradients per node
+        stacked = np.concatenate(self._blocks, axis=1)
+        W, U_T = stacked[:D], stacked[D:-1].T
+        for a, b, kids, edges in reversed(levels):  # parents before children
+            dh_level, dc_level = dh[a:b], dc[a:b]
+            dc_level += dh_level * out_factor[a:b]
+            dz_level = np.concatenate([dc_level, dh_level, dc_level, dc_level], axis=1,
+                                      out=dz[a:b])
+            dz_level *= factor[a:b]
+            if kids is not None:
+                dh[kids] += dz_level @ U_T
+                dc[kids] = dc_level * f[a:b]
+            elif edges is not None:
+                e0, e1, kids_e, node, places = edges
+                dc_edge = dc_level[node]
+                dz_f = np.multiply(dc_edge, edge_factor[e0:e1], out=dz_edge[e0:e1])
+                dh[kids_e] += (dz_level[:, : 3 * H] @ U_T[: 3 * H])[node] + dz_f @ U_T[3 * H :]
+                dc[kids_e] = dc_edge * f_edge[e0:e1]
+                _child_sum(dz_f, places, dz_f_sum[a:b])
+        iou_grad, f_grad = self._grad_blocks
+        grad = inputs.T @ dz
+        iou_grad += grad[:, : 3 * H]
+        f_grad += grad[:, 3 * H :]
+        if multi is not None:
+            edge_inputs = inputs[multi[1]]  # an edge's forget gate reads its parent's x and 1
+            edge_inputs[:, D:-1] = h_edge  # and its own child's h
+            f_grad += edge_inputs.T @ dz_edge
+            # x of a node with several children feeds each edge's forget gate
+            dz[:, 3 * H :] += dz_f_sum
+        return (dz @ W.T)[rank]
+
+
+def _child_sum(rows: np.ndarray, places, out: np.ndarray) -> np.ndarray:
+    """Per node of an edge level, the sum of ``rows`` (one per edge) over its
+    children, into ``out``, adding the children in list order. ``places``
+    is (full, rest): the first ``full`` places, which every node has, are
+    one (full, nodes) block of rows; each (start, count) of ``rest`` adds a
+    later place's rows to the first count nodes."""
+    full, rest = places
+    np.add.reduce(rows[: full * len(out)].reshape(full, len(out), -1), axis=0, out=out)
+    for start, count in rest:
+        out[:count] += rows[start : start + count]
+    return out
+
+
+def _tree_schedule(height: np.ndarray, edges: np.ndarray, rank: np.ndarray):
+    """levels, single and multi of TreeLstmClassifier._schedule for a batch
+    of trees, from its nodes' heights, its edges as (3, E) parent, child and
+    place in the parent's children list, and the sorted index of each node
+    (all but rank in batch order)."""
+    counts = np.bincount(height).tolist()
+    bounds = [0, *itertools.accumulate(counts)]
+    n_places = int(edges[2].max(initial=0)) + 1
+    level_place = height[edges[0]] * n_places + edges[2]
+    ends = rank[edges[:2]]
+    # by level, then place, then parent: the nodes of a level are sorted
+    # most children first, so the parents at each place are a prefix
+    parent, child = ends[:, (level_place * len(rank) + ends[0]).argsort()]
+    places = np.bincount(level_place, minlength=len(counts) * n_places)
+    places = places.reshape(len(counts), -1).tolist()
+    levels = [(0, bounds[1], None, None)]
+    single = []
+    e0 = 0
+    for a, b, per_place in zip(bounds[1:], bounds[2:], places[1:]):
+        e1 = e0 + sum(per_place)
+        # above the leaves every node has a child: as many edges as nodes
+        # means one child each
+        if e1 - e0 == b - a:
+            levels.append((a, b, child[e0:e1], None))
+            single.append(np.arange(e0, e1))
+        else:
+            full = per_place.count(b - a)  # the counts never grow from place to place
+            starts = zip(itertools.accumulate(per_place, initial=0), per_place)
+            level_places = (full, [(s, n) for s, n in list(starts)[full:] if n])
+            levels.append((a, b, None, (e0, e1, child[e0:e1], parent[e0:e1] - a, level_places)))
+        e0 = e1
+    single = np.concatenate([np.zeros(0, dtype=np.int64), *single])
+    multi = None if len(single) == len(child) else (child, parent)
+    return levels, (parent[single], child[single]), multi
 
 
 MODEL_TYPES = ("lstm", "cnn", "treelstm")
@@ -390,6 +522,23 @@ def param_shapes(model_type: str, dim: int, hidden: int) -> dict[str, tuple[int,
     return {"W_iou": (dim, 3 * hidden), "U_iou": (hidden, 3 * hidden), "b_iou": (3 * hidden,),
             "W_f": (dim, hidden), "U_f": (hidden, hidden), "b_f": (hidden,),
             "Wy": (hidden, N_CLASSES), "by": (N_CLASSES,)}
+
+
+def check_param_memory(model_type: str, dim: int, hidden: int, copies: int) -> None:
+    """TrainingError, before anything is allocated, when ``copies`` float64
+    arrays the size of a model's parameters would not fit in physical
+    memory: training holds four (values, gradients and RMSProp's two
+    buffers). The bytes are counted with Python ints; where os.sysconf cannot
+    tell the memory size, nothing is checked."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return
+    need = copies * 8 * sum(map(math.prod, param_shapes(model_type, dim, hidden).values()))
+    if physical > 0 and need > physical:
+        raise TrainingError(f"cannot allocate {model_type} parameters with hidden {hidden} "
+                            f"over dim {dim}: {copies} copies need {need / 2**30:.1f} GiB, "
+                            f"the machine has {physical / 2**30:.1f} GiB")
 
 
 def restore_model(model_type: str, params: ParamSet, vectors: np.ndarray,
@@ -465,8 +614,10 @@ def gradcheck_model(model_type: str, seed: int, dim: int = 6, hidden: int = 8,
     """Max relative error between analytic and central-difference gradients
     for one randomly initialized model on a batch of three random inputs.
 
-    The inputs have `length`, about half of it, and 1 positions (trees of
-    different shapes), so levels and CNN windows span several inputs.
+    The inputs have about half of `length`, 1 and `length` positions, in
+    that order (trees of different shapes): levels and CNN windows span
+    several inputs, and the recurrent cell's longest-first layout reorders
+    them.
     Default length: 9 for the CNN (several pooling positions; the shorter
     inputs are padded), 5 for the recurrent models (deeper inputs shrink the
     verifiable gradient range). TrainingError when the model or its inputs
@@ -474,8 +625,9 @@ def gradcheck_model(model_type: str, seed: int, dim: int = 6, hidden: int = 8,
     """
     if length is None:
         length = 9 if model_type == "cnn" else 5
+    check_param_memory(model_type, dim, hidden, copies=2)  # values and gradients
     rng = np.random.default_rng(seed)
-    lengths = (length, (length + 1) // 2, 1)
+    lengths = ((length + 1) // 2, 1, length)
     try:
         # rng draws the parameters first, then the inputs' rows of this matrix
         vectors = np.empty((sum(lengths), dim))

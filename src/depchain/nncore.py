@@ -162,14 +162,16 @@ def softmax_xent(logits: np.ndarray, gold) -> tuple:
         raise ValueError(f"softmax_xent: {gold.shape} gold for {logits.shape} logits")
     if not np.isfinite(logits).all():
         raise NonFiniteError(int(np.argmin(np.isfinite(logits).all(axis=1))))
-    if gold.min() < 0 or gold.max() >= logits.shape[1]:
+    golds = gold.tolist()  # a handful of numbers: Python's min and max are cheaper
+    if min(golds) < 0 or max(golds) >= logits.shape[1]:
         raise ValueError(f"softmax_xent: gold index {gold} out of range")
+    picked = (np.arange(len(golds)), gold)  # each row's gold entry
     z = logits - logits.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))
     prob = np.exp(z - logsumexp)
-    onehot = np.arange(logits.shape[1]) == gold[:, None]
-    loss = (logsumexp - z)[onehot]  # one entry per row
-    return loss, prob, prob - onehot
+    dlogits = prob.copy()
+    dlogits[picked] -= 1.0
+    return logsumexp[:, 0] - z[picked], prob, dlogits
 
 
 def dropout(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
 from pathlib import Path
@@ -575,3 +576,53 @@ class TestParser:
         )
         assert proc.returncode == 0
         assert "depchain 0.1.0" in proc.stdout
+
+
+class TestPhysicalMemoryBound:
+    """Sizes numpy would allocate but the machine cannot hold end in an
+    error line before any parameter exists; os.sysconf is patched so the
+    test machine looks small and nothing large is allocated."""
+
+    @staticmethod
+    def small_machine(monkeypatch, pages):
+        real = os.sysconf
+
+        def sysconf(name):
+            return {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}.get(name) or real(name)
+
+        monkeypatch.setattr(os, "sysconf", sysconf)
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--model", "lstm", "--repr", "chain", "--hidden", "400"],
+        ["train", "--model", "cnn", "--repr", "chain", "--emb-dim", "9000"],
+        ["cv", "--folds", "2", "--model", "treelstm", "--repr", "tree", "--hidden", "400"],
+        ["cv", "--folds", "2", "--model", "lstm", "--repr", "window", "--emb-dim", "20000"],
+        ["gradcheck", "--model", "lstm", "--hidden", "700"],
+        ["gradcheck", "--model", "cnn", "--dim", "30000"],
+    ], ids=["train-hidden", "train-emb-dim", "cv-hidden", "cv-emb-dim", "gradcheck-hidden",
+            "gradcheck-dim"])
+    def test_error_line_and_nothing_written(self, tmp_path, capsys, monkeypatch, argv):
+        out = tmp_path / "out"
+        if argv[0] in ("train", "cv"):
+            conllu, events = gen_corpus(tmp_path)
+            argv = argv[:1] + ["--conllu", conllu, "--events", events] + TINY_HYPERS + argv[1:]
+            argv = argv + ["--out", str(out)]
+        self.small_machine(monkeypatch, pages=1024)  # 4 MiB
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot allocate ") and "GiB" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_sizes_that_fit_still_run(self, tmp_path, monkeypatch):
+        conllu, events = gen_corpus(tmp_path)
+        self.small_machine(monkeypatch, pages=1024)
+        train_tiny(tmp_path, conllu, events)  # asserts exit 0
+
+    def test_unknown_memory_size_skips_the_check(self, monkeypatch, capsys):
+        def sysconf(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(os, "sysconf", sysconf)
+        assert main(["gradcheck", "--model", "cnn", "--n-seeds", "1"]) == 0

@@ -19,7 +19,7 @@ from depchain.models import (
     random_instance,
     random_tree_children,
 )
-from depchain.nncore import softmax_xent
+from depchain.nncore import grad_check, softmax_xent
 
 
 def zeroed(model_type, X, hidden, **kw):
@@ -38,16 +38,17 @@ def build_then_draw(model_type, shape, hidden, rng):
     return m, X
 
 
-def seq_input(n):
-    """An input over rows 0..n-1 of its model's matrix."""
-    return EncodedInput(forms=tuple(f"w{t}" for t in range(n)), rows=np.arange(n))
+def seq_input(n, first_row=0):
+    """An input over rows first_row..first_row+n-1 of its model's matrix."""
+    return EncodedInput(forms=tuple(f"w{t}" for t in range(n)),
+                        rows=np.arange(first_row, first_row + n))
 
 
-def tree_input(children, root_pos=0, target_pos=0):
+def tree_input(children, root_pos=0, target_pos=0, first_row=0):
     n = len(children)
     return EncodedInput(
         forms=tuple(f"w{t}" for t in range(n)),
-        rows=np.arange(n),
+        rows=np.arange(first_row, first_row + n),
         children=tuple(tuple(c) for c in children),
         root_pos=root_pos,
         target_pos=target_pos,
@@ -149,16 +150,26 @@ class TestLstmSingleStep:
 
 
 class TestOneCell:
-    @pytest.mark.parametrize("length", range(1, 13))
-    def test_lstm_equals_textbook_loop(self, length):
+    # the input alone, or between a shorter and a longer one: the batch is
+    # laid out longest first and its input gradient mapped back
+    @pytest.mark.parametrize("length,others", [
+        *(pytest.param(n, (), id=str(n)) for n in range(1, 13)),
+        *(pytest.param(n, (1, 14), id=f"{n}-mid-batch") for n in (1, 2, 7, 12)),
+    ])
+    def test_lstm_equals_textbook_loop(self, length, others):
         rng = np.random.default_rng(100 + length)
-        m, X = build_then_draw("lstm", (length, 5), 6, rng)
-        dlogits = rng.standard_normal(3)
-        logits, cache = m.forward([seq_input(length)])
-        dX = m.backward(cache, dlogits[None])
-        want_logits, want_dX = textbook_lstm(m.params, X, dlogits)
-        assert np.abs(logits[0] - want_logits).max() <= 1e-12
-        assert np.abs(dX - want_dX).max() <= 1e-12
+        lengths = (*others[:1], length, *others[1:])
+        m, X = build_then_draw("lstm", (sum(lengths), 5), 6, rng)
+        first_rows = np.cumsum(lengths) - lengths
+        batch = [seq_input(n, first_row=r) for n, r in zip(lengths, first_rows)]
+        dlogits = rng.standard_normal((len(batch), 3))
+        logits, cache = m.forward(batch)
+        dX = np.split(m.backward(cache, dlogits), first_rows[1:])
+        k = len(others[:1])  # the tested input's place in the batch
+        rows = slice(first_rows[k], first_rows[k] + length)
+        want_logits, want_dX = textbook_lstm(m.params, X[rows], dlogits[k])
+        assert np.abs(logits[k] - want_logits).max() <= 1e-12
+        assert np.abs(dX[k] - want_dX).max() <= 1e-12
 
     def test_lstm_forget_bias_starts_at_one(self):
         m = build_model("lstm", np.zeros((1, 3)), 4, np.random.default_rng(0))
@@ -215,9 +226,18 @@ class TestTreeSingleNode:
 
 
 class TestGradients:
-    @pytest.mark.parametrize("model_type", ["lstm", "cnn", "treelstm"])
-    def test_parameter_gradients(self, model_type):
-        worst = max(gradcheck_model(model_type, seed) for seed in range(3))
+    @pytest.mark.parametrize("model_type,layout", [
+        *(pytest.param(m, None, id=m) for m in ("lstm", "cnn", "treelstm")),
+        pytest.param("treelstm", "mixed levels", id="treelstm-mixed-levels"),
+    ])
+    def test_parameter_gradients(self, model_type, layout):
+        if layout is None:
+            worst = max(gradcheck_model(model_type, seed) for seed in range(3))
+        else:
+            model, batch, _ = batch_case(model_type, 0, layout=layout)
+            golds = np.arange(len(batch)) % 3
+            worst = grad_check(lambda: float(model_loss(model, batch, golds)[0].sum()),
+                               model.params)
         assert worst < 1e-4
 
     @pytest.mark.parametrize("model_type", ["lstm", "cnn", "treelstm"])
@@ -382,11 +402,13 @@ class TestRandomTree:
 
 class TestSigmoid:
     def test_matches_two_branch_logistic(self):
-        from depchain.models import _sigmoid
-
+        # the cell's sigmoid gates, step by step as its forward pass takes
+        # them: the pre-activation halved, tanh, then halved and shifted
         x = np.concatenate([np.linspace(-800.0, 800.0, 200001), [-np.inf, np.inf]])
         with np.errstate(all="raise"):
-            got = _sigmoid(x)
+            got = np.tanh(x * 0.5)
+            got *= 0.5
+            got += 0.5
         # the exact logistic, with exp only of non-positive arguments
         ez = np.exp(-np.abs(x))
         want = np.where(x >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
@@ -394,14 +416,38 @@ class TestSigmoid:
         assert ((got >= 0.0) & (got <= 1.0)).all()
 
 
-def batch_case(model_type, seed, readout="root", dim=4, hidden=5):
-    """A random model and 3-8 random inputs of lengths 1-13: CNN inputs
-    shorter than the filter and trees of mixed fan-out included."""
+# a path (one child per node, 8 levels) beside two bushy trees: the levels
+# above height 2 hold path nodes only, the lower ones mix fan-outs 1 to 4
+MIXED_TREES = (
+    [(1,), (2,), (3,), (4,), (5,), (6,), (7,), ()],
+    [(1, 2, 3, 4), (5, 6), (), (7,), (), (), (), ()],
+    [(1, 2), (), (3,), ()],
+)
+
+
+def batch_case(model_type, seed, readout="root", dim=4, hidden=5, layout="random"):
+    """A random model and inputs for it. The "random" layout draws 3-8
+    inputs of lengths 1-13 (CNN inputs shorter than the filter and trees of
+    mixed fan-out included) in random order; "shortest first" and
+    "shortest mid-batch" fix the lengths' order; "mixed levels" is
+    MIXED_TREES."""
     rng = np.random.default_rng(seed)
     vectors = np.zeros((8 * 13, dim))  # room for the most and longest inputs drawn below
     model = build_model(model_type, vectors, hidden, rng, tree_readout=readout)
-    lengths = [1, 2, 13] + rng.integers(1, 14, size=int(rng.integers(0, 6))).tolist()
-    batch = random_batch(model_type, vectors, rng.permutation(lengths), rng)
+    if layout == "mixed levels":
+        sizes = [len(children) for children in MIXED_TREES]
+        first_rows = np.cumsum(sizes) - sizes
+        vectors[: sum(sizes)] = rng.standard_normal((sum(sizes), dim))
+        batch = [tree_input(children, target_pos=len(children) - 1, first_row=r)
+                 for children, r in zip(MIXED_TREES, first_rows)]
+        return model, batch, rng.standard_normal((len(batch), 3))
+    lengths = {
+        "random": lambda: rng.permutation(
+            [1, 2, 13] + rng.integers(1, 14, size=int(rng.integers(0, 6))).tolist()),
+        "shortest first": lambda: [1, 4, 13, 2, 13, 6],
+        "shortest mid-batch": lambda: [9, 3, 1, 12, 12, 5],
+    }[layout]()
+    batch = random_batch(model_type, vectors, lengths, rng)
     return model, batch, rng.standard_normal((len(batch), 3))
 
 
@@ -443,11 +489,20 @@ def max_diff(a, b):
 MODEL_CASES = [("lstm", "root"), ("cnn", "root"), ("treelstm", "root"), ("treelstm", "target")]
 
 
+LAYOUT_CASES = [
+    *(pytest.param(m, r, "random", id=f"{m}-{r}") for m, r in MODEL_CASES),
+    *(pytest.param(m, r, layout, id=f"{m}-{r}-{layout.replace(' ', '-')}") for m, r, layout in (
+        ("lstm", "root", "shortest first"), ("lstm", "root", "shortest mid-batch"),
+        ("treelstm", "root", "shortest mid-batch"), ("treelstm", "root", "mixed levels"),
+        ("treelstm", "target", "mixed levels"))),
+]
+
+
 class TestBatch:
-    @pytest.mark.parametrize("model_type,readout", MODEL_CASES)
+    @pytest.mark.parametrize("model_type,readout,layout", LAYOUT_CASES)
     @pytest.mark.parametrize("seed", range(4))
-    def test_batch_equals_batches_of_one(self, model_type, readout, seed):
-        model, batch, dlogits = batch_case(model_type, seed, readout)
+    def test_batch_equals_batches_of_one(self, model_type, readout, layout, seed):
+        model, batch, dlogits = batch_case(model_type, seed, readout, layout=layout)
         batched = run_batch(model, batch, dlogits)
         singles = run_singles(model, batch, dlogits)
         assert [x.shape for x in batched[1]] == [(len(inst), 4) for inst in batch]
