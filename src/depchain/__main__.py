@@ -1,0 +1,8 @@
+"""``python -m depchain``: the depchain command, runnable from a checkout."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

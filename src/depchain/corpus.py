@@ -5,6 +5,14 @@ dependency tree over surface tokens. Event mentions point at one token of one
 sentence and carry a :class:`TemporalStatus` label (optional at inference
 time).
 
+What is checked where: a :class:`Token` checks itself (id, form, head) and a
+:class:`DepSentence` checks its tree once, keeping the children lists that
+check builds. :func:`parse_conllu` makes the same checks, each once: it checks
+every row as it reads it, then builds the row's token without the token's own
+check, and checks each block's tree through the same function the sentence
+constructor uses. Text reaches these functions already decoded; the file
+reader (``nncore.read_utf8``) drops a leading UTF-8 byte-order mark.
+
 The synthetic generator emits template sentences whose temporal cue (an
 auxiliary plus the verb form it attaches to) sits on a governor of the target
 event noun, several surface positions away from it. The template grammar is
@@ -17,7 +25,6 @@ import enum
 import json
 import random
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import CorpusError
 
@@ -85,60 +92,43 @@ class Token:
     upos: str | None = None
 
     def __post_init__(self):
-        if self.id < 1:
-            raise CorpusError(f"token id must be >= 1, got {self.id}")
-        if not self.form:
-            raise CorpusError(f"token {self.id}: empty form")
-        if self.head < 0:
-            raise CorpusError(f"token {self.id}: negative head")
-        if self.head == self.id:
-            raise CorpusError(f"token {self.id}: token is its own head")
+        fault = _token_fault(self.id, self.form, self.head)
+        if fault is not None:
+            raise CorpusError(fault)
+
+
+def _token_fault(tid: int, form: str, head: int) -> str | None:
+    """What is wrong with one token on its own, or None."""
+    if tid < 1:
+        return f"token id must be >= 1, got {tid}"
+    if not form:
+        return f"token {tid}: empty form"
+    if head < 0:
+        return f"token {tid}: negative head"
+    if head == tid:
+        return f"token {tid}: token is its own head"
+    return None
 
 
 @dataclass(frozen=True)
 class DepSentence:
-    """A parsed sentence: tokens 1..n forming a single rooted tree."""
+    """A parsed sentence: tokens 1..n forming a single rooted tree.
+
+    Construction checks the tree once and keeps what the check builds as
+    ``children``: the dependent ids of each token id in surface order, with
+    entry 0 holding the root. It is not a field, so equality, hashing and
+    ``repr`` see ``doc_id``, ``sent_id`` and ``tokens`` only.
+    """
 
     doc_id: str
     sent_id: str
     tokens: tuple[Token, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        self._validate()
-
-    def _validate(self):
-        loc = f"{self.doc_id}/{self.sent_id}"
-        n = len(self.tokens)
-        if n == 0:
-            raise CorpusError(f"sentence {loc}: no tokens")
-        for pos, tok in enumerate(self.tokens, start=1):
-            if tok.id != pos:
-                raise CorpusError(
-                    f"sentence {loc}: token ids not consecutive (found {tok.id} at position {pos})"
-                )
-            if tok.head > n:
-                raise CorpusError(
-                    f"sentence {loc}: token {tok.id} head {tok.head} out of range (n={n})"
-                )
-        roots = [t.id for t in self.tokens if t.head == 0]
-        if len(roots) == 0:
-            raise CorpusError(f"sentence {loc}: no root token")
-        if len(roots) > 1:
-            raise CorpusError(f"sentence {loc}: multiple roots {roots}")
-        # Single root + every node reaching 0 without revisits <=> rooted tree.
-        state = [0] * (n + 1)  # 0 unseen, 1 on current path, 2 done
-        for start in range(1, n + 1):
-            path = []
-            cur = start
-            while cur != 0 and state[cur] == 0:
-                state[cur] = 1
-                path.append(cur)
-                cur = self.tokens[cur - 1].head
-            if cur != 0 and state[cur] == 1:
-                raise CorpusError(f"sentence {loc}: cycle through token {cur}")
-            for t in path:
-                state[t] = 2
+        tokens = tuple(self.tokens)
+        object.__setattr__(self, "tokens", tokens)
+        children = _tree_children(f"sentence {self.doc_id}/{self.sent_id}", tokens)
+        object.__setattr__(self, "children", children)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -150,20 +140,52 @@ class DepSentence:
             )
         return self.tokens[token_id - 1]
 
-    @cached_property
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        """Dependent ids of each token id in surface order; entry 0 holds the root."""
-        kids: list[list[int]] = [[] for _ in range(len(self.tokens) + 1)]
-        for t in self.tokens:
-            kids[t.head].append(t.id)
-        return tuple([tuple(k) for k in kids])
-
     @property
     def root_id(self) -> int:
         return self.children[0][0]
 
     def forms(self) -> list[str]:
         return [t.form for t in self.tokens]
+
+
+def _tree_children(where: str, tokens: tuple[Token, ...]) -> tuple[tuple[int, ...], ...]:
+    """The children lists of ``tokens``, checked to be tokens 1..n of a
+    single rooted tree; a fault raises CorpusError led by ``where``. Entry 0
+    holds the root."""
+    n = len(tokens)
+    if n == 0:
+        raise CorpusError(f"{where}: no tokens")
+    kids: list[list[int]] = [[] for _ in range(n + 1)]
+    for pos, token in enumerate(tokens, start=1):
+        tid, head = token.id, token.head
+        if tid != pos:
+            raise CorpusError(
+                f"{where}: token ids not consecutive (found {tid} at position {pos})"
+            )
+        if head > n:
+            raise CorpusError(f"{where}: token {tid} head {head} out of range (n={n})")
+        kids[head].append(tid)
+    roots = kids[0]
+    if not roots:
+        raise CorpusError(f"{where}: no root token")
+    if len(roots) > 1:
+        raise CorpusError(f"{where}: multiple roots {roots}")
+    # Single root + every token reached from it <=> rooted tree.
+    reached = [roots[0]]
+    for node in reached:  # the list grows as it is walked
+        reached += kids[node]
+    if len(reached) < n:
+        # Name the token where a walk up the heads from the lowest unreached
+        # id first comes back to itself: the cycle a walk up from every id
+        # in turn would meet first.
+        seen = set(reached)
+        cur = next(t for t in range(1, n + 1) if t not in seen)
+        path = set()
+        while cur not in path:
+            path.add(cur)
+            cur = tokens[cur - 1].head
+        raise CorpusError(f"{where}: cycle through token {cur}")
+    return tuple([tuple(k) for k in kids])
 
 
 @dataclass(frozen=True)
@@ -189,7 +211,15 @@ def parse_conllu(text: str) -> list[DepSentence]:
     document id is "1" until the first `# newdoc id = ...`, which holds until
     the next one. A block without `# sent_id = ...` is named by its ordinal
     among the blocks that have rows or a sent_id; other comments are ignored.
-    Row faults name their line, tree faults the line of the block's first row.
+    A `# sent_id` or `# newdoc id` comment without a value is rejected.
+
+    Each row is checked once, here, and the sentence's tokens are built
+    without running ``Token``'s own check again. Each tree is checked once, by
+    building its children lists from the heads and walking them from the root;
+    the sentence keeps those lists as ``children``. Faults come in the order
+    direct construction would report them: row faults in row order, naming
+    their line, then tree faults, naming the line of the block's first row.
+    Decoding, including dropping a byte-order mark, is the reader's job.
     """
     sentences: list[DepSentence] = []
     doc_id, sent_id = "1", None
@@ -199,56 +229,70 @@ def parse_conllu(text: str) -> list[DepSentence]:
         if line.startswith("#"):
             key, _, value = line[1:].partition("=")
             key = key.strip()
-            if key == "sent_id":
-                sent_id = value.strip()
-            elif key == "newdoc id":
-                doc_id = value.strip()
+            if key == "sent_id" or key == "newdoc id":
+                value = value.strip()
+                if not value:
+                    raise CorpusError(f"line {lineno}: # {key} without a value")
+                if key == "sent_id":
+                    sent_id = value
+                else:
+                    doc_id = value
         elif line.strip():
             rows.append((lineno, line))
         elif rows or sent_id is not None:
             ordinal += 1
-            sid = str(ordinal) if sent_id is None else sent_id
-            where = f"sentence {doc_id}/{sid}"
-            tokens = []
-            for no, row in rows:
-                try:
-                    token = _parse_row(row)
-                except CorpusError as e:
-                    raise CorpusError(f"{where} (line {no}): {e}") from None
-                if token is not None:
-                    tokens.append(token)
-            if tokens:
-                try:
-                    sentences.append(DepSentence(doc_id=doc_id, sent_id=sid, tokens=tuple(tokens)))
-                except CorpusError as e:  # a tree fault, its message led by `where`
-                    raise CorpusError(f"{where} (line {rows[0][0]}){str(e)[len(where):]}") from None
+            sent = _parse_block(doc_id, str(ordinal) if sent_id is None else sent_id, rows)
+            if sent is not None:
+                sentences.append(sent)
             sent_id, rows = None, []
     return sentences
 
 
-def _parse_row(line: str) -> Token | None:
-    """One 10-column row as a Token; None for a multiword or empty-node row."""
-    cols = line.split("\t")
-    if len(cols) != 10:
-        raise CorpusError(f"expected 10 tab-separated columns, got {len(cols)}")
-    tid, form, lemma, upos, _xpos, _feats, head, deprel, _deps, _misc = cols
-    if "-" in tid or "." in tid:
+_new = object.__new__  # builds a parsed Token or DepSentence without re-checking it
+
+
+def _parse_block(doc_id: str, sent_id: str, rows: list[tuple[int, str]]) -> DepSentence | None:
+    """The sentence of one block's 10-column rows; None when no row is a token."""
+    where = f"sentence {doc_id}/{sent_id}"
+    tokens: list[Token] = []
+    for no, row in rows:
+        cols = row.split("\t")
+        if len(cols) != 10:
+            raise CorpusError(
+                f"{where} (line {no}): expected 10 tab-separated columns, got {len(cols)}"
+            )
+        tid, form, lemma, upos, _xpos, _feats, head, deprel, _deps, _misc = cols
+        # CoNLL-U numbers are ASCII digits; int() would also take "+1", " 1",
+        # "0_1" and other scripts' digits. A negative head passes the syntax
+        # check and is reported as negative.
+        if not (tid.isascii() and tid.isdigit()):
+            if "-" in tid or "." in tid:  # a multiword or empty-node row
+                continue
+            raise CorpusError(f"{where} (line {no}): bad token id {tid!r}")
+        if not (head.isascii() and head.removeprefix("-").isdigit()):
+            raise CorpusError(f"{where} (line {no}): non-integer head {head!r}")
+        i, h = int(tid), int(head)
+        if i < 1 or not form or h < 0 or h == i:  # _token_fault's checks, inline
+            raise CorpusError(f"{where} (line {no}): {_token_fault(i, form, h)}")
+        # The row holds a valid Token; fill its fields without checking again.
+        token = _new(Token)
+        fields = token.__dict__
+        fields["id"] = i
+        fields["form"] = form
+        fields["head"] = h
+        fields["deprel"] = deprel
+        fields["lemma"] = None if lemma == "_" else lemma
+        fields["upos"] = None if upos == "_" else upos
+        tokens.append(token)
+    if not tokens:
         return None
-    # CoNLL-U numbers are ASCII digits; int() would also take "+1", " 1",
-    # "0_1" and other scripts' digits. A negative head passes here and is
-    # reported as negative by the tree check.
-    if not (tid.isascii() and tid.isdigit()):
-        raise CorpusError(f"bad token id {tid!r}")
-    if not (head.isascii() and head.removeprefix("-").isdigit()):
-        raise CorpusError(f"non-integer head {head!r}")
-    return Token(
-        id=int(tid),
-        form=form,
-        head=int(head),
-        deprel=deprel,
-        lemma=None if lemma == "_" else lemma,
-        upos=None if upos == "_" else upos,
-    )
+    sent = _new(DepSentence)
+    fields = sent.__dict__
+    fields["doc_id"] = doc_id
+    fields["sent_id"] = sent_id
+    fields["tokens"] = tuple(tokens)
+    fields["children"] = _tree_children(f"{where} (line {rows[0][0]})", fields["tokens"])
+    return sent
 
 
 def serialize_conllu(sentences: list[DepSentence]) -> str:

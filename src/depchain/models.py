@@ -138,6 +138,8 @@ class CnnClassifier:
         return cls(ParamSet.of({name: uniform_init(rng, s) for name, s in shapes.items()}), vectors)
 
     def forward(self, batch: list[EncodedInput], drop_ratio: float = 0.0, drop_rng=None):
+        if not batch:
+            raise ValueError("cnn forward: empty batch")
         sizes = [len(inst) for inst in batch]
         if not all(sizes):
             raise ValueError("cnn forward: empty sequence")
@@ -290,6 +292,8 @@ class TreeLstmClassifier:
         - multi: None unless some level has edges, else (children, parents)
           of every edge.
         """
+        if not batch:
+            raise ValueError(f"{self.model_type} forward: empty batch")
         sizes = np.array([len(inst) for inst in batch])
         if not sizes.all():
             raise ValueError(f"{self.model_type} forward: empty sequence")

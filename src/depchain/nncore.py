@@ -408,11 +408,13 @@ def random_embeddings(vocab: list[str], dim: int, seed: int) -> EmbeddingTable:
 
 
 def read_utf8(path: str, error: type[Exception]) -> str:
-    """The text of a UTF-8 file, newlines read as ``open`` reads them; a file
-    that is not UTF-8 raises ``error`` naming the path."""
+    """The text of a UTF-8 file, newlines read as ``open`` reads them and a
+    leading byte-order mark dropped; a file that is not UTF-8 raises
+    ``error`` naming the path and the byte offset in the file."""
     try:
         with open(path, encoding="utf-8") as f:
-            return f.read()
+            # not "utf-8-sig", whose error offsets start after the mark
+            return f.read().removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise error(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 

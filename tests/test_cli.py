@@ -5,11 +5,13 @@ import math
 import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import depchain
 from depchain import TrainConfig, parse_heatmap_csv
 from depchain.cli import _config_from_args, build_parser, main
 from depchain.models import param_shapes
@@ -177,6 +179,44 @@ class TestNonUtf8Input:
         assert rc == 1
         assert err.startswith("error: ") and "Traceback" not in err
         assert f"{files[kind]}: not UTF-8 text" in err
+
+
+BOM = b"\xef\xbb\xbf"  # U+FEFF in UTF-8
+
+
+class TestByteOrderMark:
+    """A file saved with a leading UTF-8 byte-order mark reads as the same
+    file without one."""
+
+    @pytest.mark.parametrize("kind", ["conllu", "events"])
+    def test_corpus_and_events(self, tmp_path, kind):
+        conllu, events = write_fixture(tmp_path)
+        argv = ["extract", "--mode", "chain", "--conllu", conllu, "--events", events]
+        plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
+        assert main(argv + ["--out", str(plain)]) == 0
+        path = Path({"conllu": conllu, "events": events}[kind])
+        path.write_bytes(BOM + path.read_bytes())
+        assert main(argv + ["--out", str(marked)]) == 0
+        assert marked.read_bytes() == plain.read_bytes()
+
+    def test_embeddings(self, tmp_path):
+        out = tmp_path / "data"
+        assert main(["gen", "--out", str(out), "--n", "8", "--seed", "2", "--emb-dim", "6"]) == 0
+        emb = out / "embeddings.txt"
+        files = [str(out / "corpus.conllu"), str(out / "events.jsonl")]
+        extra = ["--embeddings", str(emb)]
+        plain = Path(train_tiny(tmp_path, *files, name="plain.ckpt", extra=extra))
+        emb.write_bytes(BOM + emb.read_bytes())
+        marked = Path(train_tiny(tmp_path, *files, name="marked.ckpt", extra=extra))
+        assert marked.read_bytes() == plain.read_bytes()
+
+    def test_bad_byte_offset_counts_the_mark(self, tmp_path, capsys):
+        conllu, events = write_fixture(tmp_path)
+        Path(conllu).write_bytes(BOM + b"\xff" + Path(conllu).read_bytes())
+        rc = main(["extract", "--mode", "chain", "--conllu", conllu, "--events", events,
+                   "--out", str(tmp_path / "x.jsonl")])
+        assert rc == 1
+        assert f"{conllu}: not UTF-8 text (invalid start byte at byte 3)" in capsys.readouterr().err
 
 
 class TestDeepNesting:
@@ -564,6 +604,18 @@ class TestParser:
         args = parser.parse_args([command, "--model", "cnn", "--repr", "window",
                                   "--conllu", "c", "--events", "e"] + extra)
         assert _config_from_args(parser, args) == TrainConfig("cnn", "window")
+
+    def test_python_m_depchain(self):
+        # the package directory's parent first on PYTHONPATH, as a checkout's src
+        src = str(Path(depchain.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "depchain", "--version"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "depchain 0.1.0\n"
 
     @pytest.mark.skipif(
         shutil.which("depchain") is None,

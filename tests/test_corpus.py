@@ -1,6 +1,7 @@
 """CoNLL-U parsing, event loading, and the synthetic generator."""
 
 import collections
+import pickle
 import re
 
 import pytest
@@ -33,6 +34,8 @@ FIXTURE = """# newdoc id = doc1
 7\ttheir\t_\t_\t_\t_\t8\tnmod:poss\t_\t_
 8\tprotest\t_\t_\t_\t_\t6\tdobj\t_\t_
 """
+
+ROW = "1\thi\t_\t_\t_\t_\t0\troot\t_\t_"
 
 
 def make_sentence(rows, doc_id="d", sent_id="s"):
@@ -153,6 +156,28 @@ class TestParseConllu:
         sents = parse_conllu(newline.join(lines))
         assert [(s.doc_id, s.sent_id) for s in sents] == [("1", "1"), ("1", "4"), ("D", "5"), ("D", "6")]
 
+    @pytest.mark.parametrize("comment,key", [
+        ("# sent_id", "sent_id"), ("# sent_id =", "sent_id"), ("#sent_id= ", "sent_id"),
+        ("# newdoc id", "newdoc id"), ("# newdoc id = ", "newdoc id"),
+    ])
+    def test_empty_id_comment_rejected(self, comment, key):
+        text = f"{ROW}\n\n{comment}\n{ROW}\n"
+        with pytest.raises(CorpusError) as exc:
+            parse_conllu(text)
+        assert str(exc.value) == f"line 3: # {key} without a value"
+
+    def test_cycle_names_first_repeated_token(self):
+        # walking up from token 2 (the lowest off the root's tree) meets 3 again first
+        rows = [("a", 0, "root"), ("b", 3, "dep"), ("c", 4, "dep"), ("d", 3, "dep")]
+        text = "".join(f"{i}\t{f}\t_\t_\t_\t_\t{h}\t{r}\t_\t_\n"
+                       for i, (f, h, r) in enumerate(rows, start=1))
+        with pytest.raises(CorpusError) as exc:
+            parse_conllu(text)
+        assert str(exc.value) == "sentence 1/1 (line 1): cycle through token 3"
+        with pytest.raises(CorpusError) as exc:
+            make_sentence(rows)
+        assert str(exc.value) == "sentence d/s: cycle through token 3"
+
     def test_error_carries_locator(self):
         text = "# sent_id = bad1\n1\thi\t_\t_\t_\t_\t5\tdet\t_\t_\n"
         with pytest.raises(CorpusError, match="bad1"):
@@ -164,6 +189,68 @@ class TestParseConllu:
         back = parse_conllu(text)
         assert back == sents
         assert serialize_conllu(back) == text
+
+
+def rebuilt(sent):
+    """The sentence built again through the checking constructors."""
+    tokens = tuple(
+        Token(id=t.id, form=t.form, head=t.head, deprel=t.deprel, lemma=t.lemma, upos=t.upos)
+        for t in sent.tokens
+    )
+    return DepSentence(doc_id=sent.doc_id, sent_id=sent.sent_id, tokens=tokens)
+
+
+def children_from_heads(sent):
+    kids = [[] for _ in range(len(sent) + 1)]
+    for t in sent.tokens:
+        kids[t.head].append(t.id)
+    return tuple(tuple(k) for k in kids)
+
+
+class TestParsedEqualsConstructed:
+    """The parser builds tokens and sentences without re-running their
+    checks; what it builds must be what the constructors build."""
+
+    def assert_same(self, parsed, built):
+        assert parsed == built
+        assert hash(parsed) == hash(built)
+        assert repr(parsed) == repr(built)
+        assert [hash(t) for t in parsed.tokens] == [hash(t) for t in built.tokens]
+        assert parsed.children == built.children == children_from_heads(parsed)
+        assert parsed.root_id == built.root_id
+
+    @pytest.mark.parametrize("seed", [0, 4, 19])
+    @pytest.mark.parametrize("distractor_len", [0, 1, 2, 9])
+    def test_synthetic_round_trip(self, seed, distractor_len):
+        sents, _ = generate_synthetic(
+            SynthConfig(n_sentences=12, seed=seed, distractor_len=distractor_len)
+        )
+        parsed = parse_conllu(serialize_conllu(sents))
+        assert len(parsed) == len(sents)
+        for p, s in zip(parsed, sents):
+            self.assert_same(p, s)
+            self.assert_same(p, rebuilt(p))
+
+    def test_multiword_and_empty_node_fixture(self):
+        text = (
+            "# sent_id = mw\n"
+            "1-2\tdel\t_\t_\t_\t_\t_\t_\t_\t_\n"
+            "1\tde\tde\t_\t_\t_\t2\tcase\t_\t_\n"
+            "1.1\tghost\t_\t_\t_\t_\t_\t_\t_\t_\n"
+            "2\tcasa\t_\tNOUN\t_\t_\t0\troot\t_\t_\n"
+        )
+        (parsed,) = parse_conllu(text)
+        built = DepSentence(doc_id="1", sent_id="mw", tokens=(
+            Token(id=1, form="de", head=2, deprel="case", lemma="de"),
+            Token(id=2, form="casa", head=0, deprel="root", upos="NOUN"),
+        ))
+        self.assert_same(parsed, built)
+        assert parsed.children == ((2,), (), (1,))
+
+    def test_pickle_round_trip(self):
+        (parsed,) = parse_conllu(FIXTURE)
+        back = pickle.loads(pickle.dumps(parsed))
+        self.assert_same(back, parsed)
 
 
 class TestTokenValidation:

@@ -330,6 +330,12 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="empty"):
             m.forward([inst])
 
+    @pytest.mark.parametrize("model_type", ["lstm", "cnn", "treelstm"])
+    def test_empty_batch(self, model_type):
+        m = zeroed(model_type, np.zeros((2, 3)), 4)
+        with pytest.raises(ValueError, match=f"^{model_type} forward: empty batch$"):
+            m.forward([])
+
     def test_tree_without_children(self):
         m = zeroed("treelstm", np.zeros((2, 3)), 4)
         inst = seq_input(2)
