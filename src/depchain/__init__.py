@@ -5,147 +5,21 @@ chain extraction (with a local-window baseline), three from-scratch
 classifiers (LSTM, CNN, child-sum tree-LSTM), an RMSProp training and
 cross-validation harness, gradient saliency heatmaps, and a deterministic
 synthetic corpus generator. The `depchain` command exposes everything.
+
+Each module's ``__all__`` is the one list of its public names; the package
+exports exactly those lists.
 """
 
 __version__ = "0.1.0"
 
-from .chain import (
-    ChainStats,
-    ContextWindow,
-    DependencyChain,
-    chain_stats,
-    extract_chain,
-    extract_window,
-)
-from .corpus import (
-    DepSentence,
-    EventMention,
-    SynthConfig,
-    TemporalStatus,
-    Token,
-    generate_synthetic,
-    index_sentences,
-    load_events,
-    parse_conllu,
-    serialize_conllu,
-    serialize_events,
-    synthetic_cue_forms,
-    synthetic_vocabulary,
-)
-from .errors import (
-    CheckpointError,
-    CorpusError,
-    DepchainError,
-    EmbeddingError,
-    TrainingError,
-)
-from .harness import (
-    CvResult,
-    FoldPlan,
-    Metrics,
-    TrainConfig,
-    TrainedModel,
-    cross_validate,
-    encode_input,
-    evaluate,
-    format_metrics_table,
-    kfold,
-    load_trained,
-    save_trained,
-    split_tuning_test,
-    train,
-)
-from .models import (
-    CnnClassifier,
-    EncodedInput,
-    TreeLstmClassifier,
-    build_model,
-    classify,
-    gradcheck_model,
-    model_loss,
-    restore_model,
-)
-from .nncore import (
-    EmbeddingTable,
-    ParamSet,
-    RmsProp,
-    grad_check,
-    load_checkpoint,
-    load_embeddings,
-    random_embeddings,
-    save_checkpoint,
-    softmax_xent,
-    write_embeddings,
-)
-from .saliency import (
-    SaliencyMap,
-    compute_saliency,
-    emit_heatmap,
-    heatmap_filename,
-    parse_heatmap_csv,
-)
+from . import chain, corpus, errors, harness, models, nncore, saliency
+from .chain import *
+from .corpus import *
+from .errors import *
+from .harness import *
+from .models import *
+from .nncore import *
+from .saliency import *
 
-__all__ = [
-    "__version__",
-    "ChainStats",
-    "ContextWindow",
-    "DependencyChain",
-    "chain_stats",
-    "extract_chain",
-    "extract_window",
-    "DepSentence",
-    "EventMention",
-    "SynthConfig",
-    "TemporalStatus",
-    "Token",
-    "generate_synthetic",
-    "index_sentences",
-    "load_events",
-    "parse_conllu",
-    "serialize_conllu",
-    "serialize_events",
-    "synthetic_cue_forms",
-    "synthetic_vocabulary",
-    "CheckpointError",
-    "CorpusError",
-    "DepchainError",
-    "EmbeddingError",
-    "TrainingError",
-    "CvResult",
-    "FoldPlan",
-    "Metrics",
-    "TrainConfig",
-    "TrainedModel",
-    "cross_validate",
-    "encode_input",
-    "evaluate",
-    "format_metrics_table",
-    "kfold",
-    "load_trained",
-    "save_trained",
-    "split_tuning_test",
-    "train",
-    "CnnClassifier",
-    "EncodedInput",
-    "TreeLstmClassifier",
-    "build_model",
-    "classify",
-    "gradcheck_model",
-    "model_loss",
-    "restore_model",
-    "EmbeddingTable",
-    "ParamSet",
-    "RmsProp",
-    "grad_check",
-    "load_checkpoint",
-    "load_embeddings",
-    "random_embeddings",
-    "save_checkpoint",
-    "softmax_xent",
-    "write_embeddings",
-    "SaliencyMap",
-    "compute_saliency",
-    "emit_heatmap",
-    "heatmap_filename",
-    "parse_heatmap_csv",
-]
+__all__ = ["__version__", *chain.__all__, *corpus.__all__, *errors.__all__, *harness.__all__,
+           *models.__all__, *nncore.__all__, *saliency.__all__]

@@ -31,7 +31,6 @@ __all__ = [
     "ChainStats",
     "REPRESENTATIONS",
     "representation_ids",
-    "representation_record",
 ]
 
 REPRESENTATIONS = ("chain", "window", "tree")

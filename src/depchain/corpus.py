@@ -296,10 +296,20 @@ def _parse_block(doc_id: str, sent_id: str, rows: list[tuple[int, str]]) -> DepS
 
 
 def serialize_conllu(sentences: list[DepSentence]) -> str:
-    """Emit sentences in the 10-column CoNLL-U format; round-trips with parse_conllu."""
+    """Emit sentences in the 10-column CoNLL-U format; round-trips with parse_conllu.
+
+    A value that parse_conllu would reject or read back differently raises
+    CorpusError naming the sentence (and the token): an empty doc or sent id,
+    one with surrounding whitespace, a tab or line break in an id, form,
+    lemma, upos or deprel, and a lemma or upos of '_' (read back as missing).
+    """
     out: list[str] = []
     prev_doc: str | None = None
     for sent in sentences:
+        where = f"sentence {sent.doc_id!r}/{sent.sent_id!r}"
+        for name, value in (("doc id", sent.doc_id), ("sent id", sent.sent_id)):
+            if not value or value != value.strip() or "\t" in value or _has_line_break(value):
+                raise CorpusError(f"{where}: {name} {value!r} does not read back as written")
         if sent.doc_id != prev_doc:
             out.append(f"# newdoc id = {sent.doc_id}")
             prev_doc = sent.doc_id
@@ -317,9 +327,19 @@ def serialize_conllu(sentences: list[DepSentence]) -> str:
                 "_",
                 "_",
             ]
-            out.append("\t".join(cols))
+            row = "\t".join(cols)
+            if row.count("\t") != 9 or _has_line_break(row):
+                raise CorpusError(f"{where}: token {t.id} holds a tab or line break: {row!r}")
+            if "_" in (t.lemma, t.upos):
+                raise CorpusError(f"{where}: token {t.id}: lemma or upos '_' reads back as missing")
+            out.append(row)
         out.append("")
     return "\n".join(out) + ("\n" if out else "")
+
+
+def _has_line_break(text: str) -> bool:
+    """True when ``str.splitlines`` (the reader's line split) breaks ``text``."""
+    return "".join(text.splitlines()) != text
 
 
 def index_sentences(sentences: list[DepSentence]) -> dict[tuple[str, str], DepSentence]:
@@ -588,7 +608,10 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[list[DepSentence], list[EventM
     the seeded RNG. Equal seeds give byte-identical corpora.
     """
     rng = random.Random(cfg.seed)
-    labels = _quota_labels(cfg.n_sentences, cfg.label_weights)
+    try:
+        labels = _quota_labels(cfg.n_sentences, cfg.label_weights)
+    except (MemoryError, OverflowError):  # a label list this long cannot exist
+        raise CorpusError(f"cannot allocate a corpus of {cfg.n_sentences} sentences") from None
     rng.shuffle(labels)
 
     sentences: list[DepSentence] = []

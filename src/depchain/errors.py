@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = ["DepchainError", "CorpusError", "EmbeddingError", "CheckpointError", "TrainingError"]
+
 
 class DepchainError(Exception):
     """Base class for all errors raised by this package."""

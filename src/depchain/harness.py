@@ -151,10 +151,6 @@ class Metrics:
         self.micro = (acc, acc, acc)
 
     @property
-    def accuracy(self) -> float:
-        return self.micro[0]
-
-    @property
     def micro_f1(self) -> float:
         return self.micro[2]
 
@@ -204,10 +200,6 @@ class FoldPlan:
         sizes = {len(f) for f in self.folds}
         if max(sizes) - min(sizes) > 1:
             raise ValueError("fold sizes must differ by at most 1")
-
-    @property
-    def k(self) -> int:
-        return len(self.folds)
 
     def sizes(self) -> list[int]:
         return [len(f) for f in self.folds]

@@ -30,8 +30,6 @@ from .errors import TrainingError
 from .nncore import ParamSet, dropout, grad_check, softmax, softmax_xent, uniform_init
 
 __all__ = [
-    "N_CLASSES",
-    "FILTER_WIDTH",
     "EncodedInput",
     "CnnClassifier",
     "TreeLstmClassifier",
@@ -41,9 +39,6 @@ __all__ = [
     "restore_model",
     "model_loss",
     "classify",
-    "random_tree_children",
-    "random_instance",
-    "random_batch",
     "gradcheck_model",
 ]
 

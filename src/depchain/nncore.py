@@ -31,19 +31,13 @@ from .errors import CheckpointError, EmbeddingError
 
 __all__ = [
     "ParamSet",
-    "softmax",
-    "NonFiniteError",
     "softmax_xent",
-    "dropout",
     "RmsProp",
     "grad_check",
-    "uniform_init",
     "EmbeddingTable",
     "load_embeddings",
     "write_embeddings",
     "random_embeddings",
-    "read_utf8",
-    "atomic_open",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -312,11 +306,6 @@ class EmbeddingTable:
     def matrix(self) -> np.ndarray:
         """The vocabulary rows (a view)."""
         return self.vectors[:-1]
-
-    @property
-    def unk(self) -> np.ndarray:
-        """The unknown-word vector (a view of the last row)."""
-        return self.vectors[-1]
 
     @property
     def dim(self) -> int:

@@ -542,8 +542,9 @@ class TestUnallocatableSize:
         ["gradcheck", "--model", "cnn", "--hidden", HUGE],
         ["gradcheck", "--model", "treelstm", "--hidden", HUGE],
         ["gen", "--n", "5", "--seed", "1", "--emb-dim", HUGE],
+        ["gen", "--n", HUGE, "--seed", "1"],
     ], ids=["train-emb-dim", "train-hidden", "cv-hidden", "cv-emb-dim", "gradcheck-dim",
-            "gradcheck-cnn-hidden", "gradcheck-treelstm-hidden", "gen-emb-dim"])
+            "gradcheck-cnn-hidden", "gradcheck-treelstm-hidden", "gen-emb-dim", "gen-n"])
     def test_error_line_and_nothing_written(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         if argv[0] in ("train", "cv"):

@@ -2,6 +2,7 @@
 
 import collections
 import pickle
+import random
 import re
 
 import pytest
@@ -251,6 +252,58 @@ class TestParsedEqualsConstructed:
         (parsed,) = parse_conllu(FIXTURE)
         back = pickle.loads(pickle.dumps(parsed))
         self.assert_same(back, parsed)
+
+
+class TestSerializeRoundTrip:
+    """serialize_conllu refuses what parse_conllu would reject or read back
+    differently, naming the sentence and the token at fault."""
+
+    @pytest.mark.parametrize("doc_id, sent_id", [
+        ("", "s"), ("d", ""), (" d", "s"), ("d", "s "), ("d", "a\tb"), ("a\nb", "s"),
+        ("d", "a\u2028b"), ("d", "s\r"),
+    ])
+    def test_bad_id(self, doc_id, sent_id):
+        sent = make_sentence([("hi", 0, "root")], doc_id=doc_id, sent_id=sent_id)
+        with pytest.raises(CorpusError, match=r"sentence .* id .* does not read back"):
+            serialize_conllu([sent])
+
+    @pytest.mark.parametrize("field, value", [
+        ("form", "a\tb"), ("form", "a\nb"), ("lemma", "x\r"), ("upos", "\u2028"),
+        ("deprel", "nsubj\tx"), ("deprel", "a\x1cb"), ("lemma", "_"), ("upos", "_"),
+    ])
+    def test_bad_token_field(self, field, value):
+        fields = {"id": 2, "form": "there", "head": 1, "deprel": "dep", field: value}
+        sent = DepSentence("d1", "s7", (Token(id=1, form="hi", head=0, deprel="root"),
+                                        Token(**fields)))
+        with pytest.raises(CorpusError, match="sentence 'd1'/'s7': token 2"):
+            serialize_conllu([sent])
+
+    def test_random_fields_raise_or_round_trip(self):
+        # fields drawn from an alphabet rich in what CoNLL-U rows and
+        # comments cannot hold; each sentence either raises or reads back equal
+        rng = random.Random(11)
+        alphabet, weights = "ab_ \t\n\r\u2028", [20, 20, 4, 2, 1, 1, 1, 1]
+
+        def text(lo, hi):
+            return "".join(rng.choices(alphabet, weights, k=rng.randint(lo, hi)))
+
+        outcomes = collections.Counter()
+        for _ in range(1500):
+            tokens = tuple(
+                Token(id=i, form=text(1, 3), head=rng.randrange(1, i) if i > 1 else 0,
+                      deprel=text(0, 3), lemma=rng.choice([None, text(0, 2)]),
+                      upos=rng.choice([None, text(0, 2)]))
+                for i in range(1, rng.randint(1, 3) + 1)
+            )
+            sent = DepSentence(doc_id=text(0, 3), sent_id=text(0, 3), tokens=tokens)
+            try:
+                out = serialize_conllu([sent])
+            except CorpusError:
+                outcomes["refused"] += 1
+                continue
+            assert parse_conllu(out) == [sent]
+            outcomes["round trip"] += 1
+        assert min(outcomes["refused"], outcomes["round trip"]) >= 50, outcomes
 
 
 class TestTokenValidation:

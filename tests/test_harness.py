@@ -125,7 +125,7 @@ class TestMetrics:
         m = Metrics(np.diag([10, 20, 30]))
         for triple in m.per_class + [m.macro, m.micro]:
             assert triple == (1.0, 1.0, 1.0)
-        assert m.accuracy == 1.0
+        assert m.micro_f1 == 1.0
 
     def test_always_past_baseline(self):
         # gold counts 1406/429/254, every prediction PAST
@@ -181,7 +181,7 @@ class TestMetrics:
 
     def test_empty_confusion(self):
         m = Metrics(np.zeros((3, 3), dtype=int))
-        assert m.accuracy == 0.0
+        assert m.micro_f1 == 0.0
         assert m.macro == (0.0, 0.0, 0.0)
 
     def test_bad_confusion_rejected(self):
@@ -378,7 +378,7 @@ class TestTrain:
         trained = train(cfg, sents, mentions)
         assert trained.history[-1] < trained.history[0]
         m = evaluate(trained, sents, mentions)
-        assert m.accuracy >= 0.95
+        assert m.micro_f1 >= 0.95
 
     def test_empty_mentions_rejected(self):
         sents, _ = small_corpus()

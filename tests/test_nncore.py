@@ -343,8 +343,7 @@ class TestEmbeddings:
     def test_unknown_word_stable(self):
         t = load_embeddings(EMB_FIXTURE)
         assert t.row_of("zzzz") == -1
-        assert np.array_equal(t.unk, load_embeddings(EMB_FIXTURE).unk)
-        assert np.array_equal(t.vectors[-1], t.unk)
+        assert np.array_equal(t.vectors[-1], load_embeddings(EMB_FIXTURE).vectors[-1])
 
     def test_lowercase_fallback(self):
         t = load_embeddings(EMB_FIXTURE)
@@ -409,19 +408,19 @@ class TestEmbeddings:
         assert list(rows) == [0, -1, 1]
         X = t.vectors[rows]
         assert X.shape == (3, 4)
-        assert np.array_equal(X[1], t.unk)
+        assert np.array_equal(X[1], t.vectors[-1])
         assert t.vectors[t.rows([])].shape == (0, 4)
 
     def test_matrix_and_unk_are_views(self):
         t = random_embeddings(["x", "y"], 3, seed=2)
         assert t.vectors.shape == (3, 3)
         t.vectors[...] = 7.0
-        assert (t.matrix == 7.0).all() and (t.unk == 7.0).all()
+        assert (t.matrix == 7.0).all() and (t.vectors[-1] == 7.0).all()
 
     def test_empty_vocabulary_reads_unk(self):
         t = load_embeddings("0 2\n")
         assert t.vectors.shape == (1, 2)
-        assert np.array_equal(t.vectors[t.rows(["a", "b"])], [t.unk, t.unk])
+        assert np.array_equal(t.vectors[t.rows(["a", "b"])], [t.vectors[-1], t.vectors[-1]])
 
 
 class TestCheckpoint:
@@ -450,7 +449,7 @@ class TestCheckpoint:
         assert np.array_equal(block, p.buffer)
         assert t2.words == t.words
         assert np.array_equal(t2.matrix, t.matrix)
-        assert np.array_equal(t2.unk, t.unk)
+        assert np.array_equal(t2.vectors[-1], t.vectors[-1])
 
     def test_header_holds_config_vocab_and_dim(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -570,7 +569,7 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(str(path), p.buffer, t, {})
         payload = path.read_bytes().split(b"\n", 1)[1]
-        blocks = [p["W"], p["b"], t.matrix, t.unk]
+        blocks = [p["W"], p["b"], t.matrix, t.vectors[-1]]
         assert payload == b"".join(np.asarray(v, dtype="<f8").tobytes() for v in blocks)
 
 
