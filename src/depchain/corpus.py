@@ -5,9 +5,10 @@ dependency tree over surface tokens. Event mentions point at one token of one
 sentence and carry a :class:`TemporalStatus` label (optional at inference
 time).
 
-What is checked where: a :class:`Token` checks itself (id, form, head) and a
-:class:`DepSentence` checks its tree once, keeping the children lists that
-check builds. :func:`parse_conllu` makes the same checks, each once: it checks
+What is checked where: a :class:`Token` checks itself (the types of its
+fields, then id, form and head) and a :class:`DepSentence` checks its ids'
+types, that it holds tokens, and its tree once, keeping the children lists
+that check builds. :func:`parse_conllu` makes the same checks, each once: it checks
 every row as it reads it, then builds the row's token without the token's own
 check, and checks each block's tree through the same function the sentence
 constructor uses. Text reaches these functions already decoded; the file
@@ -92,9 +93,27 @@ class Token:
     upos: str | None = None
 
     def __post_init__(self):
-        fault = _token_fault(self.id, self.form, self.head)
+        fault = _type_fault("token", self, _TOKEN_TYPES) or _token_fault(self.id, self.form,
+                                                                           self.head)
         if fault is not None:
             raise CorpusError(fault)
+
+
+# the field types the CoNLL-U reader gives a Token and a DepSentence
+_TOKEN_TYPES = (("id", int, "an int"), ("form", str, "a string"), ("head", int, "an int"),
+                ("deprel", str, "a string"), ("lemma", (str, type(None)), "a string or None"),
+                ("upos", (str, type(None)), "a string or None"))
+_SENTENCE_TYPES = (("doc_id", str, "a string"), ("sent_id", str, "a string"))
+
+
+def _type_fault(what: str, obj, types) -> str | None:
+    """The first field of ``obj`` whose value has another type than ``types``
+    lists (a bool is no int), or None."""
+    for name, kind, described in types:
+        value = getattr(obj, name)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            return f"{what} {name} {value!r} is not {described}"
+    return None
 
 
 def _token_fault(tid: int, form: str, head: int) -> str | None:
@@ -125,7 +144,14 @@ class DepSentence:
     tokens: tuple[Token, ...]
 
     def __post_init__(self):
+        fault = _type_fault("sentence", self, _SENTENCE_TYPES)
+        if fault is not None:
+            raise CorpusError(fault)
         tokens = tuple(self.tokens)
+        for token in tokens:
+            if not isinstance(token, Token):
+                raise CorpusError(f"sentence {self.doc_id}/{self.sent_id}: {token!r} "
+                                  "is not a Token")
         object.__setattr__(self, "tokens", tokens)
         children = _tree_children(f"sentence {self.doc_id}/{self.sent_id}", tokens)
         object.__setattr__(self, "children", children)

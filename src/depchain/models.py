@@ -44,6 +44,11 @@ __all__ = [
 
 N_CLASSES = 3
 FILTER_WIDTH = 5
+# a sort key packs fields of this many bits into an int64; in a tree of up to
+# 2**21 positions every height, place and fan-out fits one
+_KEY_BITS = 21
+_PLACE_MASK = (1 << _KEY_BITS) - 1
+_PAD_KEY = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -67,47 +72,83 @@ class EncodedInput:
     def __len__(self) -> int:
         return len(self.forms)
 
+    def __post_init__(self):
+        rows = self.rows
+        if not (isinstance(rows, np.ndarray) and rows.shape == (len(self.forms),)
+                and rows.dtype.kind in "iu"):
+            got = (f"{rows.dtype} array of shape {rows.shape}" if isinstance(rows, np.ndarray)
+                   else type(rows).__name__)
+            raise ValueError(f"an input of {len(self.forms)} forms needs rows as a 1-D integer "
+                             f"array of {len(self.forms)} entries, got {got}")
+
     @cached_property
-    def tree_levels(self) -> tuple[np.ndarray, np.ndarray]:
-        """(height, edges) of the tree, computed on first use and kept with
-        the input: height per position (leaves 0, a parent one above its
-        highest child) and the T-1 edges as a (3, T-1) array of parent
-        positions, child positions and each child's place in its parent's
-        list, in list order. Raises ValueError unless the children lists
-        form one tree over all positions, rooted at root_pos."""
+    def tree_levels(self) -> np.ndarray:
+        """The tree's share of a level schedule, worked out in plain Python
+        on first use and kept with the input, so that a batch of trees only
+        lays its inputs' shares end to end and sorts them (see _schedule).
+
+        A (6, T) int64 array with one column per position and one per edge:
+        the T-1 edges in the order of the children lists, then a pad edge
+        that sorts after every edge. A position's height is 0 for a leaf and
+        one above its highest child otherwise.
+        - Rows 0-1, per position: its key, height * 2**21 - fan-out (sorting
+          by key sorts by height, most children first), and its embedding
+          row.
+        - Rows 2-5, per edge: its key, group * 2**21 - the parent's fan-out
+          (sorting by key sorts the edges by level, then place, then the
+          parent's key); its parent's and its child's position, counted
+          from the edge's own column; its group, the parent's height *
+          2**21 + the child's place in the parent's children list.
+        Raises ValueError unless the children lists form one tree over all
+        positions, rooted at root_pos."""
         T = len(self)
-        if self.children is None:
+        children = self.children
+        if children is None:
             raise ValueError("treelstm forward: input lacks tree structure")
-        if len(self.children) != T:
+        if len(children) != T:
             raise ValueError("tree input needs one children list per position")
-        fan = np.fromiter(map(len, self.children), np.int64, T)
-        kids = np.fromiter(itertools.chain.from_iterable(self.children), np.int64)
-        positions = np.append(kids, [self.root_pos, self.target_pos])
-        if ((positions < 0) | (positions >= T)).any():
+        if T > 1 << _KEY_BITS:
+            raise ValueError(f"tree input has more than {1 << _KEY_BITS} positions")
+        positions = [*itertools.chain.from_iterable(children), self.root_pos, self.target_pos]
+        if min(positions) < 0 or max(positions) >= T:
             raise ValueError("tree input has a position out of range")
-        parents = np.repeat(np.arange(T), fan)
-        # peel the tree from its leaves: a node is placed one level above
-        # the last of its children; nodes on a cycle are never placed
-        height = np.zeros(T, dtype=np.int64)
-        pending = fan.copy()
-        placed = pending == 0
-        new = placed
-        level = 0
-        while new.any():
-            level += 1
-            pending -= np.bincount(parents[new[kids]], minlength=T)
-            new = (pending == 0) & ~placed
-            height[new] = level
-            placed = placed | new
-        if not placed.all():
+        n_parents = [0] * T
+        for k in positions[:-2]:
+            n_parents[k] += 1
+        one_parent_each = not n_parents[self.root_pos] and n_parents.count(1) == T - 1
+        # top down from the positions no list names, each once all its
+        # parents are reached: positions on or below a cycle never are
+        topo = [v for v, n in enumerate(n_parents) if not n]
+        for v in topo:
+            for k in children[v]:
+                n_parents[k] -= 1
+                if not n_parents[k]:
+                    topo.append(k)
+        if len(topo) < T:
             raise ValueError("tree input contains a cycle")
         # without a cycle, one parent for every position but the root is one tree
-        n_parents = np.bincount(kids, minlength=T)
-        n_parents[self.root_pos] += 1
-        if (n_parents != 1).any():
+        if not one_parent_each:
             raise ValueError("tree input does not span all positions with one parent each")
-        slot = np.arange(kids.size) - np.repeat(np.cumsum(fan) - fan, fan)
-        return height, np.stack([parents, kids, slot])
+        height = [0] * T
+        key = [0] * T  # a leaf's
+        for v in reversed(topo):  # children first
+            kids = children[v]
+            if kids:
+                height[v] = 1 + max(map(height.__getitem__, kids))
+                key[v] = (height[v] << _KEY_BITS) - len(kids)
+        group, edge_key, parents = [], [], []
+        for v, kids in enumerate(children):  # edges in list order
+            if kids:
+                f = len(kids)
+                start = height[v] << _KEY_BITS  # the group of the edge to its first child
+                group += range(start, start + f)
+                edge_key += range((start << _KEY_BITS) - f, ((start + f) << _KEY_BITS) - f,
+                                  1 << _KEY_BITS)
+                parents += [v] * f
+        arrays = np.array([key, self.rows, [*edge_key, _PAD_KEY], [*parents, 0],
+                           [*positions[:-2], 0], [*group, _PAD_KEY]], dtype=np.int64)
+        arrays[3:5] -= np.arange(T)
+        return arrays
 
 
 class CnnClassifier:
@@ -129,8 +170,10 @@ class CnnClassifier:
 
     @classmethod
     def init(cls, vectors: np.ndarray, n_filters: int, rng: np.random.Generator) -> "CnnClassifier":
+        # one draw in init order: the numbers of one draw per parameter
         shapes = param_shapes("cnn", vectors.shape[1], n_filters)
-        return cls(ParamSet.of({name: uniform_init(rng, s) for name, s in shapes.items()}), vectors)
+        return cls(ParamSet(shapes, uniform_init(rng, sum(map(math.prod, shapes.values())))),
+                   vectors)
 
     def forward(self, batch: list[EncodedInput], drop_ratio: float = 0.0, drop_rng=None):
         if not batch:
@@ -223,6 +266,13 @@ class TreeLstmClassifier:
     rows, top level first, and ends in one matmul for the gradients of W, U
     and b together (trees add one over the edge rows) and one for the input
     gradient.
+
+    A batch of trees builds its schedule from what each input works out
+    once and keeps (EncodedInput.tree_levels): sort keys for its positions
+    and its edges, its edges and its embedding rows. The batch lays these
+    arrays end to end and sorts its node keys and its edge keys once each,
+    however many trees it holds. A chain's schedule follows from the
+    inputs' lengths alone.
     """
 
     def __init__(self, params: ParamSet, vectors: np.ndarray,
@@ -254,20 +304,20 @@ class TreeLstmClassifier:
     @classmethod
     def init(cls, vectors: np.ndarray, hidden: int, rng: np.random.Generator,
              model_type: str = "treelstm", readout: str = "root") -> "TreeLstmClassifier":
-        # draw W, U, b gate by gate in the order i, f, o, u, then fuse i/o/u:
-        # a seed gives the same numbers as one matrix per gate would
-        shapes = ((vectors.shape[1], hidden), (hidden, hidden), (hidden,))
-        drawn = {gate: [uniform_init(rng, s) for s in shapes] for gate in "ifou"}
+        # one draw holds W, U and b of the gates i, f, o, u in turn, then Wy
+        # and by: the numbers of one draw per matrix in that order. A gate's
+        # W, U and b are one (dim + hidden + 1, hidden) block, and those of
+        # i, o and u side by side are the buffer's block of W_iou, U_iou and
+        # b_iou (see __init__)
+        shapes = param_shapes(model_type, vectors.shape[1], hidden)
+        flat = uniform_init(rng, sum(map(math.prod, shapes.values())))
+        gates = flat[: 4 * (vectors.shape[1] + hidden + 1) * hidden].reshape(4, -1, hidden)
+        iou = np.concatenate([gates[0], gates[2], gates[3]], axis=1)
+        flat = np.concatenate([iou.ravel(), gates[1].ravel(), flat[gates.size :]])
+        params = ParamSet(shapes, flat)
         if model_type == "lstm":
-            drawn["f"][2] = np.ones(hidden)  # standard forget-gate bias, helps long gaps
-        values = {}
-        for k, kind in enumerate("WUb"):
-            values[kind + "_iou"] = np.concatenate([drawn[g][k] for g in "iou"], axis=-1)
-        for k, kind in enumerate("WUb"):
-            values[kind + "_f"] = drawn["f"][k]
-        values["Wy"] = uniform_init(rng, (hidden, N_CLASSES))
-        values["by"] = uniform_init(rng, (N_CLASSES,))
-        return cls(ParamSet.of(values), vectors, model_type, readout)
+            params["b_f"][...] = 1.0  # standard forget-gate bias, helps long gaps
+        return cls(params, vectors, model_type, readout)
 
     def _schedule(self, batch: list[EncodedInput]):
         """Level schedule of a batch over its N nodes, in sorted order.
@@ -283,19 +333,24 @@ class TreeLstmClassifier:
           of the batch's edge list, their children, each edge's node counted
           from the level's first, and where each place of the children lists
           lies among them (see _child_sum). Both are None on the leaf level.
-        - single: (rows, kids) over every node that has one child.
+        - single: (rows, kids) over every node that has one child; None on a
+          batch of trees where no level has one child per node.
         - multi: None unless some level has edges, else (children, parents)
           of every edge.
+        Trees: the nodes sort by their inputs' node keys (height, then most
+        children first, then batch order); _tree_schedule sorts the edges by
+        their keys and counts each level's edges at each place.
         """
         if not batch:
             raise ValueError(f"{self.model_type} forward: empty batch")
-        sizes = np.array([len(inst) for inst in batch])
-        if not sizes.all():
+        sizes = [len(inst) for inst in batch]
+        if not all(sizes):
             raise ValueError(f"{self.model_type} forward: empty sequence")
-        ends = sizes.cumsum()
-        starts = ends - sizes
-        N = int(ends[-1])
+        N = sum(sizes)
         if self.model_type == "lstm":
+            sizes = np.array(sizes)
+            ends = sizes.cumsum()
+            starts = ends - sizes
             # longest input first (stable): a level's r-th node is a position
             # of the r-th longest input, and its child is the r-th node of
             # the level below
@@ -313,19 +368,20 @@ class TreeLstmClassifier:
             multi = None
             read = ends - 1
         else:
-            trees = [inst.tree_levels for inst in batch]
-            height = np.concatenate([h for h, _ in trees])
-            edges = np.concatenate([e for _, e in trees], axis=1)
-            edges[:2] += starts.repeat(sizes - 1)
-            fan = np.bincount(edges[0], minlength=N)
-            order = np.lexsort((-fan, height))  # by height, most children first
-            read = starts + [inst.root_pos if self.readout == "root" else inst.target_pos
-                             for inst in batch]
+            arrays = np.concatenate([inst.tree_levels for inst in batch], axis=1)
+            # by height, most children first, ties in batch order
+            order = arrays[0].argsort(kind="stable")
+            starts = [0, *itertools.accumulate(sizes[:-1])]
+            read = [s + (inst.root_pos if self.readout == "root" else inst.target_pos)
+                    for s, inst in zip(starts, batch)]
         rank = np.empty(N, dtype=np.int64)
-        rank[order] = np.arange(N)
-        if self.model_type == "treelstm":
-            levels, single, multi = _tree_schedule(height, edges, rank)
-        x_rows = np.concatenate([inst.rows for inst in batch])[order]
+        index = np.arange(N)
+        rank[order] = index
+        if self.model_type == "lstm":
+            x_rows = np.concatenate([inst.rows for inst in batch])[order]
+        else:
+            x_rows = arrays[1][order]
+            levels, single, multi = _tree_schedule(arrays, index, rank, len(batch))
         return x_rows, rank, levels, rank[read], single, multi
 
     def forward(self, batch: list[EncodedInput], drop_ratio: float = 0.0, drop_rng=None):
@@ -349,6 +405,8 @@ class TreeLstmClassifier:
         E = 0 if multi is None else len(multi[0])
         f_edge = np.zeros((E, H))
         h_edge = np.zeros((E, H))
+        if multi is not None:
+            x_f = x[multi[1], 3 * H :]  # the forget gate's input term of each edge's parent
         for a, b, kids, edges in levels:
             if kids is not None:
                 g = np.matmul(h[kids], U_in, out=gates[a:b])
@@ -365,7 +423,7 @@ class TreeLstmClassifier:
                 g += x[a:b, : 3 * H]
                 np.tanh(g, out=g)
                 g_f = np.matmul(h_kids, U_in[:, 3 * H :], out=f_edge[e0:e1])
-                g_f += x[a:b, 3 * H :][node]
+                g_f += x_f[e0:e1]
                 np.tanh(g_f, out=g_f)
                 g_f *= 0.5
                 g_f += 0.5
@@ -386,7 +444,7 @@ class TreeLstmClassifier:
 
     def backward(self, cache, dlogits: np.ndarray) -> np.ndarray:
         schedule, X, h_in, gates, f_edge, h_edge, c, tanh_c, h, hd, mask = cache
-        _, rank, levels, read, (rows, children), multi = schedule
+        _, rank, levels, read, single, multi = schedule
         p = self.params
         N, D, H = len(rank), self.vectors.shape[1], self.hidden
         p.grads["Wy"] += hd.T @ dlogits
@@ -406,7 +464,8 @@ class TreeLstmClassifier:
         np.subtract(1.0, f_u, out=f_u)
         f_u *= i
         f_f[...] = 0.0
-        if len(rows):  # a node with one child reads it through its own row
+        if single is not None:  # a node with one child reads it through its own row
+            rows, children = single
             h_in[rows] = h[children]
             f_single = f[rows]
             f_f[rows] = c[children] * f_single * (1.0 - f_single)
@@ -458,46 +517,56 @@ def _child_sum(rows: np.ndarray, places, out: np.ndarray) -> np.ndarray:
     one (full, nodes) block of rows; each (start, count) of ``rest`` adds a
     later place's rows to the first count nodes."""
     full, rest = places
-    np.add.reduce(rows[: full * len(out)].reshape(full, len(out), -1), axis=0, out=out)
+    if full == 1:  # the same numbers as a one-place reduce, at a third of its cost
+        out[...] = rows[: len(out)]
+    else:
+        np.add.reduce(rows[: full * len(out)].reshape(full, len(out), -1), axis=0, out=out)
     for start, count in rest:
         out[:count] += rows[start : start + count]
     return out
 
 
-def _tree_schedule(height: np.ndarray, edges: np.ndarray, rank: np.ndarray):
+def _tree_schedule(arrays: np.ndarray, index: np.ndarray, rank: np.ndarray, n_trees: int):
     """levels, single and multi of TreeLstmClassifier._schedule for a batch
-    of trees, from its nodes' heights, its edges as (3, E) parent, child and
-    place in the parent's children list, and the sorted index of each node
-    (all but rank in batch order)."""
-    counts = np.bincount(height).tolist()
-    bounds = [0, *itertools.accumulate(counts)]
-    n_places = int(edges[2].max(initial=0)) + 1
-    level_place = height[edges[0]] * n_places + edges[2]
-    ends = rank[edges[:2]]
-    # by level, then place, then parent: the nodes of a level are sorted
-    # most children first, so the parents at each place are a prefix
-    parent, child = ends[:, (level_place * len(rank) + ends[0]).argsort()]
-    places = np.bincount(level_place, minlength=len(counts) * n_places)
-    places = places.reshape(len(counts), -1).tolist()
-    levels = [(0, bounds[1], None, None)]
+    of n_trees trees, from their inputs' tree_levels laid end to end, each
+    column's index and the sorted index of each node.
+
+    One stable sort of the edge keys orders the batch's edges by level,
+    place and parent: the nodes of a level are sorted most children first,
+    so the parents at each place are a prefix of the level. The runs of
+    equal groups then count each level's edges at each place, and a level
+    whose edges are as many as its nodes has one child per node."""
+    E = len(rank) - n_trees  # the pads, one per tree, sort last
+    by_key = arrays[2].argsort(kind="stable")
+    parent, child = rank[(arrays[3:5] + index)[:, by_key[:E]]]
+    group = arrays[5][by_key[: E + 1]]  # the edges' groups, then a pad's
+    runs = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist()]  # where each starts
+    counts = []  # per level above the leaves, its edges at each place
+    for start, stop, code in zip(runs, runs[1:], group[runs].tolist()):
+        if not code & _PLACE_MASK:
+            counts.append([])
+        counts[-1].append(stop - start)
+    a = len(rank) - sum(per_place[0] for per_place in counts)  # every parent has a first child
+    levels = [(0, a, None, None)]
     single = []
+    multi = None
     e0 = 0
-    for a, b, per_place in zip(bounds[1:], bounds[2:], places[1:]):
+    for per_place in counts:
+        b = a + per_place[0]
         e1 = e0 + sum(per_place)
-        # above the leaves every node has a child: as many edges as nodes
-        # means one child each
+        # as many edges as nodes means one child each
         if e1 - e0 == b - a:
             levels.append((a, b, child[e0:e1], None))
-            single.append(np.arange(e0, e1))
+            single.append(slice(e0, e1))
         else:
             full = per_place.count(b - a)  # the counts never grow from place to place
-            starts = zip(itertools.accumulate(per_place, initial=0), per_place)
-            level_places = (full, [(s, n) for s, n in list(starts)[full:] if n])
-            levels.append((a, b, None, (e0, e1, child[e0:e1], parent[e0:e1] - a, level_places)))
-        e0 = e1
-    single = np.concatenate([np.zeros(0, dtype=np.int64), *single])
-    multi = None if len(single) == len(child) else (child, parent)
-    return levels, (parent[single], child[single]), multi
+            rest = list(zip(itertools.accumulate(per_place, initial=0), per_place))[full:]
+            levels.append((a, b, None, (e0, e1, child[e0:e1], parent[e0:e1] - a, (full, rest))))
+            multi = (child, parent)
+        a, e0 = b, e1
+    if single:
+        single = tuple(np.concatenate([ends[s] for s in single]) for ends in (parent, child))
+    return levels, single or None, multi
 
 
 MODEL_TYPES = ("lstm", "cnn", "treelstm")

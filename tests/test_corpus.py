@@ -315,6 +315,36 @@ class TestTokenValidation:
         with pytest.raises(CorpusError):
             Token(id=1, form="", head=0, deprel="root")
 
+    @pytest.mark.parametrize("field, value", [
+        ("id", True), ("id", 1.0), ("id", "1"), ("head", False), ("head", None),
+        ("form", 5), ("form", b"x"), ("deprel", None), ("lemma", 5), ("upos", 3.0),
+    ])
+    def test_field_types(self, field, value):
+        # the reader gives none of these; a bool id would serialize to a row
+        # it rejects, and a non-string lemma would break serialize_conllu
+        fields = {"id": 1, "form": "x", "head": 0, "deprel": "root", field: value}
+        with pytest.raises(CorpusError, match=f"^token {field} {re.escape(repr(value))} is not "):
+            Token(**fields)
+
+    def test_missing_lemma_and_upos_accepted(self):
+        token = Token(id=1, form="x", head=0, deprel="root", lemma=None, upos="NOUN")
+        assert parse_conllu(serialize_conllu([DepSentence("d", "s", (token,))]))[0].tokens == (
+            token,)
+
+
+class TestSentenceValidation:
+    @pytest.mark.parametrize("doc_id, sent_id, match", [
+        (5, "s", "^sentence doc_id 5 is not a string$"),
+        ("d", None, "^sentence sent_id None is not a string$"),
+    ])
+    def test_id_types(self, doc_id, sent_id, match):
+        with pytest.raises(CorpusError, match=match):
+            DepSentence(doc_id, sent_id, (Token(id=1, form="x", head=0, deprel="root"),))
+
+    def test_tokens_must_be_tokens(self):
+        with pytest.raises(CorpusError, match="^sentence d/s: 'x' is not a Token$"):
+            DepSentence("d", "s", ("x",))
+
 
 class TestIndexSentences:
     def test_duplicate_key_rejected(self):

@@ -598,6 +598,32 @@ class TestCrossValidate:
         assert len(calls) == len(mentions)
         assert len(set(calls)) == len(mentions)
 
+    def test_each_fold_trains_then_evaluates_once_in_fold_order(self, monkeypatch):
+        # the benchmark times a fold as its harness.train and harness.evaluate
+        # calls (perfbench/tracer.py, FOLD_SPANS)
+        calls = []
+        train_, evaluate_ = harness.train, harness.evaluate
+
+        def traced_train(config, corpus, mentions, *args, **kwargs):
+            calls.append(("train", list(mentions)))
+            return train_(config, corpus, mentions, *args, **kwargs)
+
+        def traced_evaluate(trained, corpus, mentions, *args, **kwargs):
+            calls.append(("evaluate", list(mentions)))
+            return evaluate_(trained, corpus, mentions, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "train", traced_train)
+        monkeypatch.setattr(harness, "evaluate", traced_evaluate)
+        sents, mentions = small_corpus(n=12)
+        cfg = tiny_config(epochs=1)
+        cross_validate(cfg, sents, mentions, k=4)
+        plan = kfold(mentions, 4, cfg.seed)
+        want = []
+        for fold in range(4):
+            want.append(("train", [mentions[i] for i in plan.train_indices(fold)]))
+            want.append(("evaluate", [mentions[i] for i in plan.folds[fold]]))
+        assert calls == want
+
     def test_workers_capped_at_folds(self, monkeypatch):
         started = []
 

@@ -110,6 +110,92 @@ def textbook_lstm(p, X, dlogits):
     return logits, dX
 
 
+def textbook_tree_lstm(p, X, children, read, dlogits):
+    """Reference child-sum tree-LSTM (Tai, Socher & Manning 2015), node by
+    node with one forget gate per child, forward and backward.
+
+    Returns (logits, dX, grads) of one tree read out at node ``read``, for
+    dlogits at the output; grads maps each parameter name to its gradient in
+    the model's fused layout. Written out per gate and per child,
+    independent of the level schedule.
+    """
+    W = {g: gate(p, "W_iou", g) for g in "iou"} | {"f": p["W_f"]}
+    U = {g: gate(p, "U_iou", g) for g in "iou"} | {"f": p["U_f"]}
+    b = {g: gate(p, "b_iou", g) for g in "iou"} | {"f": p["b_f"]}
+    H = p["U_f"].shape[0]
+    # children before parents: reversed breadth-first order from the root
+    root = (set(range(len(children))) - {k for kids in children for k in kids}).pop()
+    order = [root]
+    for j in order:
+        order.extend(children[j])
+    order.reverse()
+    h, c, state = {}, {}, {}
+    for j in order:
+        x, kids = X[j], children[j]
+        h_sum = sum((h[k] for k in kids), np.zeros(H))
+        i = sigmoid(x @ W["i"] + h_sum @ U["i"] + b["i"])
+        o = sigmoid(x @ W["o"] + h_sum @ U["o"] + b["o"])
+        u = np.tanh(x @ W["u"] + h_sum @ U["u"] + b["u"])
+        f = {k: sigmoid(x @ W["f"] + h[k] @ U["f"] + b["f"]) for k in kids}
+        c[j] = i * u + sum((f[k] * c[k] for k in kids), np.zeros(H))
+        h[j] = o * np.tanh(c[j])
+        state[j] = (h_sum, i, o, u, f)
+    logits = h[read] @ p["Wy"] + p["by"]
+    grad = {g: [np.zeros_like(W[g]), np.zeros_like(U[g]), np.zeros_like(b[g])] for g in "iouf"}
+    dX = np.zeros_like(X)
+    dh = {j: np.zeros(H) for j in order}
+    dc = {j: np.zeros(H) for j in order}
+    dh[read] = p["Wy"] @ dlogits
+    for j in reversed(order):  # parents before children
+        h_sum, i, o, u, f = state[j]
+        tanh_c = np.tanh(c[j])
+        dc_j = dc[j] + dh[j] * o * (1.0 - tanh_c**2)
+        z = {"i": dc_j * u * i * (1.0 - i), "o": dh[j] * tanh_c * o * (1.0 - o),
+             "u": dc_j * i * (1.0 - u**2)}
+        for g in "iou":
+            dX[j] += W[g] @ z[g]
+            grad[g][0] += np.outer(X[j], z[g])
+            grad[g][1] += np.outer(h_sum, z[g])
+            grad[g][2] += z[g]
+        dh_sum = sum(U[g] @ z[g] for g in "iou")
+        for k, f_k in f.items():
+            z_f = dc_j * c[k] * f_k * (1.0 - f_k)
+            dX[j] += W["f"] @ z_f
+            grad["f"][0] += np.outer(X[j], z_f)
+            grad["f"][1] += np.outer(h[k], z_f)
+            grad["f"][2] += z_f
+            dh[k] += dh_sum + U["f"] @ z_f
+            dc[k] += dc_j * f_k
+    grads = {kind + "_iou": np.concatenate([grad[g][n] for g in "iou"], axis=-1)
+             for n, kind in enumerate("WUb")}
+    grads |= {kind + "_f": grad["f"][n] for n, kind in enumerate("WUb")}
+    grads |= {"Wy": np.outer(h[read], dlogits), "by": dlogits}
+    return logits, dX, grads
+
+
+def per_gate_init(model_type, dim, hidden, seed):
+    """The initial parameters as one uniform draw per matrix: for the
+    recurrent cell W, U and b of each gate in the order i, f, o, u (the
+    forget bias of "lstm" then set to 1), then Wy and by; for the CNN in
+    param_shapes order. Returns (parameters, the generator after drawing)."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.uniform(-0.05, 0.05, size=shape)
+
+    if model_type == "cnn":
+        params = {"Wconv": draw(hidden, FILTER_WIDTH * dim), "bconv": draw(hidden)}
+    else:
+        gates = {g: (draw(dim, hidden), draw(hidden, hidden), draw(hidden)) for g in "ifou"}
+        if model_type == "lstm":
+            gates["f"] = (*gates["f"][:2], np.ones(hidden))
+        params = {kind + "_iou": np.concatenate([gates[g][n] for g in "iou"], axis=-1)
+                  for n, kind in enumerate("WUb")}
+        params |= {kind + "_f": gates["f"][n] for n, kind in enumerate("WUb")}
+    params |= {"Wy": draw(hidden, 3), "by": draw(3)}
+    return params, rng
+
+
 class TestZeroParameterAlgebra:
     def test_lstm_logits_equal_output_bias(self):
         m = zeroed("lstm", np.random.default_rng(1).standard_normal((6, 4)), 3)
@@ -174,6 +260,19 @@ class TestOneCell:
     def test_lstm_forget_bias_starts_at_one(self):
         m = build_model("lstm", np.zeros((1, 3)), 4, np.random.default_rng(0))
         assert np.array_equal(m.params["b_f"], np.ones(4))
+
+    @pytest.mark.parametrize("model_type", ["lstm", "treelstm", "cnn"])
+    @pytest.mark.parametrize("dim,hidden", [(24, 32), (6, 8), (1, 1), (5, 3)])
+    def test_init_draws_the_numbers_of_one_draw_per_matrix(self, model_type, dim, hidden):
+        # the model draws all its parameters at once; a seed still gives
+        # the numbers and leaves the generator where per-matrix draws do
+        want, want_rng = per_gate_init(model_type, dim, hidden, seed=dim * hidden)
+        rng = np.random.default_rng(dim * hidden)
+        m = build_model(model_type, np.zeros((2, dim)), hidden, rng)
+        assert list(m.params.values) == list(want)
+        for name, value in want.items():
+            assert m.params[name].tobytes() == value.tobytes(), name
+        assert rng.random() == want_rng.random()
 
     @pytest.mark.parametrize("length", [1, 2, 7])
     def test_treelstm_on_chain_tree_equals_lstm(self, length):
@@ -514,6 +613,20 @@ class TestBatch:
         assert [x.shape for x in batched[1]] == [(len(inst), 4) for inst in batch]
         assert max_diff(batched, singles) <= 1e-12
 
+    @pytest.mark.parametrize("model_type,readout,layout", [
+        case for case in LAYOUT_CASES if case.values[0] != "cnn"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_logits_do_not_depend_on_batch_layout(self, model_type, readout, layout, seed):
+        # the cell adds children in list order and halves the sigmoid
+        # columns exactly; only a matrix product may round differently for
+        # another number of rows (BLAS can take another kernel for one row),
+        # so a batch's logits are those of its inputs alone to a few ulps
+        model, batch, _ = batch_case(model_type, seed, readout, layout=layout)
+        batched, _ = model.forward(batch)
+        for row, inst in zip(batched, batch):
+            alone = logits_of(model, inst)
+            assert np.abs(row - alone).max() <= 16 * np.spacing(np.abs(alone).max())
+
     @pytest.mark.parametrize("model_type", ["lstm", "cnn", "treelstm"])
     def test_dropout_draws_the_stream_of_single_calls(self, model_type):
         model, batch, dlogits = batch_case(model_type, 10)
@@ -551,3 +664,72 @@ class TestBatch:
                  "two parents": "one parent each", "no tree": "tree structure"}[bad]
         with pytest.raises(ValueError, match=match):
             model.forward(batch[:where] + [invalid] + batch[where:])
+
+
+def random_trees(seed, n_trees=6):
+    """Trees of 1-14 positions rooted at 0, from paths to bushy random
+    recursive trees (each position's parent among the last `reach` before
+    it), with children lists in random order, over consecutive rows."""
+    rng = np.random.default_rng(seed)
+    batch, first_row = [], 0
+    for _ in range(n_trees):
+        n = int(rng.integers(1, 15))
+        reach = int(rng.integers(1, n + 1))
+        children = [[] for _ in range(n)]
+        for j in range(1, n):
+            children[int(rng.integers(max(0, j - reach), j))].append(j)
+        children = [rng.permutation(kids).tolist() for kids in children]
+        batch.append(tree_input(children, target_pos=int(rng.integers(0, n)),
+                                first_row=first_row))
+        first_row += n
+    return batch, rng
+
+
+class TestTreeCell:
+    """The batched tree cell against textbook_tree_lstm, tree by tree."""
+
+    @pytest.mark.parametrize("readout", ["root", "target"])
+    @pytest.mark.parametrize("layout", ["mixed levels", *(f"random {s}" for s in range(4))])
+    def test_batch_equals_textbook_cell(self, readout, layout):
+        if layout == "mixed levels":
+            model, batch, dlogits = batch_case("treelstm", 40, readout, layout=layout)
+        else:
+            batch, rng = random_trees(int(layout.split()[1]))
+            vectors = rng.standard_normal((sum(map(len, batch)), 4))
+            model = build_model("treelstm", vectors, 5, rng, tree_readout=readout)
+            dlogits = rng.standard_normal((len(batch), 3))
+        logits, dX, grads = run_batch(model, batch, dlogits)
+        want_grads = {name: np.zeros_like(g) for name, g in grads.items()}
+        for k, inst in enumerate(batch):
+            read = inst.root_pos if readout == "root" else inst.target_pos
+            want_logits, want_dX, tree_grads = textbook_tree_lstm(
+                model.params, model.vectors[inst.rows], inst.children, read, dlogits[k])
+            assert np.abs(logits[k] - want_logits).max() <= 1e-12
+            assert np.abs(dX[k] - want_dX).max() <= 1e-12
+            for name, g in tree_grads.items():
+                want_grads[name] += g
+        for name, g in grads.items():
+            assert np.abs(g - want_grads[name]).max() <= 1e-12, name
+
+
+class TestInputRows:
+    @pytest.mark.parametrize("model_type", ["lstm", "cnn", "treelstm"])
+    @pytest.mark.parametrize("rows", [
+        pytest.param(np.arange(4), id="longer"), pytest.param(np.arange(2), id="shorter"),
+        pytest.param(np.arange(3).reshape(3, 1), id="2-D"),
+        pytest.param(np.arange(3.0), id="float"), pytest.param([0, 1, 2], id="list"),
+        pytest.param(np.ones(3, dtype=bool), id="bool"),
+    ])
+    def test_mis_sized_rows_rejected_at_construction(self, model_type, rows):
+        # a batch gathers its inputs' rows end to end: rows longer than the
+        # forms would shift every later input onto its neighbour's embeddings
+        children = ((1, 2), (), ()) if model_type == "treelstm" else None
+        model = build_model(model_type, np.random.default_rng(5).standard_normal((6, 4)), 3,
+                            np.random.default_rng(6))
+        with pytest.raises(ValueError, match="needs rows as a 1-D integer array of 3 entries"):
+            EncodedInput(forms=("a", "b", "c"), rows=rows, children=children)
+        good = EncodedInput(forms=("d", "e", "f"), rows=np.arange(3, 6), children=children)
+        alone, _ = model.forward([good])
+        first = EncodedInput(forms=("a", "b", "c"), rows=np.arange(3), children=children)
+        paired, _ = model.forward([first, good])
+        assert np.abs(paired[1] - alone[0]).max() <= 1e-15
