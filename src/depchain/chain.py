@@ -61,7 +61,6 @@ class ContextWindow:
 
     target_id: int
     member_ids: tuple[int, ...]
-    half_width: int
 
 
 def _base_rel(deprel: str) -> str:
@@ -103,11 +102,7 @@ def extract_window(sent: DepSentence, target_id: int, half_width: int = 7) -> Co
         raise ValueError(f"half_width must be >= 0, got {half_width}")
     lo = max(1, target_id - half_width)
     hi = min(len(sent), target_id + half_width)
-    return ContextWindow(
-        target_id=target_id,
-        member_ids=tuple(range(lo, hi + 1)),
-        half_width=half_width,
-    )
+    return ContextWindow(target_id=target_id, member_ids=tuple(range(lo, hi + 1)))
 
 
 @dataclass(frozen=True)

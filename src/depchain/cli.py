@@ -89,8 +89,8 @@ def _parse_weights(parser: argparse.ArgumentParser, text: str) -> tuple[float, f
         w = tuple(float(p) for p in parts)
     except ValueError:
         w = ()
-    if len(w) != 3 or any(x < 0 for x in w):
-        parser.error("--weights must be three comma-separated nonnegative reals")
+    if len(w) != 3 or not all(0 <= x <= 1 for x in w):  # NaN fails too
+        parser.error("--weights must be three comma-separated reals in [0, 1]")
     if abs(sum(w) - 1.0) > 1e-9:
         parser.error(f"--weights must sum to 1, got {sum(w)!r}")
     return w
@@ -101,7 +101,9 @@ def _add_hyper_flags(sp: argparse.ArgumentParser):
     name and its default is the field's default."""
     default = {f.name: f.default for f in fields(TrainConfig)}
     sp.add_argument("--model", dest="model_type", choices=MODEL_TYPES, required=True)
-    sp.add_argument("--repr", dest="representation", choices=REPRESENTATIONS, required=True)
+    sp.add_argument("--repr", dest="representation", choices=REPRESENTATIONS, required=True,
+                    help="tokens to read: the chain, the window or the whole sentence (tree); "
+                         "treelstm reads their dependency tree, so it refuses window")
     sp.add_argument("--epochs", type=int, default=default["epochs"])
     sp.add_argument("--lr", dest="learning_rate", type=float,
                     default=default["learning_rate"], help="learning rate")
@@ -362,6 +364,8 @@ def _cmd_gradcheck(parser, args) -> int:
         parser.error("--length must be >= 1")
     if args.dim < 1 or args.hidden < 1:
         parser.error("--dim and --hidden must be >= 1")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
     worst = 0.0
     for s in range(args.seed, args.seed + args.n_seeds):
         err = gradcheck_model(args.model, s, dim=args.dim,

@@ -170,9 +170,6 @@ class DepSentence:
     def root_id(self) -> int:
         return self.children[0][0]
 
-    def forms(self) -> list[str]:
-        return [t.form for t in self.tokens]
-
 
 def _tree_children(where: str, tokens: tuple[Token, ...]) -> tuple[tuple[int, ...], ...]:
     """The children lists of ``tokens``, checked to be tokens 1..n of a
@@ -477,8 +474,8 @@ class SynthConfig:
             raise CorpusError(f"distractor_len must be >= 0, got {self.distractor_len}")
         w = tuple(float(x) for x in self.label_weights)
         object.__setattr__(self, "label_weights", w)
-        if len(w) != 3 or any(x < 0 for x in w):
-            raise CorpusError(f"label_weights must be three nonnegative reals, got {w}")
+        if len(w) != 3 or not all(0 <= x <= 1 for x in w):  # NaN fails too
+            raise CorpusError(f"label_weights must be three reals in [0, 1], got {w}")
         if abs(sum(w) - 1.0) > 1e-9:
             raise CorpusError(f"label_weights must sum to 1, got sum {sum(w)!r}")
 

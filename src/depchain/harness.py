@@ -61,6 +61,9 @@ CLASS_ORDER = (TemporalStatus.PAST, TemporalStatus.ONGOING, TemporalStatus.FUTUR
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One run's settings, checked at construction (ValueError). Any model reads
+    any representation, but treelstm refuses window: its tokens may be a forest."""
+
     model_type: str
     representation: str
     learning_rate: float = 0.001
@@ -94,13 +97,13 @@ class TrainConfig:
             raise ValueError(f"unknown model_type {self.model_type!r}")
         if self.representation not in REPRESENTATIONS:
             raise ValueError(f"unknown representation {self.representation!r}")
-        if (self.representation == "tree") != (self.model_type == "treelstm"):
-            raise ValueError(
-                "representation 'tree' and model_type 'treelstm' require each other; "
-                f"got representation={self.representation!r}, model_type={self.model_type!r}"
-            )
+        if self.model_type == "treelstm" and self.representation == "window":
+            raise ValueError("model_type 'treelstm' cannot read representation 'window': "
+                             "a window's tokens need not form one dependency tree")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.hidden <= 0:
             raise ValueError("hidden must be positive")
         if not 0.0 <= self.dropout < 1.0:
@@ -254,18 +257,29 @@ def encode_input(
     table: EmbeddingTable,
     half_width: int = 7,
 ) -> EncodedInput:
+    """The mention's representation as model input, one way for every
+    representation: its tokens' forms and rows in surface order, the
+    children lists of the dependency edges among them, the position of a
+    token whose head is not among them (the root) and the mention's. A
+    chain forms one tree, rooted at the sentence root; a window may not."""
     ids = representation_ids(sent, mention.token_id, representation, half_width)
-    forms = tuple(sent.token(i).form for i in ids)
-    rows = table.rows(forms)
-    if representation != "tree":
-        target_pos = ids.index(mention.token_id)
-        return EncodedInput(forms=forms, rows=rows, target_pos=target_pos)
+    pos = {tid: p for p, tid in enumerate(ids)}
+    children: list[list[int]] = [[] for _ in ids]
+    root_pos = 0
+    tokens = sent.tokens
+    for p, tid in enumerate(ids):  # surface order, so each list is too
+        parent = pos.get(tokens[tid - 1].head)
+        if parent is None:
+            root_pos = p
+        else:
+            children[parent].append(p)
+    forms = tuple(tokens[tid - 1].form for tid in ids)
     return EncodedInput(
         forms=forms,
-        rows=rows,
-        children=tuple(tuple([c - 1 for c in kids]) for kids in sent.children[1:]),
-        root_pos=sent.root_id - 1,
-        target_pos=mention.token_id - 1,
+        rows=table.rows(forms),
+        children=tuple(map(tuple, children)),
+        root_pos=root_pos,
+        target_pos=pos[mention.token_id],
     )
 
 
@@ -460,7 +474,8 @@ def _fold_seed(seed: int, fold: int) -> int:
     return int(np.random.SeedSequence([seed, fold]).generate_state(1)[0])
 
 
-def _run_fold(config, corpus, mentions, data, plan, fold, table, keep):
+def _run_fold(task):
+    config, corpus, mentions, data, plan, table, keep, fold = task
     train_idx, test_idx = plan.train_indices(fold), plan.folds[fold]
     fold_config = replace(config, seed=_fold_seed(config.seed, fold))
     try:
@@ -491,20 +506,13 @@ def cross_validate(
     """
     plan = kfold(mentions, k, config.seed)
     table = resolve_embeddings(config, corpus)
-    data: list = [None] * len(mentions)
-    for f, fold in enumerate(plan.folds):
-        try:
-            encoded = _encode_corpus(corpus, [mentions[i] for i in fold], config, table)
-        except CorpusError as e:
-            raise CorpusError(f"fold {f}: {e}") from e
-        for i, pair in zip(fold, encoded):
-            data[i] = pair
-    args = [(config, corpus, mentions, data, plan, f, table, keep_models) for f in range(k)]
+    data = _encode_corpus(corpus, mentions, config, table)
+    tasks = [(config, corpus, mentions, data, plan, table, keep_models, f) for f in range(k)]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, k)) as pool:
-            outcomes = list(pool.map(_run_fold_star, args))
+            outcomes = list(pool.map(_run_fold, tasks))
     else:
-        outcomes = [_run_fold(*a) for a in args]
+        outcomes = list(map(_run_fold, tasks))
     fold_metrics = [m for m, _ in outcomes]
     pooled = Metrics(sum((m.confusion for m in fold_metrics), np.zeros((3, 3), dtype=np.int64)))
     models = [t for _, t in outcomes] if keep_models else None
@@ -515,10 +523,6 @@ def cross_validate(
         models=models,
         fold_test_indices=list(plan.folds),
     )
-
-
-def _run_fold_star(a):
-    return _run_fold(*a)
 
 
 # ---------------------------------------------------------------------------

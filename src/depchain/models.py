@@ -58,9 +58,9 @@ class EncodedInput:
     The (T, dim) input is the rows of the model's embedding matrix that
     ``rows`` picks, gathered by its forward, so an input sees the embeddings
     as they are then, fine-tuned ones included. Sequence models read
-    forms/rows only. The tree model additionally needs the children lists
-    (positions, not token ids), the root position, and the target position
-    for the alternative readout.
+    forms/rows only, in order. The tree model also reads the children lists
+    (positions, not token ids) of the dependency edges among the tokens, the
+    root position, and the target position for the alternative readout.
     """
 
     forms: tuple[str, ...]
@@ -238,12 +238,13 @@ class TreeLstmClassifier:
 
     Gates i/o/u read the sum of children hidden states through the fused
     W_iou/U_iou (columns i, o, u); each child k gets its own forget gate
-    f_k = sigmoid(x W_f + h_k U_f + b_f). Under "treelstm" the input's
-    dependency tree is read at the root node by default; readout="target"
-    reads the mention node instead. Under "lstm" the input is a left-to-right
-    chain (position t's only child is t-1), the last position is read out, and
-    the forget bias starts at 1. This is the standard LSTM: with one child the
-    child sum is the previous hidden state (Tai, Socher & Manning 2015).
+    f_k = sigmoid(x W_f + h_k U_f + b_f). Under "treelstm" the dependency tree
+    over the input's tokens (the mention's dependency chain or the whole
+    sentence) is read at the root node by default; readout="target" reads the
+    mention node. Under "lstm" the input is a left-to-right chain (position
+    t's only child is t-1), the last position is read out, and the forget
+    bias starts at 1. This is the standard LSTM: with one child the child sum
+    is the previous hidden state (Tai, Socher & Manning 2015).
 
     A batch runs level by level: every node of every input is sorted by
     height (on a chain, its position), so one level is a contiguous row

@@ -115,9 +115,6 @@ class ParamSet:
     def scale_grads(self, factor: float):
         self.grad_buffer *= factor
 
-    def copy(self) -> "ParamSet":
-        return ParamSet({name: v.shape for name, v in self.values.items()}, self.buffer.copy())
-
 
 def uniform_init(rng: np.random.Generator, shape) -> np.ndarray:
     """Uniform(-0.05, 0.05) draws for initial parameter values."""

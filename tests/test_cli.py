@@ -12,7 +12,15 @@ import numpy as np
 import pytest
 
 import depchain
-from depchain import TrainConfig, parse_heatmap_csv
+from depchain import (
+    TrainConfig,
+    heatmap_filename,
+    index_sentences,
+    load_events,
+    parse_conllu,
+    parse_heatmap_csv,
+    representation_ids,
+)
 from depchain.cli import _config_from_args, build_parser, main
 from depchain.models import param_shapes
 
@@ -86,7 +94,8 @@ class TestGen:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["label_weights"] == [0.5, 0.3, 0.2]
 
-    @pytest.mark.parametrize("bad", ["0.5,0.5", "0.9,0.3,0.2", "a,b,c", "-1,1,1"])
+    @pytest.mark.parametrize("bad", ["0.5,0.5", "0.9,0.3,0.2", "a,b,c", "-1,1,1",
+                                     "nan,0.5,0.5"])
     def test_bad_weights_usage_error(self, tmp_path, capsys, bad):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--out", str(tmp_path), "--n", "5", "--seed", "0",
@@ -344,12 +353,16 @@ class TestTrainEval:
         assert err.startswith("error:") and "parameter 'Wy' has a non-finite value" in err
 
     def test_tree_repr_mismatch_usage_error(self, tmp_path, capsys):
-        conllu, events = gen_corpus(tmp_path)
+        # a window's tokens need not form one tree, so treelstm refuses it,
+        # before reading the (missing) corpus, which would exit 1
         with pytest.raises(SystemExit) as exc:
-            main(["train", "--model", "treelstm", "--repr", "chain",
-                  "--conllu", conllu, "--events", events,
+            main(["train", "--model", "treelstm", "--repr", "window",
+                  "--conllu", str(tmp_path / "nope.conllu"),
+                  "--events", str(tmp_path / "nope.jsonl"),
                   "--out", str(tmp_path / "x.ckpt")] + TINY_HYPERS)
         assert exc.value.code == 2
+        assert "window" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
     def test_target_readout_needs_treelstm_usage_error(self, tmp_path, capsys):
@@ -509,6 +522,34 @@ class TestSaliency:
         assert (target / "manifest.json").is_file()
 
 
+class TestAnyReader:
+    @pytest.mark.parametrize("model,representation",
+                             [("treelstm", "chain"), ("lstm", "tree"), ("cnn", "tree")])
+    def test_new_pair_runs_every_command(self, tmp_path, capsys, model, representation):
+        conllu, events = gen_corpus(tmp_path, n=6, seed=4)
+        pair = ["--model", model, "--repr", representation]
+        ckpt = train_tiny(tmp_path, conllu, events, extra=pair)
+        data = ["--conllu", conllu, "--events", events]
+        assert main(["eval", "--model", ckpt, *data, "--out", str(tmp_path / "e.json")]) == 0
+        assert main(["cv", *data, "--folds", "2", *pair, *TINY_HYPERS,
+                     "--out", str(tmp_path / "cv.json")]) == 0
+        assert main(["saliency", "--model", ckpt, *data, "--out", str(tmp_path / "heat"),
+                     "--format", "csv"]) == 0
+        assert json.loads((tmp_path / "e.json").read_text())["n"] == 6
+        assert json.loads((tmp_path / "cv.json").read_text())["pooled"]["n"] == 6
+        # one heatmap per mention, over the representation's tokens
+        sents = parse_conllu(Path(conllu).read_text())
+        mentions = load_events(Path(events).read_text(), sents)
+        by_key = index_sentences(sents)
+        assert len(list((tmp_path / "heat").glob("*.csv"))) == len(mentions) == 6
+        for m in mentions:
+            sent = by_key[(m.doc_id, m.sent_id)]
+            ids = representation_ids(sent, m.token_id, representation)
+            name = heatmap_filename(m.doc_id, m.sent_id, m.token_id, "csv")
+            smap = parse_heatmap_csv((tmp_path / "heat" / name).read_text())
+            assert list(smap.tokens) == [sent.token(i).form for i in ids]
+
+
 class TestGradcheck:
     def test_pass_exit_zero(self, capsys):
         rc = main(["gradcheck", "--model", "cnn", "--n-seeds", "2"])
@@ -572,8 +613,14 @@ class TestParser:
         ["gen", "--out", "data", "--n", "5", "--seed", "1", "--distractor-len", "-1"],
         ["extract", "--conllu", "nope.conllu", "--events", "nope.jsonl", "--mode", "chain",
          "--half-width", "-1", "--out", "x.jsonl"],
+        ["train", "--conllu", "nope.conllu", "--events", "nope.jsonl", "--model", "lstm",
+         "--repr", "chain", "--seed", "-1", "--out", "x.ckpt"],
+        ["cv", "--conllu", "nope.conllu", "--events", "nope.jsonl", "--model", "lstm",
+         "--repr", "chain", "--seed", "-1", "--out", "x.json"],
+        ["gradcheck", "--model", "lstm", "--seed", "-1"],
     ], ids=["cnn-hidden-0", "treelstm-hidden-neg", "cnn-dim-0", "lstm-dim-0", "gen-emb-dim-0",
-            "gen-emb-dim-neg", "gen-distractor-neg", "extract-half-width-neg"])
+            "gen-emb-dim-neg", "gen-distractor-neg", "extract-half-width-neg",
+            "train-seed-neg", "cv-seed-neg", "gradcheck-seed-neg"])
     def test_numeric_flag_usage_error_writes_nothing(self, tmp_path, monkeypatch, argv):
         # checked before any file is read or written: the missing corpus of
         # the extract case would otherwise exit 1 naming the file

@@ -1,6 +1,7 @@
 """CoNLL-U parsing, event loading, and the synthetic generator."""
 
 import collections
+import math
 import pickle
 import random
 import re
@@ -71,7 +72,7 @@ class TestParseConllu:
         s = sents[0]
         assert s.doc_id == "doc1"
         assert s.sent_id == "s1"
-        assert s.forms() == [
+        assert [t.form for t in s.tokens] == [
             "activists", "will", "launch", "a", "strike",
             "describing", "their", "protest",
         ]
@@ -88,7 +89,7 @@ class TestParseConllu:
             "2\tcasa\t_\t_\t_\t_\t0\troot\t_\t_\n"
         )
         sents = parse_conllu(text)
-        assert sents[0].forms() == ["de", "casa"]
+        assert [t.form for t in sents[0].tokens] == ["de", "casa"]
 
     def test_missing_sent_id_synthesized(self):
         text = "1\thi\t_\t_\t_\t_\t0\troot\t_\t_\n\n1\tyo\t_\t_\t_\t_\t0\troot\t_\t_\n"
@@ -400,6 +401,14 @@ class TestSynthConfig:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(CorpusError, match="sum"):
             SynthConfig(n_sentences=10, label_weights=(0.5, 0.2, 0.2))
+
+    @pytest.mark.parametrize("weights", [(math.nan, 0.5, 0.5), (0.5, 0.5, math.nan),
+                                         (math.inf, 0.0, 0.0)])
+    def test_nonfinite_weight_rejected(self, weights):
+        # NaN compares false with everything, so a "< 0" test and the sum
+        # check both let it through to the quotas, which cannot round it
+        with pytest.raises(CorpusError, match=r"\[0, 1\]"):
+            SynthConfig(n_sentences=10, label_weights=weights)
 
     def test_negative_distractor_rejected(self):
         with pytest.raises(CorpusError, match="distractor"):

@@ -8,20 +8,29 @@ import numpy as np
 import pytest
 
 from depchain import (
+    MODEL_TYPES,
+    REPRESENTATIONS,
     CorpusError,
+    DepSentence,
+    EncodedInput,
     FoldPlan,
     Metrics,
     SynthConfig,
     TemporalStatus,
     TrainConfig,
+    Token,
     TrainingError,
+    build_model,
     cross_validate,
     encode_input,
     evaluate,
+    extract_chain,
     format_metrics_table,
     generate_synthetic,
+    index_sentences,
     kfold,
     load_trained,
+    model_loss,
     random_embeddings,
     save_trained,
     split_tuning_test,
@@ -30,12 +39,16 @@ from depchain import (
 )
 from depchain import harness
 from depchain.harness import resolve_embeddings
-from depchain.nncore import RmsProp
+from depchain.nncore import RmsProp, grad_check
 
+from test_acceptance import CORPUS_CFG
 from test_corpus import FIXTURE, make_sentence
 from depchain import parse_conllu, EventMention
 
 TINY = dict(epochs=2, hidden=4, embedding_dim=6, batch_size=8)
+# every model reads every token set, but the tree-LSTM refuses a window
+ACCEPTED_PAIRS = [(m, r) for m in MODEL_TYPES for r in REPRESENTATIONS
+                  if (m, r) != ("treelstm", "window")]
 
 
 def tiny_config(**kw):
@@ -57,14 +70,6 @@ class TestTrainConfig:
         assert c.hidden == 300
         assert c.half_width == 7
         assert c.batch_size == 16
-
-    def test_tree_requires_treelstm(self):
-        with pytest.raises(ValueError):
-            TrainConfig(model_type="lstm", representation="tree")
-
-    def test_treelstm_requires_tree(self):
-        with pytest.raises(ValueError):
-            TrainConfig(model_type="treelstm", representation="chain")
 
     def test_tree_pairing_accepted(self):
         c = TrainConfig(model_type="treelstm", representation="tree")
@@ -100,13 +105,13 @@ class TestTrainConfig:
             dict(finetune_embeddings="no"),
             dict(finetune_embeddings=1),
             dict(embeddings=5),
+            dict(seed=-1),
+            dict(model_type="treelstm", representation="window"),  # not one tree
         ],
     )
     def test_rejected_values(self, bad):
         kw = dict(model_type="lstm", representation="chain")
         kw.update(bad)
-        if kw["model_type"] == "treelstm" or kw.get("tree_readout"):
-            kw["representation"] = "tree" if kw["model_type"] == "treelstm" else kw["representation"]
         with pytest.raises(ValueError):
             TrainConfig(**kw)
 
@@ -317,6 +322,118 @@ class TestEncodeInput:
     def test_unknown_representation(self):
         with pytest.raises(ValueError):
             encode_input(self.sent, self.mention, "bag", self.table)
+
+
+def old_tree_encoding(sent, mention, table):
+    """The whole-sentence encoding as it was built before every token set
+    shared one path: the sentence's own children lists, shifted to
+    positions."""
+    forms = tuple(t.form for t in sent.tokens)
+    return EncodedInput(
+        forms=forms,
+        rows=table.rows(forms),
+        children=tuple(tuple(c - 1 for c in kids) for kids in sent.children[1:]),
+        root_pos=sent.root_id - 1,
+        target_pos=mention.token_id - 1,
+    )
+
+
+def check_one_tree(sent, ids, inst):
+    """``inst`` holds the tokens ``ids`` of ``sent`` as one tree rooted at
+    the sentence root, with exactly the dependency edges among them."""
+    inst.tree_levels  # ValueError unless the children lists form one tree
+    assert ids[inst.root_pos] == sent.root_id
+    pos = {tid: p for p, tid in enumerate(ids)}
+    got = [(p, c) for p, kids in enumerate(inst.children) for c in kids]
+    want = [(pos[sent.token(t).head], pos[t]) for t in ids if sent.token(t).head in pos]
+    assert sorted(got) == sorted(want)
+    assert all(list(kids) == sorted(kids) for kids in inst.children)
+
+
+RELATIONS = ("aux", "aux:pass", "auxpass", "cop", "nsubj", "obj", "det", "nmod", "advcl")
+
+
+def random_sentence(rng, n):
+    """A random dependency tree over ids 1..n in shuffled order, with
+    relations drawn from RELATIONS (tense carriers among them)."""
+    order = [int(i) for i in rng.permutation(n) + 1]  # order[0] is the root
+    heads = {order[0]: 0}
+    for j in range(1, n):
+        heads[order[j]] = order[int(rng.integers(0, j))]
+    tokens = tuple(
+        Token(id=i, form=f"w{i}", head=heads[i],
+              deprel="root" if heads[i] == 0 else RELATIONS[int(rng.integers(len(RELATIONS)))])
+        for i in range(1, n + 1))
+    return DepSentence(doc_id="r", sent_id="s", tokens=tokens)
+
+
+@pytest.fixture(scope="module")
+def corpus700():
+    return generate_synthetic(CORPUS_CFG)
+
+
+class TestEveryInputCarriesItsTree:
+    def test_chain_is_one_tree_on_the_corpus(self, corpus700):
+        sents, mentions = corpus700
+        table = random_embeddings(sorted({t.form for s in sents for t in s.tokens}), 2, seed=0)
+        by_key = index_sentences(sents)
+        for m in mentions:
+            sent = by_key[(m.doc_id, m.sent_id)]
+            inst = encode_input(sent, m, "chain", table)
+            ids = extract_chain(sent, m.token_id).member_ids
+            check_one_tree(sent, ids, inst)
+            assert ids[inst.target_pos] == m.token_id
+
+    def test_chain_is_one_tree_on_random_trees(self):
+        rng = np.random.default_rng(16)
+        for _ in range(300):
+            sent = random_sentence(rng, int(rng.integers(1, 16)))
+            table = random_embeddings([t.form for t in sent.tokens], 2, seed=0)
+            for t in sent.tokens:
+                m = EventMention(doc_id="r", sent_id="s", token_id=t.id, label=None)
+                inst = encode_input(sent, m, "chain", table)
+                check_one_tree(sent, extract_chain(sent, t.id).member_ids, inst)
+
+    def test_tree_equals_old_encoding(self, corpus700):
+        sents, mentions = corpus700
+        table = random_embeddings(sorted({t.form for s in sents for t in s.tokens}), 2, seed=0)
+        by_key = index_sentences(sents)
+        for m in mentions:
+            sent = by_key[(m.doc_id, m.sent_id)]
+            got = encode_input(sent, m, "tree", table)
+            want = old_tree_encoding(sent, m, table)
+            assert (got.forms, got.children, got.root_pos, got.target_pos) == (
+                want.forms, want.children, want.root_pos, want.target_pos)
+            assert got.rows.dtype == want.rows.dtype
+            assert np.array_equal(got.rows, want.rows)
+
+    def test_window_is_a_forest_on_the_corpus(self, corpus700):
+        # the sentence root lies outside every +-7 window of this corpus, so
+        # a window's tokens form several trees: why treelstm refuses windows
+        sents, mentions = corpus700
+        table = random_embeddings(sorted({t.form for s in sents for t in s.tokens}), 2, seed=0)
+        by_key = index_sentences(sents)
+        for m in mentions:
+            inst = encode_input(by_key[(m.doc_id, m.sent_id)], m, "window", table)
+            with pytest.raises(ValueError, match="span"):
+                inst.tree_levels
+
+    @pytest.mark.parametrize("readout", ["root", "target"])
+    def test_treelstm_gradcheck_on_real_chains(self, readout):
+        sents, mentions = small_corpus(n=6)
+        table = random_embeddings(sorted({t.form for s in sents for t in s.tokens}), 6, seed=1)
+        by_key = index_sentences(sents)
+        batch = [encode_input(by_key[(m.doc_id, m.sent_id)], m, "chain", table)
+                 for m in mentions[:4]]
+        model = build_model("treelstm", table.vectors, 8, np.random.default_rng(2),
+                            tree_readout=readout)
+        golds = np.array([int(m.label) for m in mentions[:4]])
+
+        def loss_fn():
+            losses, _, _ = model_loss(model, batch, golds)
+            return float(losses.sum())
+
+        assert grad_check(loss_fn, model.params) < 1e-4
 
 
 class TestResolveEmbeddings:
@@ -664,10 +781,18 @@ class TestCrossValidate:
         assert all(t.model.vectors is t.table.vectors for t in res.models)
 
     def test_fold_error_prefixed(self):
+        # a learning rate this large overflows the parameters in one step
+        sents, mentions = small_corpus(n=12)
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingError, match=r"^fold \d+: non-finite loss"):
+                cross_validate(tiny_config(epochs=3, learning_rate=1e308), sents, mentions, k=3)
+
+    def test_encoding_error_names_the_mention(self):
         sents, mentions = small_corpus(n=12)
         from dataclasses import replace
-        mentions[0] = replace(mentions[0], label=None)
-        with pytest.raises(CorpusError, match=r"fold \d+:"):
+        m = mentions[5] = replace(mentions[5], label=None)
+        with pytest.raises(CorpusError,
+                           match=f"^mention {m.doc_id}/{m.sent_id} token {m.token_id} has no"):
             cross_validate(tiny_config(epochs=1), sents, mentions, k=3)
 
     def test_report_text_shape(self):
@@ -681,11 +806,9 @@ class TestCrossValidate:
 
 
 class TestTrainedRoundTrip:
-    @pytest.mark.parametrize(
-        "model_type,representation",
-        [("lstm", "chain"), ("cnn", "window"), ("treelstm", "tree")],
-    )
+    @pytest.mark.parametrize("model_type,representation", ACCEPTED_PAIRS)
     def test_save_load_same_predictions(self, tmp_path, model_type, representation):
+        # every accepted pair trains, and its checkpoint restores it bitwise
         sents, mentions = small_corpus(n=12)
         cfg = tiny_config(model_type=model_type, representation=representation, epochs=1)
         trained = train(cfg, sents, mentions)
@@ -693,15 +816,10 @@ class TestTrainedRoundTrip:
         save_trained(trained, path)
         loaded = load_trained(path)
         assert loaded.config == cfg
-        from depchain import encode_input as enc
-        from depchain.models import classify
-        sent = sents[0]
-        mention = mentions[0]
-        inst = enc(sent, mention, representation, trained.table, cfg.half_width)
-        a, pa = classify(trained.model, inst)
-        b, pb = classify(loaded.model, inst)
-        assert a is b
-        assert pa.tobytes() == pb.tobytes()
+        batch = [inst for inst, _ in harness._encode_corpus(sents, mentions, cfg, trained.table)]
+        want, _ = trained.model.forward(batch)
+        got, _ = loaded.model.forward(batch)
+        assert want.tobytes() == got.tobytes()
 
     def test_loaded_model_reads_the_table_matrix(self, tmp_path):
         sents, mentions = small_corpus(n=12)

@@ -19,7 +19,7 @@ from depchain.models import (
     random_instance,
     random_tree_children,
 )
-from depchain.nncore import grad_check, softmax_xent
+from depchain.nncore import ParamSet, grad_check, softmax_xent
 
 
 def zeroed(model_type, X, hidden, **kw):
@@ -471,7 +471,7 @@ class TestRestore:
         m = build_model(model_type, X, 5, rng)
         inst = random_instance(model_type, X, rng)
         want = logits_of(m, inst)
-        m2 = restore_model(model_type, m.params.copy(), X)
+        m2 = restore_model(model_type, ParamSet.of(m.params.values), X)
         got = logits_of(m2, inst)
         assert np.array_equal(want, got)
 

@@ -320,12 +320,6 @@ class TestParamSet:
         p.zero_grads()
         assert np.array_equal(p.grads["w"], np.zeros(3))
 
-    def test_copy_is_deep(self):
-        p = ParamSet.of({"w": np.ones(3)})
-        q = p.copy()
-        q["w"][0] = 9.0
-        assert p["w"][0] == 1.0
-
 
 EMB_FIXTURE = """3 4
 cat 0.1 0.2 0.3 0.4
@@ -522,6 +516,10 @@ class TestCheckpoint:
             pytest.param(lambda h: h | {"vocab": h["vocab"] + ["tres"]}, id="word-added"),
             pytest.param(lambda h: h | {"vocab": [1, "dos"]}, id="non-string-word"),
             pytest.param(lambda h: h | {"dim": 0}, id="dim-0"),
+            pytest.param(lambda h: h | {"config": h["config"] | {"seed": -1}}, id="negative-seed"),
+            pytest.param(lambda h: h | {"config": h["config"] | {"model_type": "treelstm",
+                                                                 "representation": "window"}},
+                         id="treelstm-over-window"),
         ],
     )
     def test_bad_header_rejected(self, tmp_path, damage):
