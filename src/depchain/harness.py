@@ -384,7 +384,8 @@ def train(
             idx = perm[start : start + config.batch_size]
             batch = [inputs[i] for i in idx.tolist()]
             try:
-                losses, _, dX = model_loss(model, batch, golds[idx], config.dropout, drop_rng)
+                losses, _, dX = model_loss(model, batch, golds[idx], config.dropout, drop_rng,
+                                            input_grad=config.finetune_embeddings)
             except NonFiniteError as e:
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {b}, "
@@ -475,13 +476,14 @@ def _fold_seed(seed: int, fold: int) -> int:
 
 
 def _run_fold(task):
-    config, corpus, mentions, data, plan, table, keep, fold = task
+    # the inputs come encoded, with their table, so no sentence is read
+    config, mentions, data, plan, table, keep, fold = task
     train_idx, test_idx = plan.train_indices(fold), plan.folds[fold]
     fold_config = replace(config, seed=_fold_seed(config.seed, fold))
     try:
-        trained = train(fold_config, corpus, [mentions[i] for i in train_idx], table=table,
+        trained = train(fold_config, [], [mentions[i] for i in train_idx], table=table,
                         encoded=[data[i] for i in train_idx])
-        metrics = evaluate(trained, corpus, [mentions[i] for i in test_idx],
+        metrics = evaluate(trained, [], [mentions[i] for i in test_idx],
                            encoded=[data[i] for i in test_idx])
     except (CorpusError, TrainingError) as e:
         raise type(e)(f"fold {fold}: {e}") from e
@@ -502,12 +504,13 @@ def cross_validate(
     by fold index regardless of completion order, and each fold derives its
     own seed from (config.seed, fold), so the outcome does not depend on jobs.
     At most k worker processes start, one per fold; each receives the encoded
-    inputs and the table.
+    inputs, the mentions and the table, and no sentence: train and evaluate
+    read none when given encoded inputs.
     """
     plan = kfold(mentions, k, config.seed)
     table = resolve_embeddings(config, corpus)
     data = _encode_corpus(corpus, mentions, config, table)
-    tasks = [(config, corpus, mentions, data, plan, table, keep_models, f) for f in range(k)]
+    tasks = [(config, mentions, data, plan, table, keep_models, f) for f in range(k)]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, k)) as pool:
             outcomes = list(pool.map(_run_fold, tasks))

@@ -3,9 +3,11 @@
 Each model holds its embedding matrix, its first layer, and maps a batch (a
 list) of encoded inputs, which hold row indices into that matrix, to (B, 3)
 logits (PAST, ONGOING, FUTURE). It exposes a backward pass that accumulates
-parameter gradients and returns the batch's gradient with respect to its
-embeddings (one (sum of lengths, dim) array in batch order), and is
-deterministic unless given a dropout ratio, which only training does.
+parameter gradients and, only when asked (input_grad=True), also returns
+the batch's gradient with respect to its embeddings (one (sum of lengths,
+dim) array in batch order); otherwise it returns None and skips that work.
+It is deterministic unless given a dropout ratio, which only training
+does.
 Dropout touches only the penultimate vector (final hidden state or pooled
 feature vector). A single input runs as a batch of one; there is no other
 path. The LSTM and the tree-LSTM share one cell: the LSTM is the child-sum
@@ -209,7 +211,7 @@ class CnnClassifier:
         cache = (present, Xp.shape, windows, pre, pick, pd, mask)
         return logits, cache
 
-    def backward(self, cache, dlogits: np.ndarray) -> np.ndarray:
+    def backward(self, cache, dlogits: np.ndarray, input_grad: bool = False) -> np.ndarray | None:
         present, padded_shape, windows, pre, pick, pd, mask = cache
         p = self.params
         g_ = self.params.grads
@@ -223,6 +225,8 @@ class CnnClassifier:
         dpre = dpre.reshape(-1, self.n_filters)
         g_["Wconv"] += dpre.T @ windows
         g_["bconv"] += dpre.sum(axis=0)
+        if not input_grad:
+            return None
         B, n_pos = pre.shape[:2]
         dwindows = (dpre @ p["Wconv"]).reshape(B, n_pos, FILTER_WIDTH, self.dim)
         dXp = np.zeros(padded_shape)
@@ -264,9 +268,10 @@ class TreeLstmClassifier:
       the children in list order, one slice per place (one block for the
       places every node has).
     The backward pass pushes each level's gradients into its children's
-    rows, top level first, and ends in one matmul for the gradients of W, U
-    and b together (trees add one over the edge rows) and one for the input
-    gradient.
+    rows, top level first. It ends in one matmul for the gradients of W and
+    b over every node's x and 1 and one for U over the nodes that read a
+    child, the leaves not (trees add the same two over the edge rows), and,
+    only when asked, one for the input gradient.
 
     A batch of trees builds its schedule from what each input works out
     once and keeps (EncodedInput.tree_levels): sort keys for its positions
@@ -443,7 +448,7 @@ class TreeLstmClassifier:
         cache = (schedule, X, h_in, gates, f_edge, h_edge, c, tanh_c, h, hd, mask)
         return logits, cache
 
-    def backward(self, cache, dlogits: np.ndarray) -> np.ndarray:
+    def backward(self, cache, dlogits: np.ndarray, input_grad: bool = False) -> np.ndarray | None:
         schedule, X, h_in, gates, f_edge, h_edge, c, tanh_c, h, hd, mask = cache
         _, rank, levels, read, single, multi = schedule
         p = self.params
@@ -453,35 +458,36 @@ class TreeLstmClassifier:
         # in the parameters' column order i, o, u, f, the pre-activation
         # gradient of a node is its (dc, dh, dc, dc) times these factors; the
         # derivatives are s(1-s) and 1-tanh^2, and the forget column is zero
-        # unless the node has a single child
-        u, i, o, f = (gates[:, k * H : (k + 1) * H] for k in range(4))
-        factor = np.empty((N, 4 * H))
-        f_i, f_o, f_u, f_f = (factor[:, k * H : (k + 1) * H] for k in range(4))
-        np.multiply(u, i, out=f_i)
+        # unless the node has a single child. u, i and o are copied out of
+        # the gates once, gate by gate, so that every product below runs on
+        # contiguous arrays (an op on a column block of the gates costs
+        # several times as much), and the factors are laid side by side
+        # once. Forward stored h = o tanh(c), so (tanh(c) o)(1-o) is h (1-o)
+        u, i, o = gates[:, : 3 * H].reshape(N, 3, H).transpose(1, 0, 2).copy()
+        f = gates[:, 3 * H :]
+        f_i = np.multiply(u, i)
         f_i *= 1.0 - i
-        np.multiply(tanh_c, o, out=f_o)
-        f_o *= 1.0 - o
-        np.multiply(u, u, out=f_u)
+        f_o = np.subtract(1.0, o)
+        f_o *= h
+        f_u = np.multiply(u, u)
         np.subtract(1.0, f_u, out=f_u)
         f_u *= i
-        f_f[...] = 0.0
+        f_f = np.zeros((N, H))
         if single is not None:  # a node with one child reads it through its own row
             rows, children = single
             h_in[rows] = h[children]
             f_single = f[rows]
             f_f[rows] = c[children] * f_single * (1.0 - f_single)
-        inputs = np.concatenate([X, h_in, np.ones((N, 1))], axis=1)  # what W, U and b multiply
+        factor = np.concatenate([f_i, f_o, f_u, f_f], axis=1)
         out_factor = o * (1.0 - tanh_c * tanh_c)  # dc of a node per unit of its dh
         if multi is not None:
             edge_factor = c[multi[0]] * f_edge * (1.0 - f_edge)
             dz_edge = np.zeros(f_edge.shape)  # forget pre-activation gradient per edge
-            dz_f_sum = np.zeros((N, H))  # summed over each node's edges
         dh = np.zeros((N, H))
         dh[read] = (dlogits @ p["Wy"].T) * mask
         dc = np.zeros((N, H))  # set by the parent (a root's stays 0), then the node's total
         dz = np.empty((N, 4 * H))  # pre-activation gradients per node
-        stacked = np.concatenate(self._blocks, axis=1)
-        W, U_T = stacked[:D], stacked[D:-1].T
+        U_T = np.concatenate([block[D:-1].T for block in self._blocks])
         for a, b, kids, edges in reversed(levels):  # parents before children
             dh_level, dc_level = dh[a:b], dc[a:b]
             dc_level += dh_level * out_factor[a:b]
@@ -497,18 +503,27 @@ class TreeLstmClassifier:
                 dz_f = np.multiply(dc_edge, edge_factor[e0:e1], out=dz_edge[e0:e1])
                 dh[kids_e] += (dz_level[:, : 3 * H] @ U_T[: 3 * H])[node] + dz_f @ U_T[3 * H :]
                 dc[kids_e] = dc_edge * f_edge[e0:e1]
-                _child_sum(dz_f, places, dz_f_sum[a:b])
+        # the rows of W and b: x and 1 of every node times its dz; of U: the
+        # child sum, which leaves (the first level's rows) do not have
         iou_grad, f_grad = self._grad_blocks
-        grad = inputs.T @ dz
+        n_leaves = levels[0][1]
+        X = np.concatenate([X, np.ones((N, 1))], axis=1)  # x and 1 of every node
+        grad_x = X.T @ dz
+        grad = np.concatenate([grad_x[:D], h_in[n_leaves:].T @ dz[n_leaves:], grad_x[D:]])
         iou_grad += grad[:, : 3 * H]
         f_grad += grad[:, 3 * H :]
         if multi is not None:
-            edge_inputs = inputs[multi[1]]  # an edge's forget gate reads its parent's x and 1
-            edge_inputs[:, D:-1] = h_edge  # and its own child's h
-            f_grad += edge_inputs.T @ dz_edge
-            # x of a node with several children feeds each edge's forget gate
-            dz[:, 3 * H :] += dz_f_sum
-        return (dz @ W.T)[rank]
+            # an edge's forget gate reads its parent's x and 1 and its own child's h
+            grad_x = X[multi[1]].T @ dz_edge
+            f_grad += np.concatenate([grad_x[:D], h_edge.T @ dz_edge, grad_x[D:]])
+        if not input_grad:
+            return None
+        # x of a node with several children feeds each edge's forget gate
+        for a, b, _, edges in levels:
+            if edges is not None:
+                e0, e1, _, _, places = edges
+                dz[a:b, 3 * H :] += _child_sum(dz_edge[e0:e1], places, np.empty((b - a, H)))
+        return (dz @ np.concatenate([block[:D].T for block in self._blocks]))[rank]
 
 
 def _child_sum(rows: np.ndarray, places, out: np.ndarray) -> np.ndarray:
@@ -620,17 +635,19 @@ def restore_model(model_type: str, params: ParamSet, vectors: np.ndarray,
 
 
 def model_loss(model, batch: list[EncodedInput], golds, drop_ratio: float = 0.0,
-               drop_rng=None):
+               drop_rng=None, input_grad: bool = False):
     """Forward + cross-entropy + backward over a batch. Returns (losses, probs,
-    dX): (B,) losses, (B, 3) probabilities and the batch's input gradient,
-    one (sum of lengths, dim) array in batch order.
+    dX): (B,) losses, (B, 3) probabilities and, when ``input_grad`` asks for
+    it, the batch's input gradient, one (sum of lengths, dim) array in batch
+    order; otherwise dX is None and the backward pass skips that work. The
+    parameter gradients are the same either way.
 
     Accumulates the gradient of the summed loss into model.params without
     zeroing first, so callers can average over a batch.
     """
     logits, cache = model.forward(batch, drop_ratio, drop_rng)
     losses, probs, dlogits = softmax_xent(logits, golds)
-    return losses, probs, model.backward(cache, dlogits)
+    return losses, probs, model.backward(cache, dlogits, input_grad)
 
 
 def classify(model, inst: EncodedInput) -> tuple[TemporalStatus, np.ndarray]:

@@ -58,7 +58,7 @@ def compute_saliency(model, inst: EncodedInput,
     predicted = TemporalStatus(int(np.argmax(logits[0])))
     at = predicted if label is None else label
     _, _, dlogits = softmax_xent(logits, [int(at)])
-    dX = model.backward(cache, dlogits)
+    dX = model.backward(cache, dlogits, input_grad=True)
     model.params.zero_grads()  # analysis must not leak into training state
     raw = np.abs(dX)
     scores = tuple(float(s) for s in raw.mean(axis=1))

@@ -1,5 +1,7 @@
 """Training harness: configs, metrics, splits, training, cross-validation."""
 
+import io
+import json
 import math
 import pickle
 from dataclasses import asdict
@@ -566,6 +568,24 @@ class TestTrain:
             train(tiny_config(epochs=1), sents, mentions)
         assert "non-finite" not in str(err.value)
 
+    @pytest.mark.parametrize("model_type", ["lstm", "cnn", "treelstm"])
+    @pytest.mark.parametrize("finetune", [False, True])
+    def test_input_gradient_asked_for_only_to_finetune(self, monkeypatch, model_type, finetune):
+        loss_fn, asked = harness.model_loss, []
+
+        def recording_loss(*args, **kwargs):
+            out = loss_fn(*args, **kwargs)
+            asked.append(out[2] is not None)
+            return out
+
+        monkeypatch.setattr(harness, "model_loss", recording_loss)
+        sents, mentions = small_corpus(n=12)
+        representation = "tree" if model_type == "treelstm" else "chain"
+        cfg = tiny_config(model_type=model_type, representation=representation, epochs=2,
+                          batch_size=5, finetune_embeddings=finetune)
+        train(cfg, sents, mentions)
+        assert asked == [finetune] * (2 * -(-len(mentions) // 5))
+
     def test_finetune_embeddings_changes_table(self):
         sents, mentions = small_corpus(n=12)
         cfg = tiny_config(finetune_embeddings=True, epochs=2)
@@ -762,6 +782,46 @@ class TestCrossValidate:
         res = cross_validate(tiny_config(epochs=1), sents, mentions, k=3, jobs=64)
         assert started == [3]
         assert len(res.fold_metrics) == 3
+
+    def test_fold_tasks_carry_no_sentences(self, monkeypatch):
+        # a worker gets the encoded inputs, the mentions and the table; a
+        # process pool pickles each task, and no sentence is among what it ships
+        shipped = []
+
+        class SentenceSpy(pickle.Pickler):
+            def persistent_id(self, obj):
+                if isinstance(obj, DepSentence):
+                    shipped.append(obj)
+                return None
+
+        def ship(obj):
+            buf = io.BytesIO()
+            SentenceSpy(buf).dump(obj)
+            return pickle.loads(buf.getvalue())
+
+        class PicklingPool:  # in process, each task pickled as a real pool does
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(ship(item)) for item in items]
+
+        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", PicklingPool)
+        sents, mentions = small_corpus(n=12)
+        ship(sents)
+        assert len(shipped) == len(sents)  # the spy sees sentences where they are
+        shipped.clear()
+        cfg = tiny_config(epochs=1)
+        serial, pooled = (cross_validate(cfg, sents, mentions, k=3, jobs=jobs) for jobs in (1, 2))
+        assert shipped == []
+        assert pooled.report_text() == serial.report_text()
+        assert json.dumps(pooled.report_dict()) == json.dumps(serial.report_dict())
 
     def test_keep_models(self):
         sents, mentions = small_corpus(n=12)

@@ -241,6 +241,7 @@ class TestOneCell:
     @pytest.mark.parametrize("length,others", [
         *(pytest.param(n, (), id=str(n)) for n in range(1, 13)),
         *(pytest.param(n, (1, 14), id=f"{n}-mid-batch") for n in (1, 2, 7, 12)),
+        pytest.param(1, (1, 1), id="1-among-ones"),  # no position reads a child
     ])
     def test_lstm_equals_textbook_loop(self, length, others):
         rng = np.random.default_rng(100 + length)
@@ -250,7 +251,7 @@ class TestOneCell:
         batch = [seq_input(n, first_row=r) for n, r in zip(lengths, first_rows)]
         dlogits = rng.standard_normal((len(batch), 3))
         logits, cache = m.forward(batch)
-        dX = np.split(m.backward(cache, dlogits), first_rows[1:])
+        dX = np.split(m.backward(cache, dlogits, input_grad=True), first_rows[1:])
         k = len(others[:1])  # the tested input's place in the batch
         rows = slice(first_rows[k], first_rows[k] + length)
         want_logits, want_dX = textbook_lstm(m.params, X[rows], dlogits[k])
@@ -306,7 +307,7 @@ class TestCnnWindows:
     def test_short_input_dx_shape_matches_input(self):
         rng = np.random.default_rng(10)
         m, _ = build_then_draw("cnn", (2, 3), 4, rng)
-        _, _, dX = model_loss(m, [seq_input(2)], [0])
+        _, _, dX = model_loss(m, [seq_input(2)], [0], input_grad=True)
         assert dX.shape == (2, 3)
 
 
@@ -328,6 +329,8 @@ class TestGradients:
     @pytest.mark.parametrize("model_type,layout", [
         *(pytest.param(m, None, id=m) for m in ("lstm", "cnn", "treelstm")),
         pytest.param("treelstm", "mixed levels", id="treelstm-mixed-levels"),
+        *(pytest.param(m, "one position", id=f"{m}-one-position")
+          for m in ("lstm", "cnn", "treelstm")),
     ])
     def test_parameter_gradients(self, model_type, layout):
         if layout is None:
@@ -346,7 +349,7 @@ class TestGradients:
         X = np.empty((length, 4))
         m = build_model(model_type, X, 5, rng)
         inst = random_instance(model_type, X, rng)
-        _, _, dX = model_loss(m, [inst], [1])
+        _, _, dX = model_loss(m, [inst], [1], input_grad=True)
         m.params.zero_grads()
 
         def loss_at(Xp):
@@ -534,8 +537,9 @@ def batch_case(model_type, seed, readout="root", dim=4, hidden=5, layout="random
     """A random model and inputs for it. The "random" layout draws 3-8
     inputs of lengths 1-13 (CNN inputs shorter than the filter and trees of
     mixed fan-out included) in random order; "shortest first" and
-    "shortest mid-batch" fix the lengths' order; "mixed levels" is
-    MIXED_TREES."""
+    "shortest mid-batch" fix the lengths' order; "one position" is five
+    inputs of one position each, so no node reads a child; "mixed levels"
+    is MIXED_TREES."""
     rng = np.random.default_rng(seed)
     vectors = np.zeros((8 * 13, dim))  # room for the most and longest inputs drawn below
     model = build_model(model_type, vectors, hidden, rng, tree_readout=readout)
@@ -551,6 +555,7 @@ def batch_case(model_type, seed, readout="root", dim=4, hidden=5, layout="random
             [1, 2, 13] + rng.integers(1, 14, size=int(rng.integers(0, 6))).tolist()),
         "shortest first": lambda: [1, 4, 13, 2, 13, 6],
         "shortest mid-batch": lambda: [9, 3, 1, 12, 12, 5],
+        "one position": lambda: [1] * 5,
     }[layout]()
     batch = random_batch(model_type, vectors, lengths, rng)
     return model, batch, rng.standard_normal((len(batch), 3))
@@ -561,7 +566,7 @@ def run_batch(model, batch, dlogits, drop_ratio=0.0, drop_rng=None):
     the batch's input gradient split into one array per input."""
     model.params.zero_grads()
     logits, cache = model.forward(batch, drop_ratio, drop_rng)
-    dX = model.backward(cache, dlogits)
+    dX = model.backward(cache, dlogits, input_grad=True)
     assert dX.shape == (sum(map(len, batch)), model.vectors.shape[1])
     dX = np.split(dX, np.cumsum([len(inst) for inst in batch])[:-1])
     grads = {k: v.copy() for k, v in model.params.grads.items()}
@@ -576,7 +581,7 @@ def run_singles(model, batch, dlogits, drop_ratio=0.0, drop_rng=None):
     for inst, d in zip(batch, dlogits):
         out, cache = model.forward([inst], drop_ratio, drop_rng)
         logits.append(out[0])
-        dX.append(model.backward(cache, d[None]))
+        dX.append(model.backward(cache, d[None], input_grad=True))
     grads = {k: v.copy() for k, v in model.params.grads.items()}
     model.params.zero_grads()
     return np.array(logits), dX, grads
@@ -626,6 +631,21 @@ class TestBatch:
         for row, inst in zip(batched, batch):
             alone = logits_of(model, inst)
             assert np.abs(row - alone).max() <= 16 * np.spacing(np.abs(alone).max())
+
+    @pytest.mark.parametrize("model_type,layout", [
+        *(pytest.param(m, layout, id=f"{m}-{layout.replace(' ', '-')}")
+          for m in ("lstm", "cnn", "treelstm") for layout in ("random", "one position")),
+        pytest.param("treelstm", "mixed levels", id="treelstm-mixed-levels"),
+    ])
+    def test_input_gradient_leaves_parameter_gradients_alone(self, model_type, layout):
+        # the input gradient is extra work at the end, asked for or not
+        model, batch, dlogits = batch_case(model_type, 50, layout=layout)
+        _, cache = model.forward(batch)
+        assert model.backward(cache, dlogits) is None
+        without = model.params.grad_buffer.copy()
+        model.params.zero_grads()
+        assert model.backward(cache, dlogits, input_grad=True) is not None
+        assert model.params.grad_buffer.tobytes() == without.tobytes()
 
     @pytest.mark.parametrize("model_type", ["lstm", "cnn", "treelstm"])
     def test_dropout_draws_the_stream_of_single_calls(self, model_type):
@@ -689,9 +709,10 @@ class TestTreeCell:
     """The batched tree cell against textbook_tree_lstm, tree by tree."""
 
     @pytest.mark.parametrize("readout", ["root", "target"])
-    @pytest.mark.parametrize("layout", ["mixed levels", *(f"random {s}" for s in range(4))])
+    @pytest.mark.parametrize("layout", ["mixed levels", "one position",
+                                        *(f"random {s}" for s in range(4))])
     def test_batch_equals_textbook_cell(self, readout, layout):
-        if layout == "mixed levels":
+        if not layout.startswith("random"):
             model, batch, dlogits = batch_case("treelstm", 40, readout, layout=layout)
         else:
             batch, rng = random_trees(int(layout.split()[1]))

@@ -86,7 +86,7 @@ class TestComputeSaliency:
         smap = compute_saliency(model, inst)
         assert calls == ["forward", "backward"]
         pred, _ = classify(model, inst)
-        _, _, dX = model_loss(model, [inst], [int(pred)])
+        _, _, dX = model_loss(model, [inst], [int(pred)], input_grad=True)
         assert smap.predicted is pred
         assert np.array_equal(smap.raw, np.abs(dX))
 
