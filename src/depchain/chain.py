@@ -147,7 +147,9 @@ def representation_ids(
     sent: DepSentence, target_id: int, representation: str, half_width: int = 7
 ) -> tuple[int, ...]:
     """Token ids, in surface order, that a representation of the mention at
-    ``target_id`` holds: its chain, its window, or the whole tree."""
+    ``target_id`` holds: its chain, its window, or the whole tree.
+    CorpusError when the sentence has no token ``target_id``."""
+    sent.token(target_id)
     if representation == "chain":
         return extract_chain(sent, target_id).member_ids
     if representation == "window":

@@ -316,8 +316,10 @@ def _cmd_cv(parser, args) -> int:
             json.dump(result.report_dict(), f, sort_keys=True, indent=2)
             f.write("\n")
         outputs.append(args.out)
-        cv_config = dict(asdict(config), folds=args.folds)
-        _write_manifest(args.out + ".manifest.json", "cv", config.seed, cv_config,
+    if outputs:  # next to the report, else among the checkpoints
+        manifest = (args.out + ".manifest.json" if args.out
+                    else os.path.join(args.save_models, "manifest.json"))
+        _write_manifest(manifest, "cv", config.seed, dict(asdict(config), folds=args.folds),
                         [args.conllu, args.events], outputs)
     return 0
 

@@ -352,17 +352,8 @@ def train(
     data = _encode_corpus(corpus, mentions, config, table) if encoded is None else encoded
     init_ss, order_ss, drop_ss = np.random.SeedSequence(config.seed).spawn(3)
     check_param_memory(config.model_type, table.dim, config.hidden, copies=4)
-    try:
-        model = build_model(
-            config.model_type,
-            table.vectors,
-            config.hidden,
-            np.random.default_rng(init_ss),
-            tree_readout=config.tree_readout,
-        )
-    except (ValueError, MemoryError):  # numpy: "array is too big", or out of memory
-        raise TrainingError(f"cannot allocate {config.model_type} parameters with hidden "
-                            f"{config.hidden} over dim {table.dim}") from None
+    model = build_model(config.model_type, table.vectors, config.hidden,
+                        np.random.default_rng(init_ss), tree_readout=config.tree_readout)
     order_rng = np.random.default_rng(order_ss)
     drop_rng = np.random.default_rng(drop_ss)
 
@@ -559,7 +550,6 @@ def load_trained(path: str) -> TrainedModel:
         first = int(np.argmin(finite))
         bad = next(name for name, end in zip(shapes, itertools.accumulate(sizes)) if first < end)
         raise CheckpointError(f"{path}: checkpoint parameter {bad!r} has a non-finite value")
-    params = ParamSet(shapes, block.astype(np.float64))
-    model = restore_model(config.model_type, params, table.vectors,
-                          tree_readout=config.tree_readout)
+    model = restore_model(config.model_type, block.astype(np.float64), table.vectors,
+                          config.hidden, tree_readout=config.tree_readout)
     return TrainedModel(model=model, table=table, config=config, history=[])

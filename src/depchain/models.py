@@ -15,6 +15,9 @@ tree-LSTM run on a chain, in one loop over height levels that branches per
 level on what the level's nodes have below them (see TreeLstmClassifier).
 Its four gates are fused at use into one matrix with columns u, i, o, f;
 parameters and checkpoints keep the W_iou/W_f layout of param_shapes.
+A model is its type, its sizes and one flat parameter buffer, which its
+constructor lays out. It pickles as those, so an unpickled model's
+parameters view its buffer; gradients are not kept (RMSProp zeroes them).
 """
 
 from __future__ import annotations
@@ -164,18 +167,14 @@ class CnnClassifier:
 
     model_type = "cnn"
 
-    def __init__(self, params: ParamSet, vectors: np.ndarray):
-        self.params = params
+    def __init__(self, buffer: np.ndarray, vectors: np.ndarray, n_filters: int):
+        self.params = ParamSet(param_shapes("cnn", vectors.shape[1], n_filters), buffer)
         self.vectors = vectors
         self.dim = vectors.shape[1]
-        self.n_filters = params["bconv"].shape[0]
+        self.n_filters = n_filters
 
-    @classmethod
-    def init(cls, vectors: np.ndarray, n_filters: int, rng: np.random.Generator) -> "CnnClassifier":
-        # one draw in init order: the numbers of one draw per parameter
-        shapes = param_shapes("cnn", vectors.shape[1], n_filters)
-        return cls(ParamSet(shapes, uniform_init(rng, sum(map(math.prod, shapes.values())))),
-                   vectors)
+    def __reduce__(self):
+        return CnnClassifier, (self.params.buffer, self.vectors, self.n_filters)
 
     def forward(self, batch: list[EncodedInput], drop_ratio: float = 0.0, drop_rng=None):
         if not batch:
@@ -281,20 +280,17 @@ class TreeLstmClassifier:
     inputs' lengths alone.
     """
 
-    def __init__(self, params: ParamSet, vectors: np.ndarray,
+    def __init__(self, buffer: np.ndarray, vectors: np.ndarray, hidden: int,
                  model_type: str = "treelstm", readout: str = "root"):
         if model_type not in ("lstm", "treelstm"):
             raise ValueError(f"unknown model type {model_type!r}")
         if readout not in ("root", "target"):
             raise ValueError(f"readout must be 'root' or 'target', got {readout!r}")
-        self.params = params
+        self.params = params = ParamSet(param_shapes(model_type, vectors.shape[1], hidden), buffer)
         self.vectors = vectors
-        self.hidden = H = params["b_f"].shape[0]
+        self.hidden = H = hidden
         self.model_type = model_type
         self.readout = readout
-        shapes = param_shapes(model_type, vectors.shape[1], H)
-        if [(name, v.shape) for name, v in params.values.items()] != list(shapes.items()):
-            raise ValueError(f"{model_type} parameters do not have the layout {shapes}")
         # the buffers hold W, U and b of the i/o/u gates, then those of f:
         # each gate group is one (dim + hidden + 1, columns) matrix
         size = (vectors.shape[1] + H + 1) * H
@@ -307,23 +303,9 @@ class TreeLstmClassifier:
         # (exactly), then scaled and shifted out
         self._halve = np.repeat([1.0, 0.5, 0.5, 0.5], H)
 
-    @classmethod
-    def init(cls, vectors: np.ndarray, hidden: int, rng: np.random.Generator,
-             model_type: str = "treelstm", readout: str = "root") -> "TreeLstmClassifier":
-        # one draw holds W, U and b of the gates i, f, o, u in turn, then Wy
-        # and by: the numbers of one draw per matrix in that order. A gate's
-        # W, U and b are one (dim + hidden + 1, hidden) block, and those of
-        # i, o and u side by side are the buffer's block of W_iou, U_iou and
-        # b_iou (see __init__)
-        shapes = param_shapes(model_type, vectors.shape[1], hidden)
-        flat = uniform_init(rng, sum(map(math.prod, shapes.values())))
-        gates = flat[: 4 * (vectors.shape[1] + hidden + 1) * hidden].reshape(4, -1, hidden)
-        iou = np.concatenate([gates[0], gates[2], gates[3]], axis=1)
-        flat = np.concatenate([iou.ravel(), gates[1].ravel(), flat[gates.size :]])
-        params = ParamSet(shapes, flat)
-        if model_type == "lstm":
-            params["b_f"][...] = 1.0  # standard forget-gate bias, helps long gaps
-        return cls(params, vectors, model_type, readout)
+    def __reduce__(self):
+        return TreeLstmClassifier, (self.params.buffer, self.vectors, self.hidden,
+                                    self.model_type, self.readout)
 
     def _schedule(self, batch: list[EncodedInput]):
         """Level schedule of a batch over its N nodes, in sorted order.
@@ -591,10 +573,27 @@ MODEL_TYPES = ("lstm", "cnn", "treelstm")
 def build_model(model_type: str, vectors: np.ndarray, hidden: int,
                 rng: np.random.Generator, tree_readout: str = "root"):
     """Initialize a fresh classifier over the embedding matrix ``vectors``
-    (held, not copied); hidden doubles as the CNN filter count."""
-    if model_type == "cnn":
-        return CnnClassifier.init(vectors, hidden, rng)
-    return TreeLstmClassifier.init(vectors, hidden, rng, model_type, tree_readout)
+    (held, not copied); hidden doubles as the CNN filter count. One draw
+    holds the numbers of one draw per matrix in init order; the recurrent
+    cell's is W, U and b of the gates i, f, o, u in turn, then Wy and by. A
+    gate's W, U and b are one (dim + hidden + 1, hidden) block, and those of
+    i, o and u side by side are the buffer's block of W_iou, U_iou and b_iou.
+    TrainingError when the parameters cannot be allocated."""
+    dim = vectors.shape[1]
+    size = sum(map(math.prod, param_shapes(model_type, dim, hidden).values()))
+    try:
+        flat = uniform_init(rng, size)
+        if model_type != "cnn":
+            gates = flat[: 4 * (dim + hidden + 1) * hidden].reshape(4, -1, hidden)
+            iou = np.concatenate([gates[0], gates[2], gates[3]], axis=1)
+            flat = np.concatenate([iou.ravel(), gates[1].ravel(), flat[gates.size :]])
+    except (ValueError, MemoryError):  # numpy: "array is too big", or out of memory
+        raise TrainingError(f"cannot allocate {model_type} parameters with hidden {hidden} "
+                            f"over dim {dim}") from None
+    model = restore_model(model_type, flat, vectors, hidden, tree_readout)
+    if model_type == "lstm":
+        model.params["b_f"][...] = 1.0  # standard forget-gate bias, helps long gaps
+    return model
 
 
 def param_shapes(model_type: str, dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
@@ -625,13 +624,14 @@ def check_param_memory(model_type: str, dim: int, hidden: int, copies: int) -> N
                             f"the machine has {physical / 2**30:.1f} GiB")
 
 
-def restore_model(model_type: str, params: ParamSet, vectors: np.ndarray,
+def restore_model(model_type: str, buffer: np.ndarray, vectors: np.ndarray, hidden: int,
                   tree_readout: str = "root"):
-    """Wrap already-loaded parameters and an embedding matrix (checkpoint
-    restore path)."""
+    """A model_type classifier over ``buffer``, its flat float64 parameters
+    in param_shapes order (read and updated in place), and the embedding
+    matrix ``vectors``; hidden doubles as the CNN filter count."""
     if model_type == "cnn":
-        return CnnClassifier(params, vectors)
-    return TreeLstmClassifier(params, vectors, model_type, tree_readout)
+        return CnnClassifier(buffer, vectors, hidden)
+    return TreeLstmClassifier(buffer, vectors, hidden, model_type, tree_readout)
 
 
 def model_loss(model, batch: list[EncodedInput], golds, drop_ratio: float = 0.0,
@@ -715,12 +715,11 @@ def gradcheck_model(model_type: str, seed: int, dim: int = 6, hidden: int = 8,
     rng = np.random.default_rng(seed)
     lengths = ((length + 1) // 2, 1, length)
     try:
-        # rng draws the parameters first, then the inputs' rows of this matrix
         vectors = np.empty((sum(lengths), dim))
-        model = build_model(model_type, vectors, hidden, rng)
     except (ValueError, MemoryError):  # numpy: "array is too big", or out of memory
-        raise TrainingError(f"cannot allocate {model_type} parameters with hidden {hidden} "
-                            f"over dim {dim}") from None
+        raise TrainingError(f"cannot allocate {sum(lengths)} input vectors of dim {dim}") from None
+    # rng draws the parameters first, then the inputs' rows of this matrix
+    model = build_model(model_type, vectors, hidden, rng)
     batch = random_batch(model_type, vectors, lengths, rng)
     golds = rng.integers(0, N_CLASSES, size=len(batch))
 

@@ -371,9 +371,13 @@ def load_embeddings(text: str) -> EmbeddingTable:
 
 
 def write_embeddings(table: EmbeddingTable) -> str:
-    """Inverse of load_embeddings; float64 values round-trip exactly via %.17g."""
+    """Inverse of load_embeddings; float64 values round-trip exactly via %.17g.
+    EmbeddingError naming a word that would not read back as one word: an
+    empty one, or one with whitespace in it."""
     out = [f"{len(table)} {table.dim}"]
     for i, w in enumerate(table.words):
+        if w.split() != [w]:
+            raise EmbeddingError(f"embedding word {w!r} does not read back as written")
         out.append(w + " " + " ".join("%.17g" % v for v in table.matrix[i]))
     return "\n".join(out) + "\n"
 

@@ -177,7 +177,7 @@ def test_criterion_5_saliency(record_criterion, corpus700, chain_cv):
         smap = compute_saliency(model, inst, label=label)
 
         def loss_at(Xp):
-            logits, _ = restore_model("lstm", model.params, Xp).forward([inst])
+            logits, _ = restore_model("lstm", model.params.buffer, Xp, 8).forward([inst])
             return softmax_xent(logits, [int(label)])[0][0]
 
         flat = np.argsort(-smap.raw.reshape(-1))[:16]

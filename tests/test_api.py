@@ -1,4 +1,11 @@
-"""The public API is declared once: the package exports its modules' __all__ lists."""
+"""The public API is declared once: the package exports its modules' __all__ lists,
+and the benchmark, which reads them, still runs end to end."""
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import depchain
 from depchain import chain, corpus, errors, harness, models, nncore, saliency
@@ -30,3 +37,25 @@ def test_package_exports_exactly_the_module_lists():
 
     assert len(set(BENCH_NAMES)) == 19
     assert set(BENCH_NAMES) <= set(depchain.__all__)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_bench_runs_every_workload(tmp_path):
+    # on a copy of the bench and the package, so run records stay out of the checkout
+    skip = shutil.ignore_patterns("__pycache__", "out")
+    for name in ("perfbench", "src"):
+        shutil.copytree(ROOT / name, tmp_path / name, ignore=skip)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", "3",
+         "--seconds", "1", "--trace", "0", "--size", "toy"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["correct"] is True and out["failed"] == 0, proc.stderr
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for workload in spec["workloads"]:
+        for m in spec["end_to_end"]:
+            metric = out["metrics"][f"{workload['name']}/{m['name']}"]
+            assert metric["unit"] == m["unit"] and metric["value"] > 0, (workload, m)

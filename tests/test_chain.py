@@ -334,3 +334,10 @@ class TestRepresentationRecord:
             assert representation_ids(example_sentence, 8, name, 2) == ids
         with pytest.raises(ValueError, match="unknown representation 'zigzag'"):
             representation_ids(example_sentence, 8, "zigzag")
+
+    @pytest.mark.parametrize("representation", REPRESENTATIONS)
+    @pytest.mark.parametrize("target_id", [0, 9, 99])
+    def test_representation_ids_checks_the_target(self, example_sentence, representation,
+                                                  target_id):
+        with pytest.raises(CorpusError, match=f"token id {target_id} out of range"):
+            representation_ids(example_sentence, target_id, representation)

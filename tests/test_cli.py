@@ -1,5 +1,6 @@
 """End-to-end command-line coverage, driven in-process through main()."""
 
+import hashlib
 import json
 import math
 import os
@@ -407,6 +408,23 @@ class TestCv:
         assert doc["pooled"]["n"] == 12
         manifest = json.loads(Path(report + ".manifest.json").read_text())
         assert manifest["config"]["folds"] == 3
+        assert not (models_dir / "manifest.json").exists()
+
+    def test_fold_models_without_report_get_a_manifest(self, tmp_path, capsys):
+        conllu, events = gen_corpus(tmp_path)
+        models_dir = tmp_path / "folds"
+        rc = main(["cv", "--model", "lstm", "--repr", "chain",
+                   "--conllu", conllu, "--events", events,
+                   "--folds", "3", "--save-models", str(models_dir)] + TINY_HYPERS)
+        assert rc == 0
+        ckpts = [f"fold_{i}.ckpt" for i in range(3)]
+        assert sorted(p.name for p in models_dir.iterdir()) == ckpts + ["manifest.json"]
+        manifest = json.loads((models_dir / "manifest.json").read_text())
+        assert manifest["command"] == "cv" and manifest["config"]["folds"] == 3
+        assert sorted(manifest["inputs"]) == sorted([conllu, events])
+        assert manifest["outputs"] == {
+            str(models_dir / name): hashlib.sha256((models_dir / name).read_bytes()).hexdigest()
+            for name in ckpts}
 
     def test_jobs_do_not_change_stdout(self, tmp_path, capsys):
         conllu, events = gen_corpus(tmp_path)

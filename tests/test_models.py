@@ -1,5 +1,8 @@
 """Classifier algebra, hand-computed oracles, and gradient-based checks."""
 
+import math
+import pickle
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ from depchain.models import (
     random_instance,
     random_tree_children,
 )
-from depchain.nncore import ParamSet, grad_check, softmax_xent
+from depchain.nncore import RmsProp, grad_check, softmax_xent
 
 
 def zeroed(model_type, X, hidden, **kw):
@@ -280,7 +283,7 @@ class TestOneCell:
         rng = np.random.default_rng(200 + length)
         m, X = build_then_draw("lstm", (length, 4), 5, rng)
         chain = [()] + [(t - 1,) for t in range(1, length)]
-        tree = restore_model("treelstm", m.params, X)
+        tree = restore_model("treelstm", m.params.buffer, X, 5)
         want = logits_of(m, seq_input(length))
         got = logits_of(tree, tree_input(chain, root_pos=length - 1))
         assert np.abs(got - want).max() <= 1e-12
@@ -301,7 +304,8 @@ class TestCnnWindows:
         m, X = build_then_draw("cnn", (2, 3), 4, rng)
         logits_short = logits_of(m, seq_input(2))
         padded = np.vstack([X, np.zeros((FILTER_WIDTH - 2, 3))])
-        logits_padded = logits_of(restore_model("cnn", m.params, padded), seq_input(FILTER_WIDTH))
+        padded_model = restore_model("cnn", m.params.buffer, padded, 4)
+        logits_padded = logits_of(padded_model, seq_input(FILTER_WIDTH))
         assert np.array_equal(logits_short, logits_padded)
 
     def test_short_input_dx_shape_matches_input(self):
@@ -353,7 +357,7 @@ class TestGradients:
         m.params.zero_grads()
 
         def loss_at(Xp):
-            logits = logits_of(restore_model(model_type, m.params, Xp), inst)
+            logits = logits_of(restore_model(model_type, m.params.buffer, Xp, 5), inst)
             return softmax_xent(logits[None], [1])[0][0]
 
         eps = 1e-6
@@ -474,7 +478,7 @@ class TestRestore:
         m = build_model(model_type, X, 5, rng)
         inst = random_instance(model_type, X, rng)
         want = logits_of(m, inst)
-        m2 = restore_model(model_type, ParamSet.of(m.params.values), X)
+        m2 = restore_model(model_type, m.params.buffer.copy(), X, 5)
         got = logits_of(m2, inst)
         assert np.array_equal(want, got)
 
@@ -483,9 +487,35 @@ class TestRestore:
         m, X = build_then_draw("treelstm", (4, 4), 5, rng)
         inst_root = tree_input([(1, 2), (3,), (), ()], target_pos=3)
         logits_root = logits_of(m, inst_root)
-        m_t = restore_model("treelstm", m.params, X, tree_readout="target")
+        m_t = restore_model("treelstm", m.params.buffer, X, 5, tree_readout="target")
         logits_target = logits_of(m_t, inst_root)
         assert not np.allclose(logits_root, logits_target)
+
+    @pytest.mark.parametrize("model_type", ["lstm", "cnn", "treelstm"])
+    def test_buffer_of_another_size_is_refused(self, model_type):
+        size = sum(math.prod(shape) for shape in param_shapes(model_type, 4, 5).values())
+        for n in (size - 1, size + 1):
+            with pytest.raises(ValueError, match=f"a ParamSet of {size} values"):
+                restore_model(model_type, np.zeros(n), np.zeros((2, 4)), 5)
+
+    @pytest.mark.parametrize("model_type", ["lstm", "cnn", "treelstm"])
+    def test_unpickled_model_steps_as_the_original(self, model_type):
+        # a model pickles as its constructor's arguments, so the copy's
+        # parameters are views of its own buffer and a step moves it
+        rng = np.random.default_rng(42)
+        X = np.empty((6, 4))
+        readout = "target" if model_type == "treelstm" else "root"
+        m = build_model(model_type, X, 5, rng, tree_readout=readout)
+        inst = random_instance(model_type, X, rng)
+        m2 = pickle.loads(pickle.dumps(m))
+        assert m2.params.buffer.tobytes() == m.params.buffer.tobytes()
+        start = m.params.buffer.copy()
+        for model in (m, m2):
+            model_loss(model, [inst], [2])
+            RmsProp(model.params, learning_rate=0.01).step()
+        assert not np.array_equal(m.params.buffer, start)
+        assert m2.params.buffer.tobytes() == m.params.buffer.tobytes()
+        assert logits_of(m2, inst).tobytes() == logits_of(m, inst).tobytes()
 
     @pytest.mark.parametrize("model_type", ["lstm", "cnn", "treelstm"])
     def test_param_shapes_match_built_model(self, model_type):

@@ -389,6 +389,12 @@ class TestEmbeddings:
         assert back.words == t.words
         assert np.array_equal(back.matrix, t.matrix)
 
+    @pytest.mark.parametrize("word", ["a b", "", " a", "a\t", "a\nb", "a\u00a0b"])
+    def test_write_refuses_a_word_that_would_not_read_back(self, word):
+        t = EmbeddingTable([word, "c"], np.zeros((3, 2)))
+        with pytest.raises(EmbeddingError, match=re.escape(repr(word))):
+            write_embeddings(t)
+
     def test_random_embeddings_deterministic(self):
         a = random_embeddings(["x", "y"], 3, seed=2)
         b = random_embeddings(["x", "y"], 3, seed=2)

@@ -42,7 +42,7 @@ class TestComputeSaliency:
         smap = compute_saliency(model, inst, label=label)
 
         def loss_at(Xp):
-            logits, _ = restore_model(model_type, model.params, Xp).forward([inst])
+            logits, _ = restore_model(model_type, model.params.buffer, Xp, 5).forward([inst])
             return softmax_xent(logits, [int(label)])[0][0]
 
         eps = 1e-6
