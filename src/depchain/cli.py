@@ -27,7 +27,7 @@ from .corpus import (
     serialize_events,
     synthetic_vocabulary,
 )
-from .errors import CorpusError, DepchainError
+from .errors import CheckpointError, CorpusError, DepchainError
 from .harness import (
     TrainConfig,
     cross_validate,
@@ -39,7 +39,7 @@ from .harness import (
     train,
 )
 from .models import MODEL_TYPES, gradcheck_model
-from .nncore import atomic_open, random_embeddings, read_utf8, write_embeddings
+from .nncore import NonFiniteError, atomic_open, random_embeddings, read_utf8, write_embeddings
 from .saliency import compute_saliency, emit_heatmap, heatmap_filename
 
 __all__ = ["main", "build_parser"]
@@ -345,7 +345,11 @@ def _cmd_saliency(parser, args) -> int:
         inst = encode_input(sent, m, trained.config.representation,
                             trained.table, trained.config.half_width)
         label = None if args.at_predicted else m.label
-        smap = compute_saliency(trained.model, inst, label)
+        try:
+            smap = compute_saliency(trained.model, inst, label)
+        except NonFiniteError:  # finite weights can still overflow the logits
+            raise CheckpointError(f"{args.model}: non-finite logits at mention "
+                                  f"{m.doc_id}/{m.sent_id} token {m.token_id}") from None
         path = os.path.join(args.out, name)
         with atomic_open(path) as f:
             f.write(emit_heatmap(smap, args.format))

@@ -2,12 +2,15 @@
 
 Each model holds its embedding matrix, its first layer, and maps a batch (a
 list) of encoded inputs, which hold row indices into that matrix, to (B, 3)
-logits (PAST, ONGOING, FUTURE). It exposes a backward pass that accumulates
-parameter gradients and, only when asked (input_grad=True), also returns
-the batch's gradient with respect to its embeddings (one (sum of lengths,
-dim) array in batch order); otherwise it returns None and skips that work.
-It is deterministic unless given a dropout ratio, which only training
-does.
+logits (PAST, ONGOING, FUTURE). Its backward pass forms only the gradients
+its caller names. By default (param_grads=True) it accumulates the
+parameter gradients, as training needs; input_grad=True also returns the
+batch's gradient with respect to its embeddings (one (sum of lengths, dim)
+array in batch order), else the pass returns None. Saliency asks for the
+input gradient alone (param_grads=False), which leaves the gradient buffer
+untouched; asking for neither is a ValueError. Each gradient is bitwise the
+same whichever others are formed with it. A model is deterministic unless
+given a dropout ratio, which only training does.
 Dropout touches only the penultimate vector (final hidden state or pooled
 feature vector). A single input runs as a batch of one; there is no other
 path. The LSTM and the tree-LSTM share one cell: the LSTM is the child-sum
@@ -210,20 +213,24 @@ class CnnClassifier:
         cache = (present, Xp.shape, windows, pre, pick, pd, mask)
         return logits, cache
 
-    def backward(self, cache, dlogits: np.ndarray, input_grad: bool = False) -> np.ndarray | None:
+    def backward(self, cache, dlogits: np.ndarray, input_grad: bool = False,
+                 param_grads: bool = True) -> np.ndarray | None:
+        _check_asked(input_grad, param_grads)
         present, padded_shape, windows, pre, pick, pd, mask = cache
         p = self.params
         g_ = self.params.grads
-        g_["Wy"] += pd.T @ dlogits
-        g_["by"] += dlogits.sum(axis=0)
+        if param_grads:
+            g_["Wy"] += pd.T @ dlogits
+            g_["by"] += dlogits.sum(axis=0)
         dpooled = (dlogits @ p["Wy"].T) * mask
         # max routing: each filter's gradient reaches its argmax window only
         dpre = np.zeros(pre.shape)
         dpre[pick] = dpooled
         dpre *= pre > 0.0
         dpre = dpre.reshape(-1, self.n_filters)
-        g_["Wconv"] += dpre.T @ windows
-        g_["bconv"] += dpre.sum(axis=0)
+        if param_grads:
+            g_["Wconv"] += dpre.T @ windows
+            g_["bconv"] += dpre.sum(axis=0)
         if not input_grad:
             return None
         B, n_pos = pre.shape[:2]
@@ -267,10 +274,11 @@ class TreeLstmClassifier:
       the children in list order, one slice per place (one block for the
       places every node has).
     The backward pass pushes each level's gradients into its children's
-    rows, top level first. It ends in one matmul for the gradients of W and
-    b over every node's x and 1 and one for U over the nodes that read a
+    rows, top level first, whichever gradients are asked for. It ends, when
+    asked for the parameter gradients, in one matmul for those of W and b
+    over every node's x and 1 and one for U over the nodes that read a
     child, the leaves not (trees add the same two over the edge rows), and,
-    only when asked, one for the input gradient.
+    when asked for the input gradient, in one for it.
 
     A batch of trees builds its schedule from what each input works out
     once and keeps (EncodedInput.tree_levels): sort keys for its positions
@@ -430,13 +438,16 @@ class TreeLstmClassifier:
         cache = (schedule, X, h_in, gates, f_edge, h_edge, c, tanh_c, h, hd, mask)
         return logits, cache
 
-    def backward(self, cache, dlogits: np.ndarray, input_grad: bool = False) -> np.ndarray | None:
+    def backward(self, cache, dlogits: np.ndarray, input_grad: bool = False,
+                 param_grads: bool = True) -> np.ndarray | None:
+        _check_asked(input_grad, param_grads)
         schedule, X, h_in, gates, f_edge, h_edge, c, tanh_c, h, hd, mask = cache
         _, rank, levels, read, single, multi = schedule
         p = self.params
         N, D, H = len(rank), self.vectors.shape[1], self.hidden
-        p.grads["Wy"] += hd.T @ dlogits
-        p.grads["by"] += dlogits.sum(axis=0)
+        if param_grads:
+            p.grads["Wy"] += hd.T @ dlogits
+            p.grads["by"] += dlogits.sum(axis=0)
         # in the parameters' column order i, o, u, f, the pre-activation
         # gradient of a node is its (dc, dh, dc, dc) times these factors; the
         # derivatives are s(1-s) and 1-tanh^2, and the forget column is zero
@@ -457,7 +468,8 @@ class TreeLstmClassifier:
         f_f = np.zeros((N, H))
         if single is not None:  # a node with one child reads it through its own row
             rows, children = single
-            h_in[rows] = h[children]
+            if param_grads:  # U's gradient reads it as the node's child sum
+                h_in[rows] = h[children]
             f_single = f[rows]
             f_f[rows] = c[children] * f_single * (1.0 - f_single)
         factor = np.concatenate([f_i, f_o, f_u, f_f], axis=1)
@@ -485,19 +497,20 @@ class TreeLstmClassifier:
                 dz_f = np.multiply(dc_edge, edge_factor[e0:e1], out=dz_edge[e0:e1])
                 dh[kids_e] += (dz_level[:, : 3 * H] @ U_T[: 3 * H])[node] + dz_f @ U_T[3 * H :]
                 dc[kids_e] = dc_edge * f_edge[e0:e1]
-        # the rows of W and b: x and 1 of every node times its dz; of U: the
-        # child sum, which leaves (the first level's rows) do not have
-        iou_grad, f_grad = self._grad_blocks
-        n_leaves = levels[0][1]
-        X = np.concatenate([X, np.ones((N, 1))], axis=1)  # x and 1 of every node
-        grad_x = X.T @ dz
-        grad = np.concatenate([grad_x[:D], h_in[n_leaves:].T @ dz[n_leaves:], grad_x[D:]])
-        iou_grad += grad[:, : 3 * H]
-        f_grad += grad[:, 3 * H :]
-        if multi is not None:
-            # an edge's forget gate reads its parent's x and 1 and its own child's h
-            grad_x = X[multi[1]].T @ dz_edge
-            f_grad += np.concatenate([grad_x[:D], h_edge.T @ dz_edge, grad_x[D:]])
+        if param_grads:
+            # the rows of W and b: x and 1 of every node times its dz; of U:
+            # the child sum, which leaves (the first level's rows) do not have
+            iou_grad, f_grad = self._grad_blocks
+            n_leaves = levels[0][1]
+            X = np.concatenate([X, np.ones((N, 1))], axis=1)  # x and 1 of every node
+            grad_x = X.T @ dz
+            grad = np.concatenate([grad_x[:D], h_in[n_leaves:].T @ dz[n_leaves:], grad_x[D:]])
+            iou_grad += grad[:, : 3 * H]
+            f_grad += grad[:, 3 * H :]
+            if multi is not None:
+                # an edge's forget gate reads its parent's x and 1 and its own child's h
+                grad_x = X[multi[1]].T @ dz_edge
+                f_grad += np.concatenate([grad_x[:D], h_edge.T @ dz_edge, grad_x[D:]])
         if not input_grad:
             return None
         # x of a node with several children feeds each edge's forget gate
@@ -506,6 +519,11 @@ class TreeLstmClassifier:
                 e0, e1, _, _, places = edges
                 dz[a:b, 3 * H :] += _child_sum(dz_edge[e0:e1], places, np.empty((b - a, H)))
         return (dz @ np.concatenate([block[:D].T for block in self._blocks]))[rank]
+
+
+def _check_asked(input_grad: bool, param_grads: bool) -> None:
+    if not (input_grad or param_grads):
+        raise ValueError("backward: asked for neither the input nor the parameter gradients")
 
 
 def _child_sum(rows: np.ndarray, places, out: np.ndarray) -> np.ndarray:

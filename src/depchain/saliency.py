@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import TemporalStatus
+from .corpus import TemporalStatus, _has_line_break
 from .models import EncodedInput
 from .nncore import softmax_xent
 
@@ -52,14 +52,14 @@ def compute_saliency(model, inst: EncodedInput,
 
     One forward pass, over a batch of one, serves both: the prediction is the
     argmax of its logits (lowest index on ties, as in classify) and its cache
-    feeds the backward.
+    feeds the backward, which forms the input gradient alone: the model's
+    parameter gradients are neither formed nor touched.
     """
     logits, cache = model.forward([inst])
     predicted = TemporalStatus(int(np.argmax(logits[0])))
     at = predicted if label is None else label
     _, _, dlogits = softmax_xent(logits, [int(at)])
-    dX = model.backward(cache, dlogits, input_grad=True)
-    model.params.zero_grads()  # analysis must not leak into training state
+    dX = model.backward(cache, dlogits, input_grad=True, param_grads=False)
     raw = np.abs(dX)
     scores = tuple(float(s) for s in raw.mean(axis=1))
     return SaliencyMap(
@@ -77,12 +77,16 @@ def _label_name(label: TemporalStatus | None) -> str:
 
 def emit_heatmap(smap: SaliencyMap, fmt: str) -> str:
     """Render a map as CSV (position,token,score) or a self-contained HTML
-    page whose span backgrounds scale linearly with score/max."""
+    page whose span backgrounds scale linearly with score/max. CSV refuses
+    (ValueError) a token holding a line break as str.splitlines defines one."""
     if len(smap) == 0:
         raise ValueError("empty saliency map")
     if fmt == "csv":
         lines = ["position,token,score"]
         for pos, (tok, score) in enumerate(zip(smap.tokens, smap.scores), start=1):
+            if _has_line_break(tok):  # parse_heatmap_csv would split its row
+                raise ValueError(f"position {pos}: token {tok!r} holds a line break, "
+                                 f"which a CSV row cannot")
             lines.append(f"{pos},{_csv_field(tok)},{score:.6f}")
         return "\n".join(lines) + "\n"
     if fmt != "html":
@@ -117,7 +121,7 @@ def emit_heatmap(smap: SaliencyMap, fmt: str) -> str:
 
 
 def _csv_field(value: str) -> str:
-    if any(c in value for c in ',"\n'):
+    if any(c in value for c in ',"'):
         return '"' + value.replace('"', '""') + '"'
     return value
 

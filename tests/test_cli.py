@@ -353,6 +353,36 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "parameter 'Wy' has a non-finite value" in err
 
+    def test_saliency_logits_overflowing_finite_weights(self, tmp_path, capsys):
+        # every weight is finite, but saturated gates and a huge readout
+        # overflow the logits of every mention
+        conllu, events = gen_corpus(tmp_path)
+        ckpt = train_tiny(tmp_path, conllu, events)
+        with open(ckpt, "rb") as f:
+            header, payload = f.read().split(b"\n", 1)
+        doc = json.loads(header)
+        params = np.frombuffer(payload, dtype="<f8").copy()
+        offset = 0
+        for name, shape in param_shapes("lstm", doc["dim"], doc["config"]["hidden"]).items():
+            size = math.prod(shape)
+            if name in ("b_iou", "Wy", "by"):
+                params[offset : offset + size] = 50.0 if name == "b_iou" else 1.7e308
+            offset += size
+        with open(ckpt, "wb") as f:
+            f.write(header + b"\n" + params.tobytes())
+        capsys.readouterr()
+        out = tmp_path / "out"
+        with np.errstate(over="ignore"):  # the overflow is the point
+            rc = main(["saliency", "--model", ckpt, "--conllu", conllu, "--events", events,
+                       "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        first = json.loads(Path(events).read_text().splitlines()[0])
+        assert ckpt in err and "non-finite logits" in err
+        assert f"{first['doc_id']}/{first['sent_id']} token {first['token_id']}" in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_tree_repr_mismatch_usage_error(self, tmp_path, capsys):
         # a window's tokens need not form one tree, so treelstm refuses it,
         # before reading the (missing) corpus, which would exit 1

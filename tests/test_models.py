@@ -677,6 +677,36 @@ class TestBatch:
         assert model.backward(cache, dlogits, input_grad=True) is not None
         assert model.params.grad_buffer.tobytes() == without.tobytes()
 
+    @pytest.mark.parametrize("model_type,readout,layout", [
+        *(pytest.param(m, r, layout, id=f"{m}-{r}-{layout.replace(' ', '-')}")
+          for m, r in MODEL_CASES for layout in ("random", "one position")),
+        *(pytest.param("treelstm", r, "mixed levels", id=f"treelstm-{r}-mixed-levels")
+          for r in ("root", "target")),
+    ])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_input_gradient_alone(self, model_type, readout, layout, seed):
+        # the pass saliency asks for: the full pass's input gradient, bit
+        # for bit, with the gradient buffer left as it was
+        model, batch, dlogits = batch_case(model_type, seed, readout, layout=layout)
+        _, cache = model.forward(batch)
+        full = model.backward(cache, dlogits, input_grad=True)
+        grads = model.params.grad_buffer
+        grads[...] = np.random.default_rng(seed).standard_normal(grads.shape)
+        before = grads.copy()
+        _, cache = model.forward(batch)
+        alone = model.backward(cache, dlogits, input_grad=True, param_grads=False)
+        assert alone.dtype == full.dtype and alone.shape == full.shape
+        assert alone.tobytes() == full.tobytes()
+        assert grads.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("model_type", ["lstm", "cnn", "treelstm"])
+    def test_backward_asked_for_no_gradient_refused(self, model_type):
+        model, batch, dlogits = batch_case(model_type, 0)
+        _, cache = model.forward(batch)
+        with pytest.raises(ValueError, match="neither"):
+            model.backward(cache, dlogits, param_grads=False)
+        assert not model.params.grad_buffer.any()
+
     @pytest.mark.parametrize("model_type", ["lstm", "cnn", "treelstm"])
     def test_dropout_draws_the_stream_of_single_calls(self, model_type):
         model, batch, dlogits = batch_case(model_type, 10)

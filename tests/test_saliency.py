@@ -19,10 +19,10 @@ from depchain.models import random_instance
 from depchain.nncore import softmax_xent
 
 
-def fresh(model_type="lstm", dim=4, hidden=5, length=6, seed=0):
+def fresh(model_type="lstm", dim=4, hidden=5, length=6, seed=0, readout="root"):
     rng = np.random.default_rng(seed)
     X = np.empty((length, dim))
-    model = build_model(model_type, X, hidden, rng)
+    model = build_model(model_type, X, hidden, rng, tree_readout=readout)
     inst = random_instance(model_type, X, rng)
     return model, inst
 
@@ -35,14 +35,19 @@ def zero_model(model_type="lstm", dim=4, hidden=5):
 
 
 class TestComputeSaliency:
-    @pytest.mark.parametrize("model_type", ["lstm", "cnn", "treelstm"])
-    def test_raw_matches_finite_differences(self, model_type):
-        model, inst = fresh(model_type, length=9 if model_type == "cnn" else 5)
+    @pytest.mark.parametrize("model_type,readout", [
+        *(pytest.param(m, "root", id=m) for m in ("lstm", "cnn", "treelstm")),
+        pytest.param("treelstm", "target", id="treelstm-target")])
+    def test_raw_matches_finite_differences(self, model_type, readout):
+        model, inst = fresh(model_type, length=9 if model_type == "cnn" else 5, readout=readout)
+        if readout == "target":
+            assert inst.target_pos != inst.root_pos  # the readouts differ
         label = TemporalStatus.ONGOING
         smap = compute_saliency(model, inst, label=label)
 
         def loss_at(Xp):
-            logits, _ = restore_model(model_type, model.params.buffer, Xp, 5).forward([inst])
+            logits, _ = restore_model(model_type, model.params.buffer, Xp, 5,
+                                      readout).forward([inst])
             return softmax_xent(logits, [int(label)])[0][0]
 
         eps = 1e-6
@@ -117,6 +122,17 @@ class TestComputeSaliency:
         for name in model.params.values:
             assert not model.params.grads[name].any()
 
+    @pytest.mark.parametrize("model_type", ["lstm", "cnn", "treelstm"])
+    def test_accumulated_gradients_left_alone(self, model_type):
+        # a map drawn between a training step's backward and its update
+        # must not change the update
+        model, inst = fresh(model_type, seed=8)
+        model_loss(model, [inst], [1])
+        accumulated = model.params.grad_buffer.copy()
+        assert accumulated.any()
+        compute_saliency(model, inst)
+        assert model.params.grad_buffer.tobytes() == accumulated.tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SaliencyMap(tokens=("a",), scores=(0.1, 0.2), raw=None,
@@ -159,6 +175,16 @@ class TestCsvHeatmap:
         assert '"say ""hi"""' in text
         back = parse_heatmap_csv(text)
         assert back.tokens == ("10,000", 'say "hi"', "plain")
+
+    @pytest.mark.parametrize("tok", ["a\nb", "a\rb", "a\r\nb", "a\u2028b", "a\x85b", "ab\n"])
+    def test_line_break_token_refused(self, tok):
+        # the parser splits lines as str.splitlines does, so such a token
+        # would write a file it rejects
+        assert len(f"x{tok}x".splitlines()) > 1
+        smap = simple_map(tokens=("ok", tok, "fine"))
+        with pytest.raises(ValueError, match="position 2"):
+            emit_heatmap(smap, "csv")
+        assert emit_heatmap(smap, "html").startswith("<!DOCTYPE html>")  # HTML holds any text
 
     def test_parse_rejects_bad_header(self):
         with pytest.raises(ValueError, match="line 1"):
