@@ -1,9 +1,9 @@
 """Command-line pipeline: gen, extract, train, eval, cv, saliency, gradcheck.
 
 Every artifact-writing command drops a JSON manifest next to its outputs
-(command, version, seed, resolved config, input and output digests) so a run
-can be audited and reproduced bitwise. Exit codes: 0 success, 1 runtime or
-data error, 2 usage error.
+(command, version, seed, resolved config, input and output digests, and the
+BLAS library with its thread count) so a run can be audited and reproduced
+bitwise. Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .corpus import (
     serialize_events,
     synthetic_vocabulary,
 )
-from .errors import CheckpointError, CorpusError, DepchainError
+from .errors import CheckpointError, CorpusError, DepchainError, TrainingError
 from .harness import (
     TrainConfig,
     cross_validate,
@@ -39,7 +39,14 @@ from .harness import (
     train,
 )
 from .models import MODEL_TYPES, gradcheck_model
-from .nncore import NonFiniteError, atomic_open, random_embeddings, read_utf8, write_embeddings
+from .nncore import (
+    NonFiniteError,
+    atomic_open,
+    blas_info,
+    random_embeddings,
+    read_utf8,
+    write_embeddings,
+)
 from .saliency import compute_saliency, emit_heatmap, heatmap_filename
 
 __all__ = ["main", "build_parser"]
@@ -71,6 +78,7 @@ def _write_manifest(
         "config": config,
         "inputs": {p: _sha256(p) for p in inputs},
         "outputs": {p: _sha256(p) for p in outputs},
+        "blas": blas_info(),
     }
     with atomic_open(manifest_path) as f:
         json.dump(doc, f, sort_keys=True, indent=2)
@@ -282,7 +290,10 @@ def _cmd_train(parser, args) -> int:
 def _cmd_eval(parser, args) -> int:
     trained = load_trained(args.model)
     corpus, mentions = _read_corpus(args.conllu, args.events)
-    metrics = evaluate(trained, corpus, mentions)
+    try:
+        metrics = evaluate(trained, corpus, mentions)
+    except TrainingError as e:  # finite weights can still overflow the logits
+        raise CheckpointError(f"{args.model}: {e}") from None
     print(format_metrics_table([("test", metrics)]))
     if args.out:
         with atomic_open(args.out) as f:

@@ -20,4 +20,5 @@ class CheckpointError(DepchainError):
 
 
 class TrainingError(DepchainError):
-    """Training aborted (non-finite loss, bad configuration)."""
+    """Training or evaluation aborted (non-finite loss or logits, bad
+    configuration)."""

@@ -420,7 +420,9 @@ def evaluate(
 ) -> Metrics:
     """Predictions without dropout scored against gold labels, one forward
     pass per training batch size of inputs, so evaluation holds no more
-    than training does. ``encoded`` is as in train, from trained.table."""
+    than training does. ``encoded`` is as in train, from trained.table.
+    Finite weights can still overflow a mention's logits: that is a
+    TrainingError naming the first such mention, never a prediction."""
     if not mentions:
         raise CorpusError("no mentions to evaluate on")
     if encoded is None:
@@ -430,6 +432,10 @@ def evaluate(
     for start in range(0, len(encoded), step):
         chunk = encoded[start : start + step]
         logits, _ = trained.model.forward([inst for inst, _ in chunk])
+        finite = np.isfinite(logits).all(axis=1)
+        if not finite.all():
+            bad = mentions[start + int(np.argmin(finite))]
+            raise TrainingError(f"non-finite logits at mention {_mention_name(bad)}")
         # argmax: ties break toward the lower class index, as in classify
         for (_, gold), pred in zip(chunk, np.argmax(logits, axis=1).tolist()):
             confusion[gold, pred] += 1

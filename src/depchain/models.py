@@ -13,9 +13,12 @@ same whichever others are formed with it. A model is deterministic unless
 given a dropout ratio, which only training does.
 Dropout touches only the penultimate vector (final hidden state or pooled
 feature vector). A single input runs as a batch of one; there is no other
-path. The LSTM and the tree-LSTM share one cell: the LSTM is the child-sum
-tree-LSTM run on a chain, in one loop over height levels that branches per
-level on what the level's nodes have below them (see TreeLstmClassifier).
+path. The CNN reads its windows as one strided view of the zero-padded
+batch and max-pools them, routing each filter's gradient back to its first
+winning window (see CnnClassifier). The LSTM and the tree-LSTM share one
+cell: the LSTM is the child-sum tree-LSTM run on a chain, in one loop over
+height levels that branches per level on what the level's nodes have below
+them (see TreeLstmClassifier).
 Its four gates are fused at use into one matrix with columns u, i, o, f;
 parameters and checkpoints keep the W_iou/W_f layout of param_shapes.
 A model is its type, its sizes and one flat parameter buffer, which its
@@ -159,13 +162,30 @@ class EncodedInput:
         return arrays
 
 
+def _windows(padded: np.ndarray) -> np.ndarray:
+    """Every width-5 window of a C-contiguous (B, T, dim) batch, T >= 5, as
+    one (B, T - 4, 5 * dim) strided view: window (b, s), positions s..s+4
+    of input b, is the 5 * dim numbers from padded[b, s, 0] on. The last
+    window ends at the array's last number."""
+    B, T, D = padded.shape
+    step = padded.itemsize
+    return np.ndarray((B, T - FILTER_WIDTH + 1, FILTER_WIDTH * D), padded.dtype, padded, 0,
+                      (T * D * step, D * step, step))
+
+
 class CnnClassifier:
     """Width-5 convolution, rectifier, max-over-time pooling, linear output.
 
     Sequences shorter than the filter width are zero-padded on the right to
     one window. A batch runs as one im2col matmul over every input's
-    windows, padded to the longest input; windows past an input's own padded
-    length are masked out of its max-pool.
+    windows, padded to the longest input. The im2col matrix is a strided
+    view of the padded batch (_windows), which a matmul reads in place when
+    each input has one window, as every input of up to 5 tokens does; with
+    more windows per input, its rows are one copy. Windows past an input's
+    own padded length are masked out of its max-pool. The pool is each
+    filter's max; the backward pass routes a filter's gradient to the first
+    window holding that max (argmax), through one flat index, and adds each
+    window's input gradient back through the same view, window by window.
     """
 
     model_type = "cnn"
@@ -182,64 +202,70 @@ class CnnClassifier:
     def forward(self, batch: list[EncodedInput], drop_ratio: float = 0.0, drop_rng=None):
         if not batch:
             raise ValueError("cnn forward: empty batch")
-        sizes = [len(inst) for inst in batch]
+        sizes = [len(inst.rows) for inst in batch]
         if not all(sizes):
             raise ValueError("cnn forward: empty sequence")
         p = self.params
-        B, W, F = len(batch), FILTER_WIDTH, self.n_filters
-        padded = [max(T, W) for T in sizes]
-        T_max = max(padded)
-        present = np.arange(T_max) < np.array(sizes)[:, None]  # row-major: batch order
-        Xp = np.zeros((B, T_max, self.dim))
-        Xp[present] = self.vectors[np.concatenate([inst.rows for inst in batch])]
-        # im2col: row (b, s) is positions s..s+W-1 of input b, flattened,
-        # gathered as W slices of Xp at offsets 0..W-1
+        B, W, D, F = len(batch), FILTER_WIDTH, self.dim, self.n_filters
+        T_max = max(W, *sizes)
         n_pos = T_max - W + 1
-        windows = np.concatenate([Xp[:, k : k + n_pos] for k in range(W)], axis=2)
-        windows = windows.reshape(-1, W * self.dim)
-        pre = (windows @ p["Wconv"].T + p["bconv"]).reshape(B, n_pos, F)
-        act = np.maximum(pre, 0.0)
-        pool = act
-        if min(padded) < T_max:
+        present = np.arange(T_max) < np.array(sizes)[:, None]  # row-major: batch order
+        Xp = np.zeros((B, T_max, D))
+        Xp[present] = self.vectors[np.concatenate([inst.rows for inst in batch])]
+        # im2col as a view (see _windows); its rows copy only when windows
+        # overlap: with one window per input (n_pos 1) they are Xp itself
+        windows = _windows(Xp).reshape(-1, W * D)
+        act = windows @ p["Wconv"].T
+        act += p["bconv"]
+        np.maximum(act, 0.0, out=act)
+        pool = act.reshape(B, n_pos, F)
+        if max(W, min(sizes)) < T_max:
             # windows past an input's padded length never win its max-pool:
             # the rectifier is >= 0, so a masked -1 loses to any window
-            valid = np.arange(n_pos) <= np.subtract(padded, W)[:, None]
-            pool = np.where(valid[:, :, None], act, -1.0)
-        argmax = pool.argmax(axis=1)  # (B, F), first max wins
-        pick = (np.arange(B)[:, None], argmax, np.arange(F))
-        pooled = act[pick]
+            valid = np.arange(n_pos) <= np.maximum(sizes, W)[:, None] - W
+            pool = np.where(valid[:, :, None], pool, -1.0)
+        # each filter's largest rectified output; backward routes to the
+        # first window that holds it
+        pooled = pool.max(axis=1)
         pd, mask = dropout(pooled, drop_ratio, drop_rng)
-        logits = pd @ p["Wy"] + p["by"]
-        cache = (present, Xp.shape, windows, pre, pick, pd, mask)
+        logits = pd @ p["Wy"]
+        logits += p["by"]
+        cache = (present, windows, pool, pooled, pd, mask)
         return logits, cache
 
     def backward(self, cache, dlogits: np.ndarray, input_grad: bool = False,
                  param_grads: bool = True) -> np.ndarray | None:
         _check_asked(input_grad, param_grads)
-        present, padded_shape, windows, pre, pick, pd, mask = cache
+        present, windows, pool, pooled, pd, mask = cache
         p = self.params
         g_ = self.params.grads
         if param_grads:
             g_["Wy"] += pd.T @ dlogits
             g_["by"] += dlogits.sum(axis=0)
         dpooled = (dlogits @ p["Wy"].T) * mask
-        # max routing: each filter's gradient reaches its argmax window only
-        dpre = np.zeros(pre.shape)
-        dpre[pick] = dpooled
-        dpre *= pre > 0.0
-        dpre = dpre.reshape(-1, self.n_filters)
+        dpooled *= pooled > 0.0  # the rectifier, at each filter's winning window
+        # max routing: each filter's gradient reaches the first window that
+        # holds its max only, through one flat index into dpre laid out
+        # (B, F, n_pos); read as (B, n_pos, F) rows, it is a view when n_pos is 1
+        B, n_pos, F = pool.shape
+        at = pool.argmax(axis=1)
+        at += np.arange(0, B * F * n_pos, n_pos).reshape(B, F)
+        dpre = np.zeros((B, F, n_pos))
+        dpre.reshape(-1)[at] = dpooled
+        dpre = dpre.transpose(0, 2, 1).reshape(-1, F)
         if param_grads:
             g_["Wconv"] += dpre.T @ windows
             g_["bconv"] += dpre.sum(axis=0)
         if not input_grad:
             return None
-        B, n_pos = pre.shape[:2]
-        dwindows = (dpre @ p["Wconv"]).reshape(B, n_pos, FILTER_WIDTH, self.dim)
-        dXp = np.zeros(padded_shape)
-        # offset k of window s is position s+k; adding the last offset first
-        # sums each position's windows in window order
-        for k in reversed(range(FILTER_WIDTH)):
-            dXp[:, k : k + n_pos] += dwindows[:, :, k]
+        dwindows = (dpre @ p["Wconv"]).reshape(B, n_pos, -1)
+        dXp = np.zeros((B, present.shape[1], self.dim))
+        # im2col's transpose: each window's gradient goes back onto the
+        # positions it read, windows in order, so a position sums its
+        # windows in window order
+        dXp_windows = _windows(dXp)
+        for s in range(n_pos):
+            dXp_windows[:, s] += dwindows[:, s]
         return dXp[present]
 
 
@@ -339,7 +365,7 @@ class TreeLstmClassifier:
         """
         if not batch:
             raise ValueError(f"{self.model_type} forward: empty batch")
-        sizes = [len(inst) for inst in batch]
+        sizes = [len(inst.rows) for inst in batch]
         if not all(sizes):
             raise ValueError(f"{self.model_type} forward: empty sequence")
         N = sum(sizes)

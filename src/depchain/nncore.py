@@ -13,6 +13,17 @@ HEAP_TRIM_THRESHOLD and the mmap threshold at HEAP_MMAP_THRESHOLD; setting
 either turns off glibc's adaptive mmap threshold, so both are set. The
 process then keeps up to HEAP_TRIM_THRESHOLD of freed heap for reuse. No
 arithmetic changes, so every result is the same.
+
+Thread policy: numpy's bundled OpenBLAS starts one thread per core and, at
+the default sizes (hidden 300, dim 300), splits a product across them,
+which rounds differently for another thread count: the same command wrote
+different checkpoints under one and two threads. Importing this module
+therefore sets that OpenBLAS to one thread, through the thread-count call
+the library exports (found by name; environment variables are read only
+when the library loads, which numpy has done by then). Where numpy's
+wheel vendors no OpenBLAS, or the call has another name, nothing is set;
+blas_info reports what was found and the thread count in effect.
+Parallelism comes from cross-validation's worker processes alone.
 """
 
 from __future__ import annotations
@@ -61,6 +72,49 @@ def _keep_freed_heap() -> None:
 
 
 _keep_freed_heap()
+
+# the thread-count calls of a vendored OpenBLAS, whose names vary by build
+_BLAS_THREAD_CALLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                      "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+
+def _thread_call(lib: ctypes.CDLL, verb: str, argtypes: tuple, restype):
+    """lib's "set" or "get" thread-count call under the first of
+    _BLAS_THREAD_CALLS it exports, typed; None when it exports none."""
+    for call in _BLAS_THREAD_CALLS:
+        if hasattr(lib, call.format(verb)):
+            function = getattr(lib, call.format(verb))
+            function.argtypes, function.restype = argtypes, restype
+            return function
+    return None
+
+
+def _pin_blas_threads():
+    """Set the OpenBLAS numpy's wheel vendors (numpy.libs beside the
+    package, or numpy/.dylibs on macOS) to one thread; numpy has loaded it,
+    so the handle is numpy's own. Returns the library's file name and its
+    thread-count getter, None for either that is not found."""
+    package = os.path.dirname(np.__file__)
+    for where in (package + ".libs", os.path.join(package, ".dylibs")):
+        with contextlib.suppress(OSError):  # no such directory, or not loadable
+            for name in sorted(os.listdir(where)):
+                if "openblas" in name.lower():
+                    lib = ctypes.CDLL(os.path.join(where, name))
+                    set_threads = _thread_call(lib, "set", (ctypes.c_int,), None)
+                    if set_threads is not None:
+                        set_threads(1)
+                    return name, _thread_call(lib, "get", (), ctypes.c_int)
+    return None, None
+
+
+_BLAS_LIBRARY, _blas_get_threads = _pin_blas_threads()
+
+
+def blas_info() -> dict:
+    """{"library": the file name of numpy's OpenBLAS, "threads": the thread
+    count it runs with now}; None for what cannot be found."""
+    threads = None if _blas_get_threads is None else _blas_get_threads()
+    return {"library": _BLAS_LIBRARY, "threads": threads}
 
 
 class ParamSet:
@@ -153,16 +207,16 @@ def softmax_xent(logits: np.ndarray, gold) -> tuple:
         raise ValueError(f"softmax_xent: {gold.shape} gold for {logits.shape} logits")
     if not np.isfinite(logits).all():
         raise NonFiniteError(int(np.argmin(np.isfinite(logits).all(axis=1))))
-    golds = gold.tolist()  # a handful of numbers: Python's min and max are cheaper
-    if min(golds) < 0 or max(golds) >= logits.shape[1]:
-        raise ValueError(f"softmax_xent: gold index {gold} out of range")
-    picked = (np.arange(len(golds)), gold)  # each row's gold entry
+    onehot = gold[:, None] == np.arange(logits.shape[1])  # a row without a True: out of range
     z = logits - logits.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    prob = np.exp(z - logsumexp)
-    dlogits = prob.copy()
-    dlogits[picked] -= 1.0
-    return logsumexp[:, 0] - z[picked], prob, dlogits
+    e = np.exp(z)
+    logsumexp = np.log(e.sum(axis=1, keepdims=True))
+    z -= logsumexp  # log-probabilities; -(z - lse) is exactly lse - z
+    picked = z[onehot]  # each row's gold entry, in row order
+    if picked.size != gold.size:
+        raise ValueError(f"softmax_xent: gold index {gold} out of range")
+    prob = np.exp(z, out=e)
+    return -picked, prob, prob - onehot
 
 
 def dropout(
@@ -183,8 +237,7 @@ def dropout(
         return x, 1.0
     if rng is None:
         raise ValueError("dropout with a nonzero ratio needs an rng")
-    keep = rng.random(x.shape) >= ratio
-    mask = keep.astype(np.float64) / (1.0 - ratio)
+    mask = np.multiply(rng.random(x.shape) >= ratio, 1.0 / (1.0 - ratio))
     return x * mask, mask
 
 

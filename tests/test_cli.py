@@ -1,9 +1,11 @@
 """End-to-end command-line coverage, driven in-process through main()."""
 
 import hashlib
+import importlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 import depchain
+from depchain import harness
 from depchain import (
     TrainConfig,
     heatmap_filename,
@@ -24,6 +27,7 @@ from depchain import (
 )
 from depchain.cli import _config_from_args, build_parser, main
 from depchain.models import param_shapes
+from depchain.nncore import ParamSet, blas_info
 
 from test_corpus import FIXTURE
 
@@ -47,6 +51,30 @@ def gen_corpus(tmp_path, n=12, seed=3):
     rc = main(["gen", "--out", str(out), "--n", str(n), "--seed", str(seed)])
     assert rc == 0
     return str(out / "corpus.conllu"), str(out / "events.jsonl")
+
+
+def overflow_logits(values):
+    """Set a recurrent model's parameters (name -> array) so that every
+    weight stays finite but saturated gates and a huge readout overflow the
+    logits of every mention."""
+    values["b_iou"][...] = 50.0
+    values["Wy"][...] = 1.7e308
+    values["by"][...] = 1.7e308
+
+
+def overflowing_checkpoint(tmp_path, conllu, events):
+    """A train_tiny checkpoint rewritten through overflow_logits."""
+    ckpt = train_tiny(tmp_path, conllu, events)
+    with open(ckpt, "rb") as f:
+        header, payload = f.read().split(b"\n", 1)
+    doc = json.loads(header)
+    shapes = param_shapes("lstm", doc["dim"], doc["config"]["hidden"])
+    flat = np.frombuffer(payload, dtype="<f8").copy()
+    params = ParamSet(shapes, flat[: sum(map(math.prod, shapes.values()))])
+    overflow_logits(params.values)
+    with open(ckpt, "wb") as f:
+        f.write(header + b"\n" + flat.tobytes())
+    return ckpt
 
 
 def train_tiny(tmp_path, conllu, events, name="model.ckpt", extra=()):
@@ -354,22 +382,8 @@ class TestTrainEval:
         assert err.startswith("error:") and "parameter 'Wy' has a non-finite value" in err
 
     def test_saliency_logits_overflowing_finite_weights(self, tmp_path, capsys):
-        # every weight is finite, but saturated gates and a huge readout
-        # overflow the logits of every mention
         conllu, events = gen_corpus(tmp_path)
-        ckpt = train_tiny(tmp_path, conllu, events)
-        with open(ckpt, "rb") as f:
-            header, payload = f.read().split(b"\n", 1)
-        doc = json.loads(header)
-        params = np.frombuffer(payload, dtype="<f8").copy()
-        offset = 0
-        for name, shape in param_shapes("lstm", doc["dim"], doc["config"]["hidden"]).items():
-            size = math.prod(shape)
-            if name in ("b_iou", "Wy", "by"):
-                params[offset : offset + size] = 50.0 if name == "b_iou" else 1.7e308
-            offset += size
-        with open(ckpt, "wb") as f:
-            f.write(header + b"\n" + params.tobytes())
+        ckpt = overflowing_checkpoint(tmp_path, conllu, events)
         capsys.readouterr()
         out = tmp_path / "out"
         with np.errstate(over="ignore"):  # the overflow is the point
@@ -382,6 +396,21 @@ class TestTrainEval:
         assert ckpt in err and "non-finite logits" in err
         assert f"{first['doc_id']}/{first['sent_id']} token {first['token_id']}" in err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_eval_logits_overflowing_finite_weights(self, tmp_path, capsys):
+        conllu, events = gen_corpus(tmp_path)
+        ckpt = overflowing_checkpoint(tmp_path, conllu, events)
+        capsys.readouterr()
+        report = tmp_path / "report.json"
+        with np.errstate(over="ignore"):  # the overflow is the point
+            rc = main(["eval", "--model", ckpt, "--conllu", conllu, "--events", events,
+                       "--out", str(report)])
+        captured = capsys.readouterr()
+        first = json.loads(Path(events).read_text().splitlines()[0])
+        assert rc == 1
+        assert captured.err == (f"error: {ckpt}: non-finite logits at mention "
+                                f"{first['doc_id']}/{first['sent_id']} token {first['token_id']}\n")
+        assert captured.out == "" and not report.exists()
 
     def test_tree_repr_mismatch_usage_error(self, tmp_path, capsys):
         # a window's tokens need not form one tree, so treelstm refuses it,
@@ -467,6 +496,26 @@ class TestCv:
         assert main(args + ["--jobs", "2"]) == 0
         parallel = capsys.readouterr().out
         assert serial == parallel
+
+    def test_fold_with_overflowing_logits_is_an_error_line(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # each fold's model overflows its test mentions' logits once trained
+        def overflowing_train(*args, **kwargs):
+            trained = real_train(*args, **kwargs)
+            overflow_logits(trained.model.params.values)
+            return trained
+
+        real_train = harness.train
+        monkeypatch.setattr(harness, "train", overflowing_train)
+        conllu, events = gen_corpus(tmp_path)
+        capsys.readouterr()
+        with np.errstate(over="ignore"):  # the overflow is the point
+            rc = main(["cv", "--folds", "3", "--model", "lstm", "--repr", "chain",
+                       "--conllu", conllu, "--events", events] + TINY_HYPERS)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert re.fullmatch(r"error: fold 0: non-finite logits at mention \S+/\S+ token \d+\n",
+                            err), err
 
     def test_bad_folds_usage_error(self, tmp_path):
         conllu, events = gen_corpus(tmp_path)
@@ -713,6 +762,17 @@ class TestParser:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "depchain 0.1.0\n"
 
+    def test_console_entry_point_is_what_python_m_runs(self):
+        # the [project.scripts] target an install would put on PATH is the
+        # main that `python -m depchain` runs (test_python_m_depchain runs
+        # that command), so tier-1 checks the entry point without PATH
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        module, _, name = target["depchain"].partition(":")
+        assert getattr(importlib.import_module(module), name) is depchain.cli.main
+        assert importlib.import_module("depchain.__main__").main is depchain.cli.main
+
     @pytest.mark.skipif(
         shutil.which("depchain") is None,
         reason="no `depchain` command on PATH; it comes from the README "
@@ -774,3 +834,34 @@ class TestPhysicalMemoryBound:
 
         monkeypatch.setattr(os, "sysconf", sysconf)
         assert main(["gradcheck", "--model", "cnn", "--n-seeds", "1"]) == 0
+
+
+class TestBlasThreads:
+    """numpy's OpenBLAS runs on one thread whatever the environment asks,
+    so a product rounds the same on any machine."""
+
+    def test_checkpoint_bytes_do_not_depend_on_the_thread_count(self, tmp_path):
+        # default sizes (hidden 300, dim 300): two threads split the products
+        conllu, events = gen_corpus(tmp_path, n=3, seed=5)
+        src = str(Path(depchain.__file__).resolve().parent.parent)
+        ckpts = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+            ckpt = tmp_path / f"threads{threads}.ckpt"
+            proc = subprocess.run(
+                [sys.executable, "-m", "depchain", "train", "--model", "lstm", "--repr", "chain",
+                 "--epochs", "1", "--hidden", "300", "--emb-dim", "300",
+                 "--conllu", conllu, "--events", events, "--out", str(ckpt)],
+                capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            ckpts.append(ckpt.read_bytes())
+        assert ckpts[0] == ckpts[1]
+
+    def test_manifest_records_the_library_and_its_threads(self, tmp_path):
+        conllu, events = gen_corpus(tmp_path)
+        ckpt = train_tiny(tmp_path, conllu, events)
+        for path in (tmp_path / "data" / "manifest.json", Path(ckpt + ".manifest.json")):
+            blas = json.loads(path.read_text())["blas"]
+            assert blas == blas_info()
+            assert blas["threads"] in (1, None)  # None: no thread count to read

@@ -697,6 +697,30 @@ class TestEvaluate:
         with pytest.raises(CorpusError):
             evaluate(trained, sents, [])
 
+    def test_non_finite_logits_name_the_mention(self):
+        # finite weights and one finite but huge embedding row overflow the
+        # logits of the one mention that reads it, in a later batch
+        sents, mentions = small_corpus()
+        cfg = tiny_config(model_type="cnn", epochs=0)
+        trained = train(cfg, sents, mentions)
+        by_key = index_sentences(sents)
+        users: dict[int, set[int]] = {}
+        for j, m in enumerate(mentions):
+            inst = encode_input(by_key[(m.doc_id, m.sent_id)], m, "chain", trained.table)
+            for row in inst.rows.tolist():
+                users.setdefault(row, set()).add(j)
+        j = max(next(iter(js)) for js in users.values() if len(js) == 1)
+        assert j >= cfg.batch_size
+        row = next(r for r, js in users.items() if js == {j})
+        trained.table.vectors[row] = 1.7e308
+        trained.model.params["Wconv"][...] = 1.0
+        m = mentions[j]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingError) as err:
+                evaluate(trained, sents, mentions)
+        assert str(err.value) == f"non-finite logits at mention {m.doc_id}/{m.sent_id} token {m.token_id}"
+        assert evaluate(trained, sents, mentions[:j]).confusion.sum() == j
+
 
 class TestCrossValidate:
     def test_pooled_is_fold_sum(self):
@@ -846,6 +870,20 @@ class TestCrossValidate:
         with np.errstate(all="ignore"):
             with pytest.raises(TrainingError, match=r"^fold \d+: non-finite loss"):
                 cross_validate(tiny_config(epochs=3, learning_rate=1e308), sents, mentions, k=3)
+
+    def test_fold_with_non_finite_logits_prefixed(self, monkeypatch):
+        def overflowing_train(*args, **kwargs):
+            trained = real_train(*args, **kwargs)
+            trained.model.params["b_iou"][...] = 50.0  # saturated gates, huge readout
+            trained.model.params["Wy"][...] = 1.7e308
+            return trained
+
+        real_train = harness.train
+        monkeypatch.setattr(harness, "train", overflowing_train)
+        sents, mentions = small_corpus(n=12)
+        with np.errstate(over="ignore"):
+            with pytest.raises(TrainingError, match=r"^fold 0: non-finite logits at mention "):
+                cross_validate(tiny_config(epochs=1), sents, mentions, k=3)
 
     def test_encoding_error_names_the_mention(self):
         sents, mentions = small_corpus(n=12)

@@ -315,6 +315,114 @@ class TestCnnWindows:
         assert dX.shape == (2, 3)
 
 
+def cnn_loop_reference(p, inputs, dlogits):
+    """The CNN in plain loops, one dot per window and filter, each input on
+    its own: (logits, winners, grads, dX). winners[b][f] is the window of
+    input b that filter f's max-pool picks, the first maximum as Python's
+    max takes it; the backward pass of dlogits routes each filter's
+    gradient to that window only, and only where the pooled value is
+    positive (the rectifier)."""
+    W, F = FILTER_WIDTH, len(p["bconv"])
+    grads = {name: np.zeros_like(value) for name, value in p.values.items()}
+    logits, winners, dXs = [], [], []
+    for X, g in zip(inputs, dlogits):
+        T, D = X.shape
+        Xp = np.vstack([X, np.zeros((max(T, W) - T, D))])
+        windows = [Xp[s : s + W].reshape(-1) for s in range(len(Xp) - W + 1)]
+        pooled, win = np.zeros(F), []
+        for f in range(F):
+            acts = [max(float(w @ p["Wconv"][f]) + p["bconv"][f], 0.0) for w in windows]
+            win.append(max(range(len(acts)), key=acts.__getitem__))
+            pooled[f] = acts[win[-1]]
+        logits.append(pooled @ p["Wy"] + p["by"])
+        winners.append(win)
+        grads["Wy"] += np.outer(pooled, g)
+        grads["by"] += g
+        dpooled = p["Wy"] @ g
+        dXp = np.zeros_like(Xp)
+        for f in range(F):
+            if pooled[f] > 0.0:
+                s = win[f]
+                grads["Wconv"][f] += dpooled[f] * windows[s]
+                grads["bconv"][f] += dpooled[f]
+                dXp[s : s + W] += dpooled[f] * p["Wconv"][f].reshape(W, D)
+        dXs.append(dXp[:T])
+    return np.array(logits), winners, grads, np.vstack(dXs)
+
+
+def assert_close(got, want, rel=1e-12):
+    """Equal to rel of the largest magnitude in want."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+class TestCnnPoolingAndPadding:
+    """The batched CNN against cnn_loop_reference, on batches that mix
+    inputs shorter than, as long as and longer than one window. Some
+    windows are all zeros, so they tie exactly (at the rectified bias):
+    the first of them must win, and an input gradient routed to any
+    other window would land on other positions."""
+
+    LENGTHS = (3, 5, 8, 1, 6, 7, 8, 4)
+
+    def case(self, seed):
+        rng = np.random.default_rng(seed)
+        X = np.empty((sum(self.LENGTHS), 4))
+        m = build_model("cnn", X, 6, rng)
+        X[...] = rng.standard_normal(X.shape)
+        starts = np.cumsum((0,) + self.LENGTHS[:-1])
+        X[starts[5] + 1 : starts[5] + 7] = 0.0  # input 5: one token, then zero windows
+        X[starts[6] : starts[6] + 8] = 0.0  # input 6: every window ties
+        m.params["bconv"][...] = [0.3, -0.3, 0.2, -0.1, 0.4, 0.0]
+        batch = [seq_input(n, first_row=s) for n, s in zip(self.LENGTHS, starts.tolist())]
+        inputs = [X[s : s + n] for n, s in zip(self.LENGTHS, starts.tolist())]
+        return m, batch, inputs, rng.standard_normal((len(batch), 3))
+
+    def backward(self, m, cache, dlogits, **asked):
+        m.params.zero_grads()
+        dX = m.backward(cache, dlogits, **asked)
+        return {name: g.copy() for name, g in m.params.grads.items()}, dX
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batched_forward_equals_loop_reference(self, seed):
+        m, batch, inputs, dlogits = self.case(seed)
+        want, winners, _, _ = cnn_loop_reference(m.params, inputs, dlogits)
+        logits, _ = m.forward(batch)
+        assert_close(logits, want)
+        # the case holds ties: every window of input 6, and windows 1 and 2
+        # of input 5, which the first of them wins
+        assert winners[6] == [0] * 6
+        assert 1 in winners[5] and 2 not in winners[5]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_backward_routes_each_filter_to_its_window(self, seed):
+        m, batch, inputs, dlogits = self.case(seed)
+        _, _, want_grads, want_dX = cnn_loop_reference(m.params, inputs, dlogits)
+        _, cache = m.forward(batch)
+        grads, dX = self.backward(m, cache, dlogits, input_grad=True)
+        param_only, none = self.backward(m, cache, dlogits)
+        untouched, input_only = self.backward(m, cache, dlogits, input_grad=True,
+                                              param_grads=False)
+        assert none is None
+        assert all(not g.any() for g in untouched.values())
+        assert np.array_equal(input_only, dX)
+        for name, g in grads.items():
+            assert np.array_equal(param_only[name], g), name
+            assert_close(g, want_grads[name])
+        assert_close(dX, want_dX)
+
+    def test_batch_of_one_runs_the_same_path(self):
+        m, batch, inputs, dlogits = self.case(5)
+        for b, (inst, X) in enumerate(zip(batch, inputs)):
+            want, _, want_grads, want_dX = cnn_loop_reference(m.params, [X], dlogits[b : b + 1])
+            logits, cache = m.forward([inst])
+            assert_close(logits, want)
+            grads, dX = self.backward(m, cache, dlogits[b : b + 1], input_grad=True)
+            assert_close(dX, want_dX)
+            for name, g in grads.items():
+                assert_close(g, want_grads[name])
+
+
 class TestTreeSingleNode:
     def test_matches_cell_formula(self):
         rng = np.random.default_rng(11)

@@ -89,6 +89,27 @@ class TestSoftmaxXent:
         with pytest.raises(ValueError):
             softmax_xent(np.zeros((1, 3)), [3])
 
+    @pytest.mark.parametrize("B,C", [(1, 3), (16, 3), (7, 5)])
+    def test_outputs_equal_the_textbook_formulas_bitwise(self, B, C):
+        rng = np.random.default_rng(B * C)
+        logits = rng.standard_normal((B, C)) * 8
+        gold = rng.integers(0, C, B)
+        loss, prob, dlogits = softmax_xent(logits, gold)
+        for row, g, *got in zip(logits, gold, loss, prob, dlogits):
+            z = row - row.max()
+            lse = np.log(np.exp(z).sum())
+            p = np.exp(z - lse)
+            onehot = np.zeros(C)
+            onehot[g] = 1.0
+            assert got[0] == lse - z[g]
+            assert np.array_equal(got[1], p)
+            assert np.array_equal(got[2], p - onehot)
+
+    @pytest.mark.parametrize("gold", [[-1], [3], [0.5]])
+    def test_gold_outside_the_classes(self, gold):
+        with pytest.raises(ValueError, match="out of range"):
+            softmax_xent(np.zeros((1, 3)), gold)
+
     @pytest.mark.parametrize("shape,gold", [((3,), 0), ((3,), [0, 0, 0]), ((1, 1, 3), [0])])
     def test_only_batch_form_accepted(self, shape, gold):
         with pytest.raises(ValueError, match="gold for"):
@@ -225,6 +246,19 @@ class TestDropout:
         assert np.array_equal(y, x * mask)
         kept = mask > 0
         assert np.allclose(mask[kept], 1 / 0.75)
+
+    @pytest.mark.parametrize("ratio", [0.1, 0.25, 0.5, 0.9])
+    def test_mask_is_zero_or_the_scale_from_one_uniform_draw(self, ratio):
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        x = np.arange(1.0, 41.0).reshape(5, 8)
+        y, mask = dropout(x, ratio, rng)
+        u = twin.random(x.shape)  # the one draw dropout makes
+        assert rng.bit_generator.state == twin.bit_generator.state
+        scale = 1.0 / (1.0 - ratio)
+        assert mask.dtype == np.float64
+        assert np.array_equal(mask, np.where(u >= ratio, scale, 0.0))
+        assert np.array_equal(mask, (u >= ratio).astype(np.float64) / (1.0 - ratio))
+        assert np.array_equal(y, x * mask)
 
     def test_ratio_one_rejected(self):
         with pytest.raises(ValueError):
