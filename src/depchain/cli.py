@@ -15,6 +15,8 @@ import os
 import sys
 from dataclasses import asdict, fields
 
+import numpy as np
+
 from . import __version__
 from .chain import REPRESENTATIONS, representation_record
 from .corpus import (
@@ -409,11 +411,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](parser, args)
-    except DepchainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+        with np.errstate(over="ignore", invalid="ignore"):  # commands report non-finite values
+            return _COMMANDS[args.command](parser, args)
+    except (DepchainError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -19,8 +19,8 @@ winning window (see CnnClassifier). The LSTM and the tree-LSTM share one
 cell: the LSTM is the child-sum tree-LSTM run on a chain, in one loop over
 height levels that branches per level on what the level's nodes have below
 them (see TreeLstmClassifier).
-Its four gates are fused at use into one matrix with columns u, i, o, f;
-parameters and checkpoints keep the W_iou/W_f layout of param_shapes.
+Its four gates are fused: W, U and b hold them in columns u, i, o, f and lie
+back to back, one (dim + hidden + 1, 4 hidden) block that every pass reads.
 A model is its type, its sizes and one flat parameter buffer, which its
 constructor lays out. It pickles as those, so an unpickled model's
 parameters view its buffer; gradients are not kept (RMSProp zeroes them).
@@ -272,15 +272,16 @@ class CnnClassifier:
 class TreeLstmClassifier:
     """Child-sum tree-LSTM; model_type "lstm" runs the same cell on a chain.
 
-    Gates i/o/u read the sum of children hidden states through the fused
-    W_iou/U_iou (columns i, o, u); each child k gets its own forget gate
-    f_k = sigmoid(x W_f + h_k U_f + b_f). Under "treelstm" the dependency tree
-    over the input's tokens (the mention's dependency chain or the whole
-    sentence) is read at the root node by default; readout="target" reads the
-    mention node. Under "lstm" the input is a left-to-right chain (position
-    t's only child is t-1), the last position is read out, and the forget
-    bias starts at 1. This is the standard LSTM: with one child the child sum
-    is the previous hidden state (Tai, Socher & Manning 2015).
+    The fused W, U and b hold the gates in columns u, i, o, f. Gates u, i, o
+    read the sum of children hidden states; each child k gets its own forget
+    gate f_k = sigmoid(x W_f + h_k U_f + b_f), from the f columns. Under
+    "treelstm" the dependency tree over the input's tokens (the mention's
+    dependency chain or the whole sentence) is read at the root node by
+    default; readout="target" reads the mention node. Under "lstm" the input
+    is a left-to-right chain (position t's only child is t-1), the last
+    position is read out, and the forget bias starts at 1. This is the
+    standard LSTM: with one child the child sum is the previous hidden state
+    (Tai, Socher & Manning 2015).
 
     A batch runs level by level: every node of every input is sorted by
     height (on a chain, its position), so one level is a contiguous row
@@ -289,10 +290,10 @@ class TreeLstmClassifier:
     level's nodes have below them:
     - nothing (the leaves);
     - one child each (every chain level but the first, and tree levels such
-      as the nodes of a path): all four gates are one matmul
-      h_child @ [U_iou | U_f] and one tanh. On a chain, inputs are laid out
-      longest first, so level t's children are the first rows of level t-1
-      in the same order: a slice, read and written as a view;
+      as the nodes of a path): all four gates are one matmul h_child @ U
+      and one tanh. On a chain, inputs are laid out longest first, so level
+      t's children are the first rows of level t-1 in the same order: a
+      slice, read and written as a view;
     - otherwise: each edge has its own forget-gate row. A level's nodes are
       laid out most children first and its edges by place in the children
       list, so the k-th children of all nodes that have one are a slice of
@@ -325,16 +326,15 @@ class TreeLstmClassifier:
         self.hidden = H = hidden
         self.model_type = model_type
         self.readout = readout
-        # the buffers hold W, U and b of the i/o/u gates, then those of f:
-        # each gate group is one (dim + hidden + 1, columns) matrix
-        size = (vectors.shape[1] + H + 1) * H
-        self._blocks, self._grad_blocks = (
-            (flat[: 3 * size].reshape(-1, 3 * H), flat[3 * size : 4 * size].reshape(-1, H))
-            for flat in (params.buffer, params.grad_buffer))
-        # forward's gate columns are u, i, o, f: the tanh gate first, so the
-        # sigmoid gates are one column range. sigmoid(x) = 0.5 tanh(x/2) + 0.5,
-        # so one tanh serves all four: their columns are halved going in
-        # (exactly), then scaled and shifted out
+        # W, U and b lie back to back: one (dim + hidden + 1, 4 hidden) block
+        # of values and one of gradients, with gate columns u, i, o, f
+        size = (vectors.shape[1] + H + 1) * 4 * H
+        self._block, self._grad_block = (flat[:size].reshape(-1, 4 * H)
+                                         for flat in (params.buffer, params.grad_buffer))
+        # the tanh gate comes first, so the sigmoid gates are one column
+        # range. sigmoid(x) = 0.5 tanh(x/2) + 0.5, so one tanh serves all
+        # four: their columns are halved going in (exactly), then scaled and
+        # shifted out
         self._halve = np.repeat([1.0, 0.5, 0.5, 0.5], H)
 
     def __reduce__(self):
@@ -411,9 +411,7 @@ class TreeLstmClassifier:
         x_rows, rank, levels, read, _, multi = schedule
         p = self.params
         N, D, H = len(rank), self.vectors.shape[1], self.hidden
-        iou, f_block = self._blocks
-        stacked = np.concatenate([iou[:, 2 * H :], iou[:, : 2 * H], f_block], axis=1)
-        stacked *= self._halve
+        stacked = self._block * self._halve
         W_in, U_in, b_in = stacked[:D], stacked[D:-1], stacked[-1]
         X = self.vectors[x_rows]
         x = X @ W_in + b_in  # input terms of every node at once
@@ -474,14 +472,14 @@ class TreeLstmClassifier:
         if param_grads:
             p.grads["Wy"] += hd.T @ dlogits
             p.grads["by"] += dlogits.sum(axis=0)
-        # in the parameters' column order i, o, u, f, the pre-activation
-        # gradient of a node is its (dc, dh, dc, dc) times these factors; the
-        # derivatives are s(1-s) and 1-tanh^2, and the forget column is zero
-        # unless the node has a single child. u, i and o are copied out of
-        # the gates once, gate by gate, so that every product below runs on
-        # contiguous arrays (an op on a column block of the gates costs
-        # several times as much), and the factors are laid side by side
-        # once. Forward stored h = o tanh(c), so (tanh(c) o)(1-o) is h (1-o)
+        # in the gate columns u, i, o, f, the pre-activation gradient of a
+        # node is its (dc, dc, dh, dc) times these factors; the derivatives
+        # are s(1-s) and 1-tanh^2, and the forget column is zero unless the
+        # node has a single child. u, i and o are copied out of the gates
+        # once, gate by gate, so that every product below runs on contiguous
+        # arrays (an op on a column block of the gates costs several times
+        # as much), and the factors are laid side by side once. Forward
+        # stored h = o tanh(c), so (tanh(c) o)(1-o) is h (1-o)
         u, i, o = gates[:, : 3 * H].reshape(N, 3, H).transpose(1, 0, 2).copy()
         f = gates[:, 3 * H :]
         f_i = np.multiply(u, i)
@@ -498,7 +496,7 @@ class TreeLstmClassifier:
                 h_in[rows] = h[children]
             f_single = f[rows]
             f_f[rows] = c[children] * f_single * (1.0 - f_single)
-        factor = np.concatenate([f_i, f_o, f_u, f_f], axis=1)
+        factor = np.concatenate([f_u, f_i, f_o, f_f], axis=1)
         out_factor = o * (1.0 - tanh_c * tanh_c)  # dc of a node per unit of its dh
         if multi is not None:
             edge_factor = c[multi[0]] * f_edge * (1.0 - f_edge)
@@ -507,11 +505,11 @@ class TreeLstmClassifier:
         dh[read] = (dlogits @ p["Wy"].T) * mask
         dc = np.zeros((N, H))  # set by the parent (a root's stays 0), then the node's total
         dz = np.empty((N, 4 * H))  # pre-activation gradients per node
-        U_T = np.concatenate([block[D:-1].T for block in self._blocks])
+        U_T = self._block[D:-1].T
         for a, b, kids, edges in reversed(levels):  # parents before children
             dh_level, dc_level = dh[a:b], dc[a:b]
             dc_level += dh_level * out_factor[a:b]
-            dz_level = np.concatenate([dc_level, dh_level, dc_level, dc_level], axis=1,
+            dz_level = np.concatenate([dc_level, dc_level, dh_level, dc_level], axis=1,
                                       out=dz[a:b])
             dz_level *= factor[a:b]
             if kids is not None:
@@ -526,17 +524,15 @@ class TreeLstmClassifier:
         if param_grads:
             # the rows of W and b: x and 1 of every node times its dz; of U:
             # the child sum, which leaves (the first level's rows) do not have
-            iou_grad, f_grad = self._grad_blocks
+            grad = self._grad_block
             n_leaves = levels[0][1]
             X = np.concatenate([X, np.ones((N, 1))], axis=1)  # x and 1 of every node
             grad_x = X.T @ dz
-            grad = np.concatenate([grad_x[:D], h_in[n_leaves:].T @ dz[n_leaves:], grad_x[D:]])
-            iou_grad += grad[:, : 3 * H]
-            f_grad += grad[:, 3 * H :]
+            grad += np.concatenate([grad_x[:D], h_in[n_leaves:].T @ dz[n_leaves:], grad_x[D:]])
             if multi is not None:
                 # an edge's forget gate reads its parent's x and 1 and its own child's h
                 grad_x = X[multi[1]].T @ dz_edge
-                f_grad += np.concatenate([grad_x[:D], h_edge.T @ dz_edge, grad_x[D:]])
+                grad[:, 3 * H :] += np.concatenate([grad_x[:D], h_edge.T @ dz_edge, grad_x[D:]])
         if not input_grad:
             return None
         # x of a node with several children feeds each edge's forget gate
@@ -544,7 +540,7 @@ class TreeLstmClassifier:
             if edges is not None:
                 e0, e1, _, _, places = edges
                 dz[a:b, 3 * H :] += _child_sum(dz_edge[e0:e1], places, np.empty((b - a, H)))
-        return (dz @ np.concatenate([block[:D].T for block in self._blocks]))[rank]
+        return (dz @ self._block[:D].T)[rank]
 
 
 def _check_asked(input_grad: bool, param_grads: bool) -> None:
@@ -620,24 +616,22 @@ def build_model(model_type: str, vectors: np.ndarray, hidden: int,
     (held, not copied); hidden doubles as the CNN filter count. One draw
     holds the numbers of one draw per matrix in init order; the recurrent
     cell's is W, U and b of the gates i, f, o, u in turn, then Wy and by. A
-    gate's W, U and b are one (dim + hidden + 1, hidden) block, and those of
-    i, o and u side by side are the buffer's block of W_iou, U_iou and b_iou.
-    TrainingError when the parameters cannot be allocated."""
+    gate's W, U and b are one (dim + hidden + 1, hidden) block, and the four
+    side by side in the order u, i, o, f are the buffer's block of W, U and
+    b. TrainingError when the parameters cannot be allocated."""
     dim = vectors.shape[1]
     size = sum(map(math.prod, param_shapes(model_type, dim, hidden).values()))
     try:
         flat = uniform_init(rng, size)
         if model_type != "cnn":
-            gates = flat[: 4 * (dim + hidden + 1) * hidden].reshape(4, -1, hidden)
-            iou = np.concatenate([gates[0], gates[2], gates[3]], axis=1)
-            flat = np.concatenate([iou.ravel(), gates[1].ravel(), flat[gates.size :]])
+            gates = flat[: 4 * (dim + hidden + 1) * hidden].reshape(4, -1, hidden)  # i, f, o, u
+            if model_type == "lstm":
+                gates[1, -1] = 1.0  # the forget gate's b: the standard bias, helps long gaps
+            flat[: gates.size] = np.hstack([gates[3], gates[0], gates[2], gates[1]]).ravel()
     except (ValueError, MemoryError):  # numpy: "array is too big", or out of memory
         raise TrainingError(f"cannot allocate {model_type} parameters with hidden {hidden} "
                             f"over dim {dim}") from None
-    model = restore_model(model_type, flat, vectors, hidden, tree_readout)
-    if model_type == "lstm":
-        model.params["b_f"][...] = 1.0  # standard forget-gate bias, helps long gaps
-    return model
+    return restore_model(model_type, flat, vectors, hidden, tree_readout)
 
 
 def param_shapes(model_type: str, dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
@@ -646,8 +640,7 @@ def param_shapes(model_type: str, dim: int, hidden: int) -> dict[str, tuple[int,
     if model_type == "cnn":
         return {"Wconv": (hidden, FILTER_WIDTH * dim), "bconv": (hidden,),
                 "Wy": (hidden, N_CLASSES), "by": (N_CLASSES,)}
-    return {"W_iou": (dim, 3 * hidden), "U_iou": (hidden, 3 * hidden), "b_iou": (3 * hidden,),
-            "W_f": (dim, hidden), "U_f": (hidden, hidden), "b_f": (hidden,),
+    return {"W": (dim, 4 * hidden), "U": (hidden, 4 * hidden), "b": (4 * hidden,),
             "Wy": (hidden, N_CLASSES), "by": (N_CLASSES,)}
 
 
@@ -696,7 +689,7 @@ def model_loss(model, batch: list[EncodedInput], golds, drop_ratio: float = 0.0,
 
 def classify(model, inst: EncodedInput) -> tuple[TemporalStatus, np.ndarray]:
     """Prediction without dropout, as a batch of one; ties break toward the
-    lower class index."""
+    lower class index. NonFiniteError (row 0) unless the logits are finite."""
     logits, _ = model.forward([inst])
     return TemporalStatus(int(np.argmax(logits[0]))), softmax(logits[0])
 

@@ -53,7 +53,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
 
 HEAP_TRIM_THRESHOLD = 64 << 20  # freed heap the process may keep, at most
 HEAP_MMAP_THRESHOLD = 16 << 20  # smaller blocks come from the heap
@@ -176,6 +176,10 @@ def uniform_init(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
+    """Probabilities of one row of logits; NonFiniteError (row 0) unless
+    every logit is finite."""
+    if not np.isfinite(logits).all():
+        raise NonFiniteError(0)
     z = logits - np.max(logits)
     e = np.exp(z)
     return e / e.sum()

@@ -57,7 +57,7 @@ def overflow_logits(values):
     """Set a recurrent model's parameters (name -> array) so that every
     weight stays finite but saturated gates and a huge readout overflow the
     logits of every mention."""
-    values["b_iou"][...] = 50.0
+    values["b"][: 3 * len(values["U"])] = 50.0
     values["Wy"][...] = 1.7e308
     values["by"][...] = 1.7e308
 
@@ -75,6 +75,17 @@ def overflowing_checkpoint(tmp_path, conllu, events):
     with open(ckpt, "wb") as f:
         f.write(header + b"\n" + flat.tobytes())
     return ckpt
+
+
+def python_m_depchain(*args, options=()):
+    """`python [options] -m depchain args` over this checkout's package (the
+    package directory's parent first on PYTHONPATH, as a checkout's src), as
+    a finished process with its stdout and stderr as text."""
+    src = str(Path(depchain.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *options, "-m", "depchain", *args],
+                          capture_output=True, text=True, env=env)
 
 
 def train_tiny(tmp_path, conllu, events, name="model.ckpt", extra=()):
@@ -333,17 +344,22 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "do not fit a cnn model" in err
 
-    @pytest.mark.parametrize("command", ["eval", "saliency"])
-    def test_version_2_checkpoint_rejected(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command,version", [
+        *(pytest.param(c, 2, id=c) for c in ("eval", "saliency")),
+        # version 3 held the same parameter count in another gate order
+        *(pytest.param(c, 3, id=f"{c}-v3") for c in ("eval", "saliency")),
+    ])
+    def test_version_2_checkpoint_rejected(self, tmp_path, capsys, command, version):
         conllu, events = gen_corpus(tmp_path)
         ckpt = Path(train_tiny(tmp_path, conllu, events))
-        ckpt.write_bytes(ckpt.read_bytes().replace(b'"format_version": 3', b'"format_version": 2', 1))
+        old = f'"format_version": {version}'.encode()
+        ckpt.write_bytes(ckpt.read_bytes().replace(b'"format_version": 4', old, 1))
         capsys.readouterr()
         rc = main([command, "--model", str(ckpt), "--conllu", conllu, "--events", events,
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "format_version 2" in err
+        assert err.startswith("error:") and f"format_version {version}" in err
 
     def test_unallocatable_embeddings_dim(self, tmp_path, capsys):
         # numpy refuses a (1, 2**62) array before allocating any of it
@@ -386,9 +402,8 @@ class TestTrainEval:
         ckpt = overflowing_checkpoint(tmp_path, conllu, events)
         capsys.readouterr()
         out = tmp_path / "out"
-        with np.errstate(over="ignore"):  # the overflow is the point
-            rc = main(["saliency", "--model", ckpt, "--conllu", conllu, "--events", events,
-                       "--out", str(out)])
+        rc = main(["saliency", "--model", ckpt, "--conllu", conllu, "--events", events,
+                   "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:") and "Traceback" not in err
@@ -402,15 +417,27 @@ class TestTrainEval:
         ckpt = overflowing_checkpoint(tmp_path, conllu, events)
         capsys.readouterr()
         report = tmp_path / "report.json"
-        with np.errstate(over="ignore"):  # the overflow is the point
-            rc = main(["eval", "--model", ckpt, "--conllu", conllu, "--events", events,
-                       "--out", str(report)])
+        rc = main(["eval", "--model", ckpt, "--conllu", conllu, "--events", events,
+                   "--out", str(report)])
         captured = capsys.readouterr()
         first = json.loads(Path(events).read_text().splitlines()[0])
         assert rc == 1
         assert captured.err == (f"error: {ckpt}: non-finite logits at mention "
                                 f"{first['doc_id']}/{first['sent_id']} token {first['token_id']}\n")
         assert captured.out == "" and not report.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "saliency"])
+    def test_overflowing_logits_print_the_error_line_alone(self, tmp_path, command):
+        # a process of its own, as a user runs it: no numpy warning about the
+        # overflow comes before the error line
+        conllu, events = gen_corpus(tmp_path)
+        ckpt = overflowing_checkpoint(tmp_path, conllu, events)
+        proc = python_m_depchain(command, "--model", ckpt, "--conllu", conllu,
+                                 "--events", events, "--out", str(tmp_path / "out"))
+        first = json.loads(Path(events).read_text().splitlines()[0])
+        assert proc.returncode == 1
+        assert proc.stderr == (f"error: {ckpt}: non-finite logits at mention "
+                               f"{first['doc_id']}/{first['sent_id']} token {first['token_id']}\n")
 
     def test_tree_repr_mismatch_usage_error(self, tmp_path, capsys):
         # a window's tokens need not form one tree, so treelstm refuses it,
@@ -509,9 +536,8 @@ class TestCv:
         monkeypatch.setattr(harness, "train", overflowing_train)
         conllu, events = gen_corpus(tmp_path)
         capsys.readouterr()
-        with np.errstate(over="ignore"):  # the overflow is the point
-            rc = main(["cv", "--folds", "3", "--model", "lstm", "--repr", "chain",
-                       "--conllu", conllu, "--events", events] + TINY_HYPERS)
+        rc = main(["cv", "--folds", "3", "--model", "lstm", "--repr", "chain",
+                   "--conllu", conllu, "--events", events] + TINY_HYPERS)
         err = capsys.readouterr().err
         assert rc == 1
         assert re.fullmatch(r"error: fold 0: non-finite logits at mention \S+/\S+ token \d+\n",
@@ -751,14 +777,7 @@ class TestParser:
         assert _config_from_args(parser, args) == TrainConfig("cnn", "window")
 
     def test_python_m_depchain(self):
-        # the package directory's parent first on PYTHONPATH, as a checkout's src
-        src = str(Path(depchain.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "depchain", "--version"],
-            capture_output=True, text=True, env=env,
-        )
+        proc = python_m_depchain("--version")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "depchain 0.1.0\n"
 
@@ -784,6 +803,24 @@ class TestParser:
         )
         assert proc.returncode == 0
         assert "depchain 0.1.0" in proc.stdout
+
+
+class TestNoStrayWarnings:
+    def test_pipeline_under_warnings_as_errors(self, tmp_path):
+        # every command of a small lstm-over-chain run, with any Python or
+        # numpy warning turned into an error: each exits 0 and writes
+        # nothing to stderr
+        data, ckpt = tmp_path / "data", str(tmp_path / "model.ckpt")
+        conllu, events = str(data / "corpus.conllu"), str(data / "events.jsonl")
+        inputs = ["--conllu", conllu, "--events", events]
+        model = ["--model", "lstm", "--repr", "chain", *TINY_HYPERS]
+        for args in (["gen", "--out", str(data), "--n", "12", "--seed", "3"],
+                     ["train", *model, *inputs, "--out", ckpt],
+                     ["eval", "--model", ckpt, *inputs, "--out", str(tmp_path / "eval.json")],
+                     ["saliency", "--model", ckpt, *inputs, "--out", str(tmp_path / "maps")],
+                     ["cv", *model, "--folds", "3", *inputs, "--out", str(tmp_path / "cv.json")]):
+            proc = python_m_depchain(*args, options=["-W", "error"])
+            assert (proc.returncode, proc.stderr) == (0, ""), args[0]
 
 
 class TestPhysicalMemoryBound:

@@ -874,7 +874,8 @@ class TestCrossValidate:
     def test_fold_with_non_finite_logits_prefixed(self, monkeypatch):
         def overflowing_train(*args, **kwargs):
             trained = real_train(*args, **kwargs)
-            trained.model.params["b_iou"][...] = 50.0  # saturated gates, huge readout
+            H = trained.model.hidden
+            trained.model.params["b"][: 3 * H] = 50.0  # saturated gates, huge readout
             trained.model.params["Wy"][...] = 1.7e308
             return trained
 

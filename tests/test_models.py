@@ -22,7 +22,7 @@ from depchain.models import (
     random_instance,
     random_tree_children,
 )
-from depchain.nncore import RmsProp, grad_check, softmax_xent
+from depchain.nncore import NonFiniteError, RmsProp, grad_check, softmax_xent
 
 
 def zeroed(model_type, X, hidden, **kw):
@@ -69,9 +69,9 @@ def logits_of(m, inst):
 
 
 def gate(p, name, gate_name):
-    """One gate's block of a fused i/o/u parameter (columns i, o, u)."""
-    k = "iou".index(gate_name)
-    H = p["U_f"].shape[0]
+    """One gate's block of the fused W, U or b (columns u, i, o, f)."""
+    k = "uiof".index(gate_name)
+    H = p["U"].shape[0]
     return p[name][..., k * H : (k + 1) * H]
 
 
@@ -81,10 +81,10 @@ def textbook_lstm(p, X, dlogits):
     Returns (logits, dX) for dlogits at the output. Written out gate by gate
     as in the usual LSTM equations, independent of the fused cell.
     """
-    W = {g: gate(p, "W_iou", g) for g in "iou"} | {"f": p["W_f"]}
-    U = {g: gate(p, "U_iou", g) for g in "iou"} | {"f": p["U_f"]}
-    b = {g: gate(p, "b_iou", g) for g in "iou"} | {"f": p["b_f"]}
-    H = p["U_f"].shape[0]
+    W = {g: gate(p, "W", g) for g in "uiof"}
+    U = {g: gate(p, "U", g) for g in "uiof"}
+    b = {g: gate(p, "b", g) for g in "uiof"}
+    H = p["U"].shape[0]
     h, c = np.zeros(H), np.zeros(H)
     steps = []
     for x in X:
@@ -122,10 +122,10 @@ def textbook_tree_lstm(p, X, children, read, dlogits):
     the model's fused layout. Written out per gate and per child,
     independent of the level schedule.
     """
-    W = {g: gate(p, "W_iou", g) for g in "iou"} | {"f": p["W_f"]}
-    U = {g: gate(p, "U_iou", g) for g in "iou"} | {"f": p["U_f"]}
-    b = {g: gate(p, "b_iou", g) for g in "iou"} | {"f": p["b_f"]}
-    H = p["U_f"].shape[0]
+    W = {g: gate(p, "W", g) for g in "uiof"}
+    U = {g: gate(p, "U", g) for g in "uiof"}
+    b = {g: gate(p, "b", g) for g in "uiof"}
+    H = p["U"].shape[0]
     # children before parents: reversed breadth-first order from the root
     root = (set(range(len(children))) - {k for kids in children for k in kids}).pop()
     order = [root]
@@ -169,9 +169,8 @@ def textbook_tree_lstm(p, X, children, read, dlogits):
             grad["f"][2] += z_f
             dh[k] += dh_sum + U["f"] @ z_f
             dc[k] += dc_j * f_k
-    grads = {kind + "_iou": np.concatenate([grad[g][n] for g in "iou"], axis=-1)
+    grads = {kind: np.concatenate([grad[g][n] for g in "uiof"], axis=-1)
              for n, kind in enumerate("WUb")}
-    grads |= {kind + "_f": grad["f"][n] for n, kind in enumerate("WUb")}
     grads |= {"Wy": np.outer(h[read], dlogits), "by": dlogits}
     return logits, dX, grads
 
@@ -179,8 +178,9 @@ def textbook_tree_lstm(p, X, children, read, dlogits):
 def per_gate_init(model_type, dim, hidden, seed):
     """The initial parameters as one uniform draw per matrix: for the
     recurrent cell W, U and b of each gate in the order i, f, o, u (the
-    forget bias of "lstm" then set to 1), then Wy and by; for the CNN in
-    param_shapes order. Returns (parameters, the generator after drawing)."""
+    forget bias of "lstm" then set to 1), laid side by side in the columns
+    u, i, o, f, then Wy and by; for the CNN in param_shapes order. Returns
+    (parameters, the generator after drawing)."""
     rng = np.random.default_rng(seed)
 
     def draw(*shape):
@@ -192,9 +192,8 @@ def per_gate_init(model_type, dim, hidden, seed):
         gates = {g: (draw(dim, hidden), draw(hidden, hidden), draw(hidden)) for g in "ifou"}
         if model_type == "lstm":
             gates["f"] = (*gates["f"][:2], np.ones(hidden))
-        params = {kind + "_iou": np.concatenate([gates[g][n] for g in "iou"], axis=-1)
+        params = {kind: np.concatenate([gates[g][n] for g in "uiof"], axis=-1)
                   for n, kind in enumerate("WUb")}
-        params |= {kind + "_f": gates["f"][n] for n, kind in enumerate("WUb")}
     params |= {"Wy": draw(hidden, 3), "by": draw(3)}
     return params, rng
 
@@ -229,9 +228,9 @@ class TestLstmSingleStep:
         m, X = build_then_draw("lstm", (1, 3), 4, rng)
         x = X[0]
         p = m.params
-        i = sigmoid(x @ gate(p, "W_iou", "i") + gate(p, "b_iou", "i"))
-        o = sigmoid(x @ gate(p, "W_iou", "o") + gate(p, "b_iou", "o"))
-        g = np.tanh(x @ gate(p, "W_iou", "u") + gate(p, "b_iou", "u"))
+        i = sigmoid(x @ gate(p, "W", "i") + gate(p, "b", "i"))
+        o = sigmoid(x @ gate(p, "W", "o") + gate(p, "b", "o"))
+        g = np.tanh(x @ gate(p, "W", "u") + gate(p, "b", "u"))
         h = o * np.tanh(i * g)  # c0 = 0, so the forget gate drops out
         want = h @ p["Wy"] + p["by"]
         logits = logits_of(m, seq_input(1))
@@ -263,7 +262,7 @@ class TestOneCell:
 
     def test_lstm_forget_bias_starts_at_one(self):
         m = build_model("lstm", np.zeros((1, 3)), 4, np.random.default_rng(0))
-        assert np.array_equal(m.params["b_f"], np.ones(4))
+        assert np.array_equal(gate(m.params, "b", "f"), np.ones(4))
 
     @pytest.mark.parametrize("model_type", ["lstm", "treelstm", "cnn"])
     @pytest.mark.parametrize("dim,hidden", [(24, 32), (6, 8), (1, 1), (5, 3)])
@@ -429,9 +428,9 @@ class TestTreeSingleNode:
         m, X = build_then_draw("treelstm", (1, 3), 4, rng)
         x = X[0]
         p = m.params
-        i = sigmoid(x @ gate(p, "W_iou", "i") + gate(p, "b_iou", "i"))
-        o = sigmoid(x @ gate(p, "W_iou", "o") + gate(p, "b_iou", "o"))
-        u = np.tanh(x @ gate(p, "W_iou", "u") + gate(p, "b_iou", "u"))
+        i = sigmoid(x @ gate(p, "W", "i") + gate(p, "b", "i"))
+        o = sigmoid(x @ gate(p, "W", "o") + gate(p, "b", "o"))
+        u = np.tanh(x @ gate(p, "W", "u") + gate(p, "b", "u"))
         want = (o * np.tanh(i * u)) @ p["Wy"] + p["by"]
         logits = logits_of(m, tree_input(children=[()]))
         assert np.allclose(logits, want, atol=1e-14)
@@ -518,6 +517,15 @@ class TestClassify:
         a, _ = m.forward([inst])
         b, _ = m.forward([inst])
         assert a.tobytes() == b.tobytes()
+
+    def test_non_finite_logits_rejected(self):
+        # finite weights whose saturated gates and huge readout overflow
+        m = build_model("lstm", np.ones((3, 4)), 5, np.random.default_rng(0))
+        m.params["b"][:15] = 50.0
+        m.params["Wy"][...] = m.params["by"][...] = 1.7e308
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as caught:
+            classify(m, seq_input(3))
+        assert caught.value.row == 0
 
 
 class TestTreeInvariance:

@@ -489,7 +489,7 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         header, _ = self._trained(path)
         assert sorted(header) == ["config", "dim", "format_version", "vocab"]
-        assert header["format_version"] == 3
+        assert header["format_version"] == 4
         assert header["config"]["model_type"] == "lstm"
         assert (header["vocab"], header["dim"]) == (["uno", "dos"], 4)
 
@@ -538,6 +538,7 @@ class TestCheckpoint:
             pytest.param(lambda h: [h], id="not-an-object"),
             pytest.param(lambda h: h | {"format_version": 1}, id="format-v1"),
             pytest.param(lambda h: h | {"format_version": 2}, id="format-v2"),
+            pytest.param(lambda h: h | {"format_version": 3}, id="format-v3"),
             pytest.param(lambda h: {k: v for k, v in h.items() if k != "vocab"}, id="no-vocab"),
             pytest.param(lambda h: h | {"config": h["config"] | {"colour": "red"}},
                          id="unknown-config-key"),
@@ -578,10 +579,10 @@ class TestCheckpoint:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
         "index,what",
-        [(0, "parameter 'W_iou'"), (107, "parameter 'by'"), (-1, "embedding vectors")],
+        [(0, "parameter 'W'"), (107, "parameter 'by'"), (-1, "embedding vectors")],
     )
     def test_non_finite_value_rejected(self, tmp_path, value, index, what):
-        # the lstm's 108 parameter values run from W_iou[0, 0] to by[2]
+        # the lstm's 108 parameter values run from W[0, 0] to by[2]
         path = tmp_path / "m.ckpt"
         header, payload = self._trained(path)
         floats = np.frombuffer(payload, dtype="<f8").copy()
