@@ -42,17 +42,12 @@ TENSE_CARRIER_RELS = frozenset({"aux", "auxpass", "cop"})
 
 @dataclass(frozen=True)
 class DependencyChain:
-    """Ordered token-id subset around a target event token."""
+    """Token ids around a target event token, as extract_chain builds them:
+    member_ids and stage1_ids strictly increasing, both holding the target."""
 
     target_id: int
     member_ids: tuple[int, ...]
     stage1_ids: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.target_id not in self.member_ids:
-            raise ValueError("chain must contain its target")
-        if list(self.member_ids) != sorted(set(self.member_ids)):
-            raise ValueError("member_ids must be strictly increasing")
 
 
 @dataclass(frozen=True)

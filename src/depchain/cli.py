@@ -224,7 +224,10 @@ def _cmd_gen(parser, args) -> int:
     kwargs = {"n_sentences": args.n, "seed": args.seed, "distractor_len": args.distractor_len}
     if weights is not None:
         kwargs["label_weights"] = weights
-    cfg = SynthConfig(**kwargs)
+    try:
+        cfg = SynthConfig(**kwargs)
+    except CorpusError as e:
+        parser.error(str(e))
     # the table first: a dim that cannot be allocated fails before any write
     table = (None if args.emb_dim is None
              else random_embeddings(synthetic_vocabulary(), args.emb_dim, args.seed))

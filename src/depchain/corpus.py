@@ -468,16 +468,25 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        fault = _type_fault("synth config", self, _SYNTH_TYPES)
+        if fault is not None:
+            raise CorpusError(fault)
         if self.n_sentences < 1:
             raise CorpusError(f"n_sentences must be >= 1, got {self.n_sentences}")
         if self.distractor_len < 0:
             raise CorpusError(f"distractor_len must be >= 0, got {self.distractor_len}")
+        if self.seed < 0:
+            raise CorpusError(f"seed must be >= 0, got {self.seed}")
         w = tuple(float(x) for x in self.label_weights)
         object.__setattr__(self, "label_weights", w)
         if len(w) != 3 or not all(0 <= x <= 1 for x in w):  # NaN fails too
             raise CorpusError(f"label_weights must be three reals in [0, 1], got {w}")
         if abs(sum(w) - 1.0) > 1e-9:
             raise CorpusError(f"label_weights must sum to 1, got sum {sum(w)!r}")
+
+
+_SYNTH_TYPES = (("n_sentences", int, "an int"), ("distractor_len", int, "an int"),
+                ("seed", int, "an int"))
 
 
 # Word pools. Only the auxiliary and the cue-verb form carry label signal;

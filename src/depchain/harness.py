@@ -42,7 +42,6 @@ from .nncore import (
 __all__ = [
     "TrainConfig",
     "Metrics",
-    "FoldPlan",
     "TrainedModel",
     "CvResult",
     "split_tuning_test",
@@ -134,9 +133,11 @@ class Metrics:
     """
 
     def __init__(self, confusion: np.ndarray):
-        confusion = np.asarray(confusion, dtype=np.int64)
-        if confusion.shape != (3, 3) or (confusion < 0).any():
-            raise ValueError("confusion must be a nonnegative 3x3 matrix")
+        given = np.asarray(confusion)
+        if (given.shape != (3, 3) or not np.isfinite(given).all() or (given < 0).any()
+                or (given % 1 != 0).any()):
+            raise ValueError("confusion must be a 3x3 matrix of nonnegative whole counts")
+        confusion = given.astype(np.int64)
         self.confusion = confusion
         self.n = int(confusion.sum())
         self.per_class: list[tuple[float, float, float]] = []
@@ -188,33 +189,6 @@ def format_metrics_table(rows: list[tuple[str, Metrics]]) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    folds: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        total = 0
-        for fold in self.folds:
-            total += len(fold)
-            seen.update(fold)
-        if len(seen) != total or seen != set(range(total)):
-            raise ValueError("folds must partition 0..n-1")
-        sizes = {len(f) for f in self.folds}
-        if max(sizes) - min(sizes) > 1:
-            raise ValueError("fold sizes must differ by at most 1")
-
-    def sizes(self) -> list[int]:
-        return [len(f) for f in self.folds]
-
-    def train_indices(self, fold: int) -> list[int]:
-        out: list[int] = []
-        for i, f in enumerate(self.folds):
-            if i != fold:
-                out.extend(f)
-        return sorted(out)
-
-
 def split_tuning_test(examples, seed: int):
     """Seeded shuffle, then a round(0.2 n) tuning set and the remainder."""
     n = len(examples)
@@ -227,9 +201,9 @@ def split_tuning_test(examples, seed: int):
     return tuning, test
 
 
-def kfold(examples, k: int = 10, seed: int = 0) -> FoldPlan:
-    """Seeded shuffle into k near-equal folds; the first n % k folds take the
-    extra element."""
+def kfold(examples, k: int = 10, seed: int = 0) -> tuple[tuple[int, ...], ...]:
+    """Seeded shuffle of the indices 0..n-1 into k folds of test indices,
+    which partition them; the first n % k folds take the extra element."""
     n = len(examples)
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -243,7 +217,7 @@ def kfold(examples, k: int = 10, seed: int = 0) -> FoldPlan:
         size = base + (1 if i < extra else 0)
         folds.append(tuple(int(x) for x in perm[start : start + size]))
         start += size
-    return FoldPlan(tuple(folds))
+    return tuple(folds)
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +422,17 @@ def evaluate(
 
 @dataclass
 class CvResult:
+    """Per-fold and pooled metrics, with each fold's test indices as kfold
+    returned them; fold i's model is models[i] when models were kept."""
+
     fold_metrics: list[Metrics]
     pooled: Metrics
-    fold_sizes: list[int]
+    fold_test_indices: tuple[tuple[int, ...], ...]
     models: list[TrainedModel] | None = None
-    fold_test_indices: list[tuple[int, ...]] | None = None
+
+    @property
+    def fold_sizes(self) -> list[int]:
+        return [len(f) for f in self.fold_test_indices]
 
     def report_text(self) -> str:
         rows = [(f"fold {i}", m) for i, m in enumerate(self.fold_metrics)]
@@ -474,8 +454,9 @@ def _fold_seed(seed: int, fold: int) -> int:
 
 def _run_fold(task):
     # the inputs come encoded, with their table, so no sentence is read
-    config, mentions, data, plan, table, keep, fold = task
-    train_idx, test_idx = plan.train_indices(fold), plan.folds[fold]
+    config, mentions, data, folds, table, keep, fold = task
+    test_idx = folds[fold]
+    train_idx = sorted(i for f, other in enumerate(folds) if f != fold for i in other)
     fold_config = replace(config, seed=_fold_seed(config.seed, fold))
     try:
         trained = train(fold_config, [], [mentions[i] for i in train_idx], table=table,
@@ -504,10 +485,10 @@ def cross_validate(
     inputs, the mentions and the table, and no sentence: train and evaluate
     read none when given encoded inputs.
     """
-    plan = kfold(mentions, k, config.seed)
+    folds = kfold(mentions, k, config.seed)
     table = resolve_embeddings(config, corpus)
     data = _encode_corpus(corpus, mentions, config, table)
-    tasks = [(config, mentions, data, plan, table, keep_models, f) for f in range(k)]
+    tasks = [(config, mentions, data, folds, table, keep_models, f) for f in range(k)]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, k)) as pool:
             outcomes = list(pool.map(_run_fold, tasks))
@@ -519,9 +500,8 @@ def cross_validate(
     return CvResult(
         fold_metrics=fold_metrics,
         pooled=pooled,
-        fold_sizes=plan.sizes(),
+        fold_test_indices=folds,
         models=models,
-        fold_test_indices=list(plan.folds),
     )
 
 

@@ -9,6 +9,7 @@ at the model's own prediction.
 from __future__ import annotations
 
 import html as _html
+import math
 import re
 from dataclasses import dataclass
 
@@ -134,7 +135,8 @@ def _parse_csv_field(value: str) -> str:
 
 def parse_heatmap_csv(text: str) -> SaliencyMap:
     """Inverse of the CSV emitter; labels and raw derivatives are not stored
-    in the CSV and come back as None."""
+    in the CSV and come back as None. A row whose score is not a finite real
+    is a ValueError naming its line."""
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != "position,token,score":
         raise ValueError("line 1: expected header 'position,token,score'")
@@ -149,6 +151,8 @@ def parse_heatmap_csv(text: str) -> SaliencyMap:
         try:
             pos = int(pos_s)
             score = float(score_s)
+            if not math.isfinite(score):
+                raise ValueError
         except ValueError:
             raise ValueError(f"line {lineno}: malformed row {line!r}") from None
         if pos != lineno - 1:

@@ -734,6 +734,8 @@ class TestParser:
         ["gen", "--out", "data", "--n", "5", "--seed", "1", "--emb-dim", "0"],
         ["gen", "--out", "data", "--n", "5", "--seed", "1", "--emb-dim", "-3"],
         ["gen", "--out", "data", "--n", "5", "--seed", "1", "--distractor-len", "-1"],
+        ["gen", "--out", "data", "--n", "5", "--seed", "-1"],
+        ["gen", "--out", "data", "--n", "5", "--seed", "-1", "--emb-dim", "4"],
         ["extract", "--conllu", "nope.conllu", "--events", "nope.jsonl", "--mode", "chain",
          "--half-width", "-1", "--out", "x.jsonl"],
         ["train", "--conllu", "nope.conllu", "--events", "nope.jsonl", "--model", "lstm",
@@ -742,7 +744,8 @@ class TestParser:
          "--repr", "chain", "--seed", "-1", "--out", "x.json"],
         ["gradcheck", "--model", "lstm", "--seed", "-1"],
     ], ids=["cnn-hidden-0", "treelstm-hidden-neg", "cnn-dim-0", "lstm-dim-0", "gen-emb-dim-0",
-            "gen-emb-dim-neg", "gen-distractor-neg", "extract-half-width-neg",
+            "gen-emb-dim-neg", "gen-distractor-neg", "gen-seed-neg", "gen-seed-neg-emb-dim",
+            "extract-half-width-neg",
             "train-seed-neg", "cv-seed-neg", "gradcheck-seed-neg"])
     def test_numeric_flag_usage_error_writes_nothing(self, tmp_path, monkeypatch, argv):
         # checked before any file is read or written: the missing corpus of

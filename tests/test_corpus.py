@@ -418,6 +418,15 @@ class TestSynthConfig:
         with pytest.raises(CorpusError):
             SynthConfig(n_sentences=0)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_sentences=True), dict(n_sentences=2.5), dict(distractor_len=1.5),
+        dict(seed=1.5), dict(seed=-1),
+    ], ids=["n-bool", "n-float", "distractor-float", "seed-float", "seed-neg"])
+    def test_bad_count_or_seed_rejected(self, kwargs):
+        # a bool is no int: True would build one sentence
+        with pytest.raises(CorpusError, match=next(iter(kwargs))):
+            SynthConfig(**{"n_sentences": 10, **kwargs})
+
 
 class TestGenerateSynthetic:
     def test_deterministic(self):

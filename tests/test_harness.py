@@ -15,7 +15,6 @@ from depchain import (
     CorpusError,
     DepSentence,
     EncodedInput,
-    FoldPlan,
     Metrics,
     SynthConfig,
     TemporalStatus,
@@ -196,6 +195,10 @@ class TestMetrics:
             Metrics(np.zeros((2, 3), dtype=int))
         with pytest.raises(ValueError):
             Metrics(np.array([[1, 0, 0], [0, -1, 0], [0, 0, 1]]))
+        with pytest.raises(ValueError):
+            Metrics([[1.9, 0, 0], [0, 0, 0], [0, 0, 0]])  # not whole counts
+        with pytest.raises(ValueError):
+            Metrics(np.full((3, 3), 0.5))
 
     def test_to_dict_shape(self):
         m = Metrics(np.diag([1, 1, 1]))
@@ -236,21 +239,19 @@ class TestSplits:
             split_tuning_test([1, 2, 3, 4], seed=0)
 
     def test_kfold_singletons(self):
-        plan = kfold(list(range(10)), k=10, seed=0)
-        assert plan.sizes() == [1] * 10
+        folds = kfold(list(range(10)), k=10, seed=0)
+        assert [len(f) for f in folds] == [1] * 10
 
     def test_kfold_remainder_distribution(self):
-        plan = kfold(list(range(2089)), k=10, seed=0)
-        assert plan.sizes() == [209] * 9 + [208]
+        folds = kfold(list(range(2089)), k=10, seed=0)
+        assert [len(f) for f in folds] == [209] * 9 + [208]
 
     def test_kfold_partition(self):
-        plan = kfold(list(range(23)), k=4, seed=1)
-        combined = sorted(i for fold in plan.folds for i in fold)
+        folds = kfold(list(range(23)), k=4, seed=1)
+        assert isinstance(folds, tuple) and all(isinstance(f, tuple) for f in folds)
+        assert all(type(i) is int for f in folds for i in f)
+        combined = sorted(i for fold in folds for i in fold)
         assert combined == list(range(23))
-        for f in range(4):
-            tr = plan.train_indices(f)
-            assert sorted(tr + list(plan.folds[f])) == list(range(23))
-            assert tr == sorted(tr)
 
     def test_kfold_deterministic(self):
         assert kfold(list(range(30)), 3, seed=2) == kfold(list(range(30)), 3, seed=2)
@@ -261,14 +262,6 @@ class TestSplits:
             kfold(list(range(10)), k=1)
         with pytest.raises(CorpusError):
             kfold(list(range(3)), k=4)
-
-    def test_fold_plan_validation(self):
-        with pytest.raises(ValueError):
-            FoldPlan(((0, 1), (1, 2)))  # overlap
-        with pytest.raises(ValueError):
-            FoldPlan(((0, 1, 2), (3,), (4,)))  # sizes differ by 2
-        with pytest.raises(ValueError):
-            FoldPlan(((0, 2), (3, 4)))  # gap in coverage
 
 
 class TestEncodeInput:
@@ -778,11 +771,13 @@ class TestCrossValidate:
         sents, mentions = small_corpus(n=12)
         cfg = tiny_config(epochs=1)
         cross_validate(cfg, sents, mentions, k=4)
-        plan = kfold(mentions, 4, cfg.seed)
+        folds = kfold(mentions, 4, cfg.seed)
         want = []
-        for fold in range(4):
-            want.append(("train", [mentions[i] for i in plan.train_indices(fold)]))
-            want.append(("evaluate", [mentions[i] for i in plan.folds[fold]]))
+        for fold, test_idx in enumerate(folds):
+            train_idx = sorted(i for f, other in enumerate(folds) if f != fold for i in other)
+            assert sorted(train_idx + list(test_idx)) == list(range(len(mentions)))
+            want.append(("train", [mentions[i] for i in train_idx]))
+            want.append(("evaluate", [mentions[i] for i in test_idx]))
         assert calls == want
 
     def test_workers_capped_at_folds(self, monkeypatch):

@@ -199,7 +199,7 @@ class TestCsvHeatmap:
         with pytest.raises(ValueError, match="line 2"):
             parse_heatmap_csv("position,token,score\nnotarow\n")
 
-    @pytest.mark.parametrize("row", ["1,a,high", "one,a,0.5"])
+    @pytest.mark.parametrize("row", ["1,a,high", "one,a,0.5", "1,a,nan", "1,a,inf", "1,a,-inf"])
     def test_parse_rejects_unparsable_field(self, row):
         with pytest.raises(ValueError, match="line 2: malformed row"):
             parse_heatmap_csv(f"position,token,score\n{row}\n")
