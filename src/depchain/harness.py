@@ -356,7 +356,7 @@ def train(
                     f"non-finite loss at epoch {epoch}, batch {b}, "
                     f"mention {_mention_name(mentions[idx[e.row]])}"
                 ) from e
-            except ValueError as e:
+            except (ValueError, IndexError) as e:  # IndexError: a row past the table's end
                 raise TrainingError(f"bad model input at epoch {epoch}, batch {b}: {e}") from e
             for loss in losses.tolist():
                 epoch_loss += loss
@@ -396,7 +396,9 @@ def evaluate(
     pass per training batch size of inputs, so evaluation holds no more
     than training does. ``encoded`` is as in train, from trained.table.
     Finite weights can still overflow a mention's logits: that is a
-    TrainingError naming the first such mention, never a prediction."""
+    TrainingError naming the first such mention, never a prediction. An
+    input the model cannot read (a cyclic tree, a row past the table's end)
+    is a TrainingError naming the first mention of its forward pass."""
     if not mentions:
         raise CorpusError("no mentions to evaluate on")
     if encoded is None:
@@ -405,7 +407,11 @@ def evaluate(
     step = trained.config.batch_size
     for start in range(0, len(encoded), step):
         chunk = encoded[start : start + step]
-        logits, _ = trained.model.forward([inst for inst, _ in chunk])
+        try:
+            logits, _ = trained.model.forward([inst for inst, _ in chunk])
+        except (ValueError, IndexError) as e:  # IndexError: a row past the table's end
+            raise TrainingError(f"bad model input in the batch from mention "
+                                f"{_mention_name(mentions[start])}: {e}") from e
         finite = np.isfinite(logits).all(axis=1)
         if not finite.all():
             bad = mentions[start + int(np.argmin(finite))]

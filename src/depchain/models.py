@@ -21,6 +21,9 @@ height levels that branches per level on what the level's nodes have below
 them (see TreeLstmClassifier).
 Its four gates are fused: W, U and b hold them in columns u, i, o, f and lie
 back to back, one (dim + hidden + 1, 4 hidden) block that every pass reads.
+The forward pass stores the gates gate-major, one contiguous (nodes,
+hidden) array per gate, and works each level's gates as one contiguous
+block, never as column slices of node-major rows.
 A model is its type, its sizes and one flat parameter buffer, which its
 constructor lays out. It pickles as those, so an unpickled model's
 parameters view its buffer; gradients are not kept (RMSProp zeroes them).
@@ -75,7 +78,7 @@ class EncodedInput:
     """
 
     forms: tuple[str, ...]
-    rows: np.ndarray  # (T,) embedding row per position; -1 is the last (unk) row
+    rows: np.ndarray  # (T,) embedding row per position; -1 is the last (unk) row, none lower
     children: tuple[tuple[int, ...], ...] | None = None
     root_pos: int = 0
     target_pos: int = 0
@@ -89,8 +92,13 @@ class EncodedInput:
                 and rows.dtype.kind in "iu"):
             got = (f"{rows.dtype} array of shape {rows.shape}" if isinstance(rows, np.ndarray)
                    else type(rows).__name__)
-            raise ValueError(f"an input of {len(self.forms)} forms needs rows as a 1-D integer "
-                             f"array of {len(self.forms)} entries, got {got}")
+        elif min(rows.tolist(), default=0) < -1:  # numpy would read -2 as the last word's row
+            got = f"row {rows.min()}"
+        else:
+            return
+        raise ValueError(f"an input of {len(self.forms)} forms needs rows as a 1-D integer "
+                         f"array of {len(self.forms)} entries, none below -1 (the unk row), "
+                         f"got {got}")
 
     @cached_property
     def tree_levels(self) -> np.ndarray:
@@ -272,9 +280,10 @@ class CnnClassifier:
 class TreeLstmClassifier:
     """Child-sum tree-LSTM; model_type "lstm" runs the same cell on a chain.
 
-    The fused W, U and b hold the gates in columns u, i, o, f. Gates u, i, o
-    read the sum of children hidden states; each child k gets its own forget
-    gate f_k = sigmoid(x W_f + h_k U_f + b_f), from the f columns. Under
+    The fused W, U and b hold the gates in columns u, i, o, f; the forward
+    pass stores them gate-major, as one (4, nodes, hidden) array. Gates u,
+    i, o read the sum of children hidden states; each child k gets its own
+    forget gate f_k = sigmoid(x W_f + h_k U_f + b_f), from the f columns. Under
     "treelstm" the dependency tree over the input's tokens (the mention's
     dependency chain or the whole sentence) is read at the root node by
     default; readout="target" reads the mention node. Under "lstm" the input
@@ -300,6 +309,15 @@ class TreeLstmClassifier:
       the edges and their parents a prefix of the level: a child sum adds
       the children in list order, one slice per place (one block for the
       places every node has).
+    A level's pre-activations are node-major, its rows of the input terms
+    plus its children's matmul: k gates of hidden columns per node, k 4 on
+    a one-child level and 3 (u, i, o) on the others. The elementwise work
+    then runs on one C-contiguous (k, rows, hidden) block, since an op on
+    a column slice costs several times as much: a level of several rows
+    gets the block by one transposed copy and stores it into the gates by
+    another; a one-row level's row already is that block, so it works on a
+    view, and the gates of all one-row levels are gathered into the gate
+    array after the loop.
     The backward pass pushes each level's gradients into its children's
     rows, top level first, whichever gradients are asked for. It ends, when
     asked for the parameter gradients, in one matmul for those of W and b
@@ -414,9 +432,11 @@ class TreeLstmClassifier:
         stacked = self._block * self._halve
         W_in, U_in, b_in = stacked[:D], stacked[D:-1], stacked[-1]
         X = self.vectors[x_rows]
-        x = X @ W_in + b_in  # input terms of every node at once
+        # input terms of every node at once; each level adds its children's
+        # terms to its rows, which then hold its pre-activations
+        z = X @ W_in + b_in
         h_in = np.zeros((N, H))  # child sums; backward fills in the single children
-        gates = np.empty((N, 4 * H))  # columns u, i, o, f; f only for a single child
+        gates = np.empty((4, N, H))  # u, i, o, f; f only for a single child
         c = np.empty((N, H))
         h = np.empty((N, H))
         tanh_c = np.empty((N, H))
@@ -426,37 +446,51 @@ class TreeLstmClassifier:
         f_edge = np.zeros((E, H))
         h_edge = np.zeros((E, H))
         if multi is not None:
-            x_f = x[multi[1], 3 * H :]  # the forget gate's input term of each edge's parent
+            x_f = z[multi[1], 3 * H :]  # the forget gate's input term of each edge's parent
+        one_row = []  # levels of one node, whose gates stay in their rows of z
         for a, b, kids, edges in levels:
+            # gates u, i, o, and a node's own forget gate only with one child
+            k = 3 if kids is None else 4
+            pre = z[a:b, : k * H]
             if kids is not None:
-                g = np.matmul(h[kids], U_in, out=gates[a:b])
-                g += x[a:b]
-                np.tanh(g, out=g)
-            elif edges is None:
-                g = np.tanh(x[a:b, : 3 * H], out=gates[a:b, : 3 * H])
-            else:
+                np.add(np.matmul(h[kids], U_in), pre, out=pre)
+            elif edges is not None:
                 e0, e1, kids_e, node, places = edges
-                g = gates[a:b, : 3 * H]
                 h_kids = np.take(h, kids_e, axis=0, out=h_edge[e0:e1])
                 h_sum = _child_sum(h_kids, places, h_in[a:b])
-                np.matmul(h_sum, U_in[:, : 3 * H], out=g)
-                g += x[a:b, : 3 * H]
-                np.tanh(g, out=g)
+                np.add(np.matmul(h_sum, U_in[:, : 3 * H]), pre, out=pre)
                 g_f = np.matmul(h_kids, U_in[:, 3 * H :], out=f_edge[e0:e1])
                 g_f += x_f[e0:e1]
                 np.tanh(g_f, out=g_f)
                 g_f *= 0.5
                 g_f += 0.5
-            sigmoids = g[:, H:]
+            # the level's gates as one C-contiguous (k, rows, H) block, so that
+            # no op below runs on a column slice: a one-row level's row
+            # already is that block, so it works in z itself
+            if b - a == 1:
+                g = pre.reshape(k, 1, H)
+                one_row.append(a)
+            else:
+                g = pre.reshape(b - a, k, H).transpose(1, 0, 2).copy()
+            np.tanh(g, out=g)
+            sigmoids = g[1:]
             sigmoids *= 0.5
             sigmoids += 0.5
-            c_level = np.multiply(g[:, H : 2 * H], g[:, :H], out=c[a:b])
+            c_level = np.multiply(g[1], g[0], out=c[a:b])
             if kids is not None:
-                c_level += g[:, 3 * H :] * c[kids]
+                c_level += g[3] * c[kids]
             elif edges is not None:
                 c_level += _child_sum(g_f * c[kids_e], places, np.empty((b - a, H)))
             np.tanh(c_level, out=tanh_c[a:b])
-            np.multiply(g[:, 2 * H : 3 * H], tanh_c[a:b], out=h[a:b])
+            np.multiply(g[2], tanh_c[a:b], out=h[a:b])
+            if b - a > 1:
+                gates[:k, a:b] = g
+        if one_row:
+            # a chain batch's one-row levels are its last ones: a slice, which
+            # reads and writes without building an index array
+            first, last = one_row[0], one_row[-1]
+            rows = slice(first, last + 1) if last - first == len(one_row) - 1 else one_row
+            gates[:, rows] = z[rows].reshape(-1, 4, H).transpose(1, 0, 2)
         hd, mask = dropout(h[read], drop_ratio, drop_rng)
         logits = hd @ p["Wy"] + p["by"]
         cache = (schedule, X, h_in, gates, f_edge, h_edge, c, tanh_c, h, hd, mask)
@@ -475,13 +509,11 @@ class TreeLstmClassifier:
         # in the gate columns u, i, o, f, the pre-activation gradient of a
         # node is its (dc, dc, dh, dc) times these factors; the derivatives
         # are s(1-s) and 1-tanh^2, and the forget column is zero unless the
-        # node has a single child. u, i and o are copied out of the gates
-        # once, gate by gate, so that every product below runs on contiguous
-        # arrays (an op on a column block of the gates costs several times
-        # as much), and the factors are laid side by side once. Forward
-        # stored h = o tanh(c), so (tanh(c) o)(1-o) is h (1-o)
-        u, i, o = gates[:, : 3 * H].reshape(N, 3, H).transpose(1, 0, 2).copy()
-        f = gates[:, 3 * H :]
+        # node has a single child. The gates are stored gate by gate, so
+        # every product below runs on contiguous arrays, and the factors are
+        # laid side by side once. Forward stored h = o tanh(c), so
+        # (tanh(c) o)(1-o) is h (1-o)
+        u, i, o, f = gates
         f_i = np.multiply(u, i)
         f_i *= 1.0 - i
         f_o = np.subtract(1.0, o)

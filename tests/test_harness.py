@@ -672,6 +672,61 @@ class TestTrain:
         assert np.array_equal(before, table.matrix)
 
 
+def unreadable_input(fault: str, n_rows: int) -> EncodedInput:
+    """An input every model refuses: a cyclic tree, or a row at the table's
+    end (n_rows), which the forward's gather meets as numpy's IndexError."""
+    if fault == "cycle":
+        return EncodedInput(forms=("a", "b", "c"), rows=np.arange(3), children=((1,), (2,), (0,)))
+    return EncodedInput(forms=("a", "b", "c"), rows=np.array([0, n_rows, 1]),
+                        children=((1, 2), (), ()))
+
+
+FAULTS = {"cycle": "tree input contains a cycle", "row": "out of bounds"}
+
+
+class TestBadModelInput:
+    """train and evaluate report an input the model cannot read as a
+    TrainingError that says where, so cross_validate prefixes its fold."""
+
+    @pytest.fixture
+    def setup(self):
+        sents, mentions = small_corpus(n=12)
+        cfg = tiny_config(model_type="treelstm", epochs=1)
+        table = resolve_embeddings(cfg, sents)
+        return sents, mentions, cfg, table, harness._encode_corpus(sents, mentions, cfg, table)
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_evaluate_names_the_first_mention_of_the_batch(self, setup, fault):
+        sents, mentions, cfg, table, encoded = setup
+        trained = train(cfg, sents, mentions, table=table, encoded=encoded)
+        j = cfg.batch_size + 1  # in the second forward pass
+        encoded[j] = (unreadable_input(fault, len(table.vectors)), encoded[j][1])
+        m = mentions[cfg.batch_size]
+        with pytest.raises(TrainingError, match=FAULTS[fault]) as err:
+            evaluate(trained, sents, mentions, encoded=encoded)
+        assert str(err.value).startswith(
+            f"bad model input in the batch from mention {m.doc_id}/{m.sent_id} token {m.token_id}: ")
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_train_names_the_batch(self, setup, fault):
+        sents, mentions, cfg, table, encoded = setup
+        encoded[3] = (unreadable_input(fault, len(table.vectors)), encoded[3][1])
+        with pytest.raises(TrainingError,
+                           match=rf"^bad model input at epoch 0, batch \d: .*{FAULTS[fault]}"):
+            train(cfg, sents, mentions, table=table, encoded=encoded)
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_cross_validate_prefixes_the_fold(self, monkeypatch, setup, fault):
+        sents, mentions, cfg, table, encoded = setup
+        # the input is in fold 0's test set only, so evaluate meets it first
+        j = kfold(mentions, 3, cfg.seed)[0][0]
+        encoded[j] = (unreadable_input(fault, len(table.vectors)), encoded[j][1])
+        monkeypatch.setattr(harness, "_encode_corpus", lambda *args: encoded)
+        monkeypatch.setattr(harness, "resolve_embeddings", lambda *args: table)
+        with pytest.raises(TrainingError, match=r"^fold 0: bad model input in the batch from "):
+            cross_validate(cfg, sents, mentions, k=3)
+
+
 class TestEvaluate:
     def test_constant_model_confusion(self):
         sents, mentions = small_corpus()

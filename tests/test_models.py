@@ -815,6 +815,30 @@ class TestBatch:
         assert alone.tobytes() == full.tobytes()
         assert grads.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("model_type,readout,layout", [
+        *(pytest.param(m, r, "random", id=f"{m}-{r}") for m, r in MODEL_CASES),
+        *(pytest.param(m, "root", "one position", id=f"{m}-one-position")
+          for m in ("lstm", "treelstm")),
+        pytest.param("treelstm", "root", "mixed levels", id="treelstm-mixed-levels"),
+    ])
+    @pytest.mark.parametrize("one", [False, True], ids=["batch", "batch-of-one"])
+    def test_cache_survives_another_forward(self, model_type, readout, layout, one):
+        # a forward's cache holds what its backward reads: another forward
+        # in between, on other inputs, must not write into it
+        model, batch, dlogits = batch_case(model_type, 7, readout, layout=layout)
+        first, other = (batch[:1], batch[1:2]) if one else (batch, batch[:0:-1])
+        dlogits = dlogits[: len(first)]
+
+        def gradients(between):
+            model.params.zero_grads()
+            _, cache = model.forward(first)
+            if between:
+                model.forward(other)
+            dX = model.backward(cache, dlogits, input_grad=True)
+            return dX.tobytes(), model.params.grad_buffer.tobytes()
+
+        assert gradients(between=True) == gradients(between=False)
+
     @pytest.mark.parametrize("model_type", ["lstm", "cnn", "treelstm"])
     def test_backward_asked_for_no_gradient_refused(self, model_type):
         model, batch, dlogits = batch_case(model_type, 0)
@@ -916,6 +940,8 @@ class TestInputRows:
         pytest.param(np.arange(3).reshape(3, 1), id="2-D"),
         pytest.param(np.arange(3.0), id="float"), pytest.param([0, 1, 2], id="list"),
         pytest.param(np.ones(3, dtype=bool), id="bool"),
+        # only -1 means the unk row; -2 would read the last word's embedding
+        pytest.param(np.array([0, -2, 1]), id="below-unk"),
     ])
     def test_mis_sized_rows_rejected_at_construction(self, model_type, rows):
         # a batch gathers its inputs' rows end to end: rows longer than the
