@@ -366,6 +366,9 @@ def _cmd_saliency(parser, args) -> int:
         except NonFiniteError:  # finite weights can still overflow the logits
             raise CheckpointError(f"{args.model}: non-finite logits at mention "
                                   f"{m.doc_id}/{m.sent_id} token {m.token_id}") from None
+        except ValueError as e:  # or the input gradient, whose scores SaliencyMap refuses
+            raise CheckpointError(f"{args.model}: mention {m.doc_id}/{m.sent_id} token "
+                                  f"{m.token_id}: {e}") from None
         path = os.path.join(args.out, name)
         with atomic_open(path) as f:
             f.write(emit_heatmap(smap, args.format))

@@ -35,7 +35,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -330,7 +330,11 @@ class TreeLstmClassifier:
     and its edges, its edges and its embedding rows. The batch lays these
     arrays end to end and sorts its node keys and its edge keys once each,
     however many trees it holds. A chain's schedule follows from the
-    inputs' lengths alone.
+    inputs' lengths alone, so it is worked out once per length profile and
+    memoised (_chain_schedule): serving one mention at a time, or repeating
+    a pass, reuses it. A batch of trees is not memoised: its schedule
+    follows from the trees' shapes, which inputs of equal lengths need not
+    share.
     """
 
     def __init__(self, buffer: np.ndarray, vectors: np.ndarray, hidden: int,
@@ -377,52 +381,33 @@ class TreeLstmClassifier:
           batch of trees where no level has one child per node.
         - multi: None unless some level has edges, else (children, parents)
           of every edge.
-        Trees: the nodes sort by their inputs' node keys (height, then most
-        children first, then batch order); _tree_schedule sorts the edges by
-        their keys and counts each level's edges at each place.
+        Chains: everything but x_rows follows from the inputs' lengths and
+        comes from _chain_schedule, memoised per length profile; the rows
+        never enter the memo. Trees: the nodes sort by their inputs' node
+        keys (height, then most children first, then batch order);
+        _tree_schedule sorts the edges by their keys and counts each level's
+        edges at each place.
         """
         if not batch:
             raise ValueError(f"{self.model_type} forward: empty batch")
-        sizes = [len(inst.rows) for inst in batch]
+        sizes = tuple(len(inst.rows) for inst in batch)
         if not all(sizes):
             raise ValueError(f"{self.model_type} forward: empty sequence")
-        N = sum(sizes)
         if self.model_type == "lstm":
-            sizes = np.array(sizes)
-            ends = sizes.cumsum()
-            starts = ends - sizes
-            # longest input first (stable): a level's r-th node is a position
-            # of the r-th longest input, and its child is the r-th node of
-            # the level below
-            by_length = (-sizes).argsort(kind="stable")
-            lengths = sizes[by_length]
-            present = np.arange(lengths[0])[:, None] < lengths  # (level, input)
-            order = (starts[by_length] + np.arange(lengths[0])[:, None])[present]
-            counts = present.sum(axis=1)
-            bounds = [0, *counts.cumsum().tolist()]
-            levels = [(0, bounds[1], None, None)]
-            levels += [(a, b, slice(k, k + b - a), None)
-                       for k, a, b in zip(bounds, bounds[1:], bounds[2:])]
-            rows = np.arange(bounds[1], N)
-            single = (rows, rows - counts[:-1].repeat(counts[1:]))
-            multi = None
-            read = ends - 1
-        else:
-            arrays = np.concatenate([inst.tree_levels for inst in batch], axis=1)
-            # by height, most children first, ties in batch order
-            order = arrays[0].argsort(kind="stable")
-            starts = [0, *itertools.accumulate(sizes[:-1])]
-            read = [s + (inst.root_pos if self.readout == "root" else inst.target_pos)
-                    for s, inst in zip(starts, batch)]
-        rank = np.empty(N, dtype=np.int64)
-        index = np.arange(N)
-        rank[order] = index
-        if self.model_type == "lstm":
+            order, rank, levels, read, single = _chain_schedule(sizes)
             x_rows = np.concatenate([inst.rows for inst in batch])[order]
-        else:
-            x_rows = arrays[1][order]
-            levels, single, multi = _tree_schedule(arrays, index, rank, len(batch))
-        return x_rows, rank, levels, rank[read], single, multi
+            return x_rows, rank, levels, read, single, None
+        arrays = np.concatenate([inst.tree_levels for inst in batch], axis=1)
+        # by height, most children first, ties in batch order
+        order = arrays[0].argsort(kind="stable")
+        index = np.arange(len(order))
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = index
+        starts = [0, *itertools.accumulate(sizes[:-1])]
+        read = [s + (inst.root_pos if self.readout == "root" else inst.target_pos)
+                for s, inst in zip(starts, batch)]
+        levels, single, multi = _tree_schedule(arrays, index, rank, len(batch))
+        return arrays[1][order], rank, levels, rank[read], single, multi
 
     def forward(self, batch: list[EncodedInput], drop_ratio: float = 0.0, drop_rng=None):
         schedule = self._schedule(batch)
@@ -594,6 +579,49 @@ def _child_sum(rows: np.ndarray, places, out: np.ndarray) -> np.ndarray:
     for start, count in rest:
         out[:count] += rows[start : start + count]
     return out
+
+
+# distinct length profiles kept. One cross-validation pass of 16-window
+# batches meets about two dozen (training batches ending at a sentence edge,
+# test batches, the short last batch), and serving one mention at a time
+# meets one per window length, so 64 holds a pass with room while repeated
+# passes hit; shuffled chains of many lengths rarely repeat a profile, so a
+# larger memo would hold memory (about 32 bytes per node of each profile)
+# for few hits
+_CHAIN_MEMO_SIZE = 64
+
+
+@lru_cache(maxsize=_CHAIN_MEMO_SIZE)
+def _chain_schedule(lengths: tuple[int, ...]):
+    """order, rank, levels, read and single of TreeLstmClassifier._schedule
+    for a batch of chains of these lengths, with order the node at each
+    sorted place, counting over the inputs laid end to end. It follows from
+    the lengths alone, so it is memoised per length profile; every array is
+    read-only and levels is a tuple, since one result serves every batch of
+    that profile."""
+    sizes = np.array(lengths)
+    ends = sizes.cumsum()
+    starts = ends - sizes
+    # longest input first (stable): a level's r-th node is a position of the
+    # r-th longest input, and its child is the r-th node of the level below
+    by_length = (-sizes).argsort(kind="stable")
+    ordered = sizes[by_length]
+    present = np.arange(ordered[0])[:, None] < ordered  # (level, input)
+    order = (starts[by_length] + np.arange(ordered[0])[:, None])[present]
+    counts = present.sum(axis=1)
+    bounds = [0, *counts.cumsum().tolist()]
+    levels = ((0, bounds[1], None, None),
+              *((a, b, slice(k, k + b - a), None)
+                for k, a, b in zip(bounds, bounds[1:], bounds[2:])))
+    N = bounds[-1]
+    rank = np.empty(N, dtype=np.int64)
+    rank[order] = np.arange(N)
+    read = rank[ends - 1]
+    rows = np.arange(bounds[1], N)
+    single = (rows, rows - counts[:-1].repeat(counts[1:]))
+    for array in (order, rank, read, *single):
+        array.flags.writeable = False
+    return order, rank, levels, read, single
 
 
 def _tree_schedule(arrays: np.ndarray, index: np.ndarray, rank: np.ndarray, n_trees: int):

@@ -386,18 +386,17 @@ def _unk_vector(dim: int) -> np.ndarray:
 
 def load_embeddings(text: str) -> EmbeddingTable:
     """Parse the text embedding format: header "vocab_size dim", then one
-    "word v1 ... vD" line per word."""
+    "word v1 ... vD" line per word. The counts are ASCII digits and the
+    values ASCII numbers without "_", the forms write_embeddings writes."""
     lines = text.splitlines()
     if not lines:
         raise EmbeddingError("empty embedding file")
     header = lines[0].split()
-    if len(header) != 2:
+    # ASCII digits only, as written: int() also reads "+2", "2_0" and "２"
+    if len(header) != 2 or not all(n.isascii() and n.isdigit() for n in header):
         raise EmbeddingError(f"line 1: malformed header {lines[0]!r} (expected 'vocab_size dim')")
-    try:
-        vocab_size, dim = int(header[0]), int(header[1])
-    except ValueError:
-        raise EmbeddingError(f"line 1: malformed header {lines[0]!r}") from None
-    if vocab_size < 0 or dim < 1:
+    vocab_size, dim = int(header[0]), int(header[1])
+    if dim < 1:
         raise EmbeddingError(f"line 1: bad header values {lines[0]!r}")
     words: list[str] = []
     vectors: list[np.ndarray] = []
@@ -410,6 +409,9 @@ def load_embeddings(text: str) -> EmbeddingTable:
                 f"line {lineno}: expected {dim} values for word {parts[0] if parts else '?'!r}, "
                 f"got {len(parts) - 1}"
             )
+        numbers = " ".join(parts[1:])
+        if not numbers.isascii() or "_" in numbers:  # float() also reads "1_0" and "٣"
+            raise EmbeddingError(f"line {lineno}: non-numeric vector component")
         try:
             vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
         except ValueError:
@@ -541,7 +543,8 @@ def load_checkpoint(path: str) -> tuple[dict, np.ndarray, EmbeddingTable]:
     if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format_version {header.get('format_version')!r}")
     for key, kind in _HEADER_FIELDS.items():
-        if not isinstance(header.get(key), kind):
+        value = header.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):  # a bool is no int
             raise CheckpointError(f"checkpoint header field {key!r} missing or not a {kind.__name__}")
     vocab, dim = header["vocab"], header["dim"]
     if not all(isinstance(w, str) for w in vocab) or len(set(vocab)) < len(vocab) or dim < 1:

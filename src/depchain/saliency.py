@@ -31,7 +31,7 @@ __all__ = [
 @dataclass(frozen=True)
 class SaliencyMap:
     tokens: tuple[str, ...]
-    scores: tuple[float, ...]  # per-token mean absolute derivative, >= 0
+    scores: tuple[float, ...]  # per-token mean absolute derivative, finite and >= 0
     raw: np.ndarray | None  # (T, dim) absolute derivatives; None for parsed maps
     predicted: TemporalStatus | None
     gold: TemporalStatus | None
@@ -39,8 +39,10 @@ class SaliencyMap:
     def __post_init__(self):
         if len(self.tokens) != len(self.scores):
             raise ValueError("tokens and scores lengths differ")
-        if any(s < 0 for s in self.scores):
-            raise ValueError("scores must be nonnegative")
+        for pos, score in enumerate(self.scores, start=1):
+            if not math.isfinite(score) or score < 0:  # NaN < 0 is False
+                raise ValueError(f"position {pos}: saliency score {score} is not a finite "
+                                 f"nonnegative number")
 
     def __len__(self) -> int:
         return len(self.tokens)

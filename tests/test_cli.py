@@ -62,16 +62,33 @@ def overflow_logits(values):
     values["by"][...] = 1.7e308
 
 
-def overflowing_checkpoint(tmp_path, conllu, events):
-    """A train_tiny checkpoint rewritten through overflow_logits."""
+def overflow_input_gradient(values):
+    """Set a recurrent model's parameters and its embedding table (under
+    "table") so that every value and every logit stays finite but the input
+    gradient overflows. Each embedding is 2**-3 in every dimension and the u
+    gate's W columns alternate +-2**40 down its (even) rows: the input terms
+    cancel exactly, so u, every cell state and every hidden state are 0 and
+    the logits are by, 0. A readout of about 1e308 then sends each cell
+    state a gradient near 1e308, which W's 2**40 carries past float64."""
+    dim, hidden = values["table"].shape[1], len(values["U"])
+    values["table"][...] = 2.0**-3
+    for name in ("W", "U", "b", "by"):
+        values[name][...] = 0.0
+    values["W"][:, :hidden] = np.where(np.arange(dim) % 2, -(2.0**40), 2.0**40)[:, None]
+    values["Wy"][...] = [1.5e308, -1.5e308, 1e308]
+
+
+def overflowing_checkpoint(tmp_path, conllu, events, overflow=overflow_logits):
+    """A train_tiny checkpoint rewritten through ``overflow``, which gets the
+    parameters by name and the embedding table as "table"."""
     ckpt = train_tiny(tmp_path, conllu, events)
     with open(ckpt, "rb") as f:
         header, payload = f.read().split(b"\n", 1)
     doc = json.loads(header)
     shapes = param_shapes("lstm", doc["dim"], doc["config"]["hidden"])
+    shapes["table"] = (len(doc["vocab"]) + 1, doc["dim"])
     flat = np.frombuffer(payload, dtype="<f8").copy()
-    params = ParamSet(shapes, flat[: sum(map(math.prod, shapes.values()))])
-    overflow_logits(params.values)
+    overflow(ParamSet(shapes, flat).values)
     with open(ckpt, "wb") as f:
         f.write(header + b"\n" + flat.tobytes())
     return ckpt
@@ -361,6 +378,20 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"format_version {version}" in err
 
+    @pytest.mark.parametrize("command", ["eval", "saliency"])
+    def test_bool_dim_checkpoint_rejected(self, tmp_path, capsys, command):
+        conllu, events = gen_corpus(tmp_path)
+        ckpt = Path(train_tiny(tmp_path, conllu, events))
+        data = ckpt.read_bytes()
+        assert b'"dim": 6' in data  # --emb-dim 6
+        ckpt.write_bytes(data.replace(b'"dim": 6', b'"dim": true', 1))
+        capsys.readouterr()
+        rc = main([command, "--model", str(ckpt), "--conllu", conllu, "--events", events,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'dim'" in err and "Traceback" not in err
+
     def test_unallocatable_embeddings_dim(self, tmp_path, capsys):
         # numpy refuses a (1, 2**62) array before allocating any of it
         conllu, events = gen_corpus(tmp_path)
@@ -411,6 +442,25 @@ class TestTrainEval:
         assert ckpt in err and "non-finite logits" in err
         assert f"{first['doc_id']}/{first['sent_id']} token {first['token_id']}" in err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_saliency_gradient_overflowing_finite_weights(self, tmp_path, capsys):
+        # finite logits, but scores past float64's range, which SaliencyMap
+        # refuses: an error line naming the mention, no heatmap
+        conllu, events = gen_corpus(tmp_path)
+        ckpt = overflowing_checkpoint(tmp_path, conllu, events, overflow_input_gradient)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        rc = main(["saliency", "--model", ckpt, "--conllu", conllu, "--events", events,
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        first = json.loads(Path(events).read_text().splitlines()[0])
+        assert rc == 1
+        assert re.fullmatch(
+            rf"error: {re.escape(ckpt)}: mention {first['doc_id']}/{first['sent_id']} token "
+            rf"{first['token_id']}: position \d+: saliency score (nan|inf) is not a finite "
+            rf"nonnegative number\n", err), err
+        assert not out.exists() or not any(out.iterdir())
+        assert main(["eval", "--model", ckpt, "--conllu", conllu, "--events", events]) == 0
 
     def test_eval_logits_overflowing_finite_weights(self, tmp_path, capsys):
         conllu, events = gen_corpus(tmp_path)

@@ -16,7 +16,9 @@ from depchain import (
     restore_model,
 )
 from depchain.models import (
+    _CHAIN_MEMO_SIZE,
     FILTER_WIDTH,
+    _chain_schedule,
     param_shapes,
     random_batch,
     random_instance,
@@ -956,3 +958,89 @@ class TestInputRows:
         first = EncodedInput(forms=("a", "b", "c"), rows=np.arange(3), children=children)
         paired, _ = model.forward([first, good])
         assert np.abs(paired[1] - alone[0]).max() <= 1e-15
+
+
+def chain_schedule_oracle(lengths):
+    """(order, rank, levels, read, single) of a chain batch, position by
+    position: level t holds position t of every input longer than t,
+    longest first (ties in batch order), and a node's child is the node
+    at its place on the level below."""
+    starts = np.cumsum(lengths) - lengths
+    by_length = sorted(range(len(lengths)), key=lambda i: -lengths[i])
+    order, bounds = [], [0]
+    for t in range(max(lengths)):
+        order += [starts[i] + t for i in by_length if lengths[i] > t]
+        bounds.append(len(order))
+    rank = np.argsort(order)
+    levels = [(0, bounds[1], None, None)]
+    rows, kids = [], []
+    for t in range(1, len(bounds) - 1):
+        a, b = bounds[t], bounds[t + 1]
+        levels.append((a, b, slice(bounds[t - 1], bounds[t - 1] + b - a), None))
+        rows += range(a, b)
+        kids += range(bounds[t - 1], bounds[t - 1] + b - a)
+    read = rank[starts + np.array(lengths) - 1]
+    return np.array(order), rank, tuple(levels), read, (np.array(rows), np.array(kids))
+
+
+def assert_same_schedule(got, want):
+    order, rank, levels, read, single = got
+    assert isinstance(levels, tuple) and levels == want[2]
+    for g, w in zip((order, rank, read, *single), (*want[:2], want[3], *want[4])):
+        assert g.dtype.kind == "i" and g.shape == w.shape and (g == w).all()
+
+
+class TestChainScheduleMemo:
+    """A chain batch's schedule is memoised per length profile."""
+
+    CASES = [(1,), (7,), (4, 4, 4), (1, 1, 1), (3, 9, 1, 9, 4), (1, 13, 2),
+             *(tuple(np.random.default_rng(s).integers(1, 14, size=1 + s % 9).tolist())
+               for s in range(8))]
+
+    @pytest.mark.parametrize("lengths", CASES, ids=str)
+    def test_memo_equals_unmemoised(self, lengths):
+        want = chain_schedule_oracle(lengths)
+        assert_same_schedule(_chain_schedule.__wrapped__(lengths), want)
+        first = _chain_schedule(lengths)
+        assert_same_schedule(first, want)
+        hits = _chain_schedule.cache_info().hits
+        assert _chain_schedule(lengths) is first
+        assert _chain_schedule.cache_info().hits == hits + 1
+
+    @pytest.mark.parametrize("lengths", [(1,), (5, 2, 5)], ids=str)
+    def test_arrays_refuse_writes(self, lengths):
+        order, rank, _, read, single = _chain_schedule(lengths)
+        for array in (order, rank, read, *single):
+            assert not array.flags.writeable
+            if array.size:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1
+
+    def test_rows_never_enter_memo(self):
+        """Two batches of one length profile over different rows: the second
+        runs from the first's memoised schedule, and gives the same bytes as
+        after the memo is cleared."""
+        model, batch, dlogits = batch_case("lstm", 11, layout="shortest mid-batch")
+        lengths = [len(inst) for inst in batch]
+        first = sum(lengths)
+        model.vectors[first : 2 * first] = np.random.default_rng(12).standard_normal(
+            (first, model.vectors.shape[1]))
+        other = [seq_input(n, first_row=first + s)
+                 for n, s in zip(lengths, np.cumsum(lengths) - lengths)]
+        base = run_batch(model, batch, dlogits)
+        hit = run_batch(model, other, dlogits)
+        assert _chain_schedule.cache_info().currsize
+        _chain_schedule.cache_clear()
+        cold = run_batch(model, other, dlogits)
+        assert base[0].tobytes() != hit[0].tobytes()  # the rows do change the logits
+        assert hit[0].tobytes() == cold[0].tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(hit[1], cold[1]))
+        assert all(hit[2][k].tobytes() == cold[2][k].tobytes() for k in cold[2])
+
+    def test_memo_holds_at_most_its_size(self):
+        _chain_schedule.cache_clear()
+        for n in range(1, _CHAIN_MEMO_SIZE + 11):
+            _chain_schedule((n, 2))
+        info = _chain_schedule.cache_info()
+        assert info.currsize == info.maxsize == _CHAIN_MEMO_SIZE
+        assert info.misses == _CHAIN_MEMO_SIZE + 10

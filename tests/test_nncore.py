@@ -387,6 +387,10 @@ class TestEmbeddings:
             pytest.param("2 2\ncat 0.1 0.2\ndog 1 inf\n", id="inf"),
             pytest.param("2 2\ncat 0.1 0.2\ndog -Infinity 1\n", id="minus-inf"),
             pytest.param("2 2\ncat 0.1 0.2\ndog 1 x\n", id="non-numeric"),
+            # float() reads these as 10.0 and 3.0; write_embeddings never writes them
+            pytest.param("2 2\ncat 0.1 0.2\ndog 1_0 1\n", id="underscore"),
+            pytest.param("2 2\ncat 0.1 0.2\ndog 1 \u0663\n", id="arabic-indic-digit"),
+            pytest.param("2 2\ncat 0.1 0.2\ndog 1 \uff13\n", id="fullwidth-digit"),
         ],
     )
     def test_bad_row_reports_line(self, bad):
@@ -403,6 +407,12 @@ class TestEmbeddings:
             pytest.param("", "empty embedding file", id="empty"),
             pytest.param("1 two\ncat 1 2\n", "malformed header", id="non-integer"),
             pytest.param("1 0\ncat\n", "bad header values", id="dim-0"),
+            # int() reads these; write_embeddings writes ASCII digits alone
+            pytest.param("+1 2\ncat 1 2\n", "malformed header", id="plus-sign"),
+            pytest.param("-1 2\n", "malformed header", id="negative"),
+            pytest.param("\uff11 2\ncat 1 2\n", "malformed header", id="fullwidth-digit"),
+            pytest.param("1 2_0\ncat 1 2\n", "malformed header", id="underscore"),
+            pytest.param("1 \u0662\ncat 1 2\n", "malformed header", id="arabic-indic-digit"),
         ],
     )
     def test_bad_header_values(self, text, pattern):
@@ -416,6 +426,14 @@ class TestEmbeddings:
     def test_duplicate_word_rejected(self):
         with pytest.raises(EmbeddingError, match="duplicate"):
             load_embeddings("2 2\ncat 1 2\ncat 3 4\n")
+
+    def test_numbers_in_every_written_form_read_back(self):
+        # write_embeddings' %.17g writes signs, exponents and whole numbers
+        text = "2 3\ncat -0.10000000000000001 1e-05 2.5e+300\nnaïve 3 -7 0\n"
+        t = load_embeddings(text)
+        assert t.words == ["cat", "naïve"]
+        assert np.array_equal(t.matrix, [[-0.1, 1e-05, 2.5e300], [3, -7, 0]])
+        assert load_embeddings(write_embeddings(t)).matrix.tobytes() == t.matrix.tobytes()
 
     def test_write_load_round_trip_exact(self):
         t = random_embeddings(["alpha", "beta", "gamma"], 5, seed=13)
@@ -520,6 +538,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("dim", [True, False])
+    def test_bool_dim_rejected(self, tmp_path, dim):
+        # a bool is no int: true would pass as dim 1 and reach numpy's reshape
+        path = tmp_path / "m.ckpt"
+        header, payload = self._trained(path)
+        path.write_bytes(json.dumps(header | {"dim": dim}).encode() + b"\n" + payload)
+        with pytest.raises(CheckpointError, match="field 'dim' missing or not a int"):
+            load_checkpoint(str(path))
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
         self._trained(path)
@@ -557,6 +584,7 @@ class TestCheckpoint:
             pytest.param(lambda h: h | {"vocab": h["vocab"] + ["tres"]}, id="word-added"),
             pytest.param(lambda h: h | {"vocab": [1, "dos"]}, id="non-string-word"),
             pytest.param(lambda h: h | {"dim": 0}, id="dim-0"),
+            pytest.param(lambda h: h | {"dim": True}, id="bool-dim"),
             pytest.param(lambda h: h | {"config": h["config"] | {"seed": -1}}, id="negative-seed"),
             pytest.param(lambda h: h | {"config": h["config"] | {"model_type": "treelstm",
                                                                  "representation": "window"}},

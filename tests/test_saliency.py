@@ -1,5 +1,7 @@
 """Saliency maps: gradient correctness, CSV/HTML emission, parsing."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,14 @@ class TestComputeSaliency:
                         predicted=None, gold=None)
         with pytest.raises(ValueError):
             SaliencyMap(tokens=("a",), scores=(-0.1,), raw=None,
+                        predicted=None, gold=None)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_refused(self, bad):
+        # NaN < 0 is False: without its own check a NaN reached the CSV as
+        # "nan", which parse_heatmap_csv refuses, and the HTML as an alpha of nan
+        with pytest.raises(ValueError, match=f"position 2: saliency score {bad} is not a finite"):
+            SaliencyMap(tokens=("a", "b"), scores=(0.5, bad), raw=None,
                         predicted=None, gold=None)
 
 
