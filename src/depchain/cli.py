@@ -32,6 +32,7 @@ from .corpus import (
 from .errors import CheckpointError, CorpusError, DepchainError, TrainingError
 from .harness import (
     TrainConfig,
+    _mention_name,
     cross_validate,
     encode_input,
     evaluate,
@@ -49,7 +50,7 @@ from .nncore import (
     read_utf8,
     write_embeddings,
 )
-from .saliency import compute_saliency, emit_heatmap, heatmap_filename
+from .saliency import emit_heatmap, heatmap_filename, saliency_maps
 
 __all__ = ["main", "build_parser"]
 
@@ -344,6 +345,7 @@ def _cmd_saliency(parser, args) -> int:
     if args.out is None:
         parser.error(f"--out is required (or set ${DATA_DIR_VAR})")
     trained = load_trained(args.model)
+    cfg = trained.config
     corpus, mentions = _read_corpus(args.conllu, args.events)
     by_key = index_sentences(corpus)
     names = [heatmap_filename(m.doc_id, m.sent_id, m.token_id, args.format) for m in mentions]
@@ -356,27 +358,26 @@ def _cmd_saliency(parser, args) -> int:
                               f"{key[0]}/{key[1]} token {key[2]} both map to heatmap {name}")
     os.makedirs(args.out, exist_ok=True)
     outputs = []
-    for name, m in zip(names, mentions):
-        sent = by_key[(m.doc_id, m.sent_id)]
-        inst = encode_input(sent, m, trained.config.representation,
-                            trained.table, trained.config.half_width)
-        label = None if args.at_predicted else m.label
-        try:
-            smap = compute_saliency(trained.model, inst, label)
-        except NonFiniteError:  # finite weights can still overflow the logits
-            raise CheckpointError(f"{args.model}: non-finite logits at mention "
-                                  f"{m.doc_id}/{m.sent_id} token {m.token_id}") from None
-        except ValueError as e:  # or the input gradient, whose scores SaliencyMap refuses
-            raise CheckpointError(f"{args.model}: mention {m.doc_id}/{m.sent_id} token "
-                                  f"{m.token_id}: {e}") from None
-        path = os.path.join(args.out, name)
-        with atomic_open(path) as f:
-            f.write(emit_heatmap(smap, args.format))
-        outputs.append(path)
-    config = dict(asdict(trained.config), format=args.format,
-                  at_predicted=args.at_predicted)
-    _write_manifest(os.path.join(args.out, "manifest.json"), "saliency",
-                    trained.config.seed, config,
+    for start in range(0, len(mentions), cfg.batch_size):  # as evaluate batches
+        chunk = mentions[start : start + cfg.batch_size]
+        batch = [encode_input(by_key[(m.doc_id, m.sent_id)], m, cfg.representation,
+                              trained.table, cfg.half_width) for m in chunk]
+        maps = saliency_maps(trained.model, batch,
+                             [None if args.at_predicted else m.label for m in chunk])
+        for name, m in zip(names[start : start + cfg.batch_size], chunk):
+            try:
+                smap = next(maps)
+            except NonFiniteError as e:  # finite weights can still overflow the logits
+                raise CheckpointError(f"{args.model}: non-finite logits at mention "
+                                      f"{_mention_name(chunk[e.row])}") from None
+            except ValueError as e:  # or the input gradient, whose scores SaliencyMap refuses
+                raise CheckpointError(f"{args.model}: mention {_mention_name(m)}: {e}") from None
+            path = os.path.join(args.out, name)
+            with atomic_open(path) as f:
+                f.write(emit_heatmap(smap, args.format))
+            outputs.append(path)
+    config = dict(asdict(cfg), format=args.format, at_predicted=args.at_predicted)
+    _write_manifest(os.path.join(args.out, "manifest.json"), "saliency", cfg.seed, config,
                     [args.model, args.conllu, args.events], outputs)
     print(f"wrote {len(outputs)} heatmaps to {args.out}")
     return 0

@@ -25,6 +25,7 @@ from .models import (
     check_param_memory,
     model_loss,
     param_shapes,
+    predict,
     restore_model,
 )
 from .nncore import (
@@ -203,10 +204,11 @@ def split_tuning_test(examples, seed: int):
 
 def kfold(examples, k: int = 10, seed: int = 0) -> tuple[tuple[int, ...], ...]:
     """Seeded shuffle of the indices 0..n-1 into k folds of test indices,
-    which partition them; the first n % k folds take the extra element."""
+    which partition them; the first n % k folds take the extra element.
+    ValueError unless k is an int >= 2 (a bool is no int)."""
     n = len(examples)
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
+        raise ValueError(f"k must be an integer >= 2, got {k!r}")
     if n < k:
         raise CorpusError(f"need at least k={k} examples, got {n}")
     perm = np.random.default_rng(seed).permutation(n)
@@ -392,13 +394,13 @@ def evaluate(
     mentions: list[EventMention],
     encoded: list[tuple[EncodedInput, int]] | None = None,
 ) -> Metrics:
-    """Predictions without dropout scored against gold labels, one forward
-    pass per training batch size of inputs, so evaluation holds no more
-    than training does. ``encoded`` is as in train, from trained.table.
-    Finite weights can still overflow a mention's logits: that is a
-    TrainingError naming the first such mention, never a prediction. An
-    input the model cannot read (a cyclic tree, a row past the table's end)
-    is a TrainingError naming the first mention of its forward pass."""
+    """Predictions scored against gold labels, one predict call per training
+    batch size of inputs, so evaluation holds no more than training does.
+    ``encoded`` is as in train, from trained.table. Finite weights can still
+    overflow a mention's logits: that is a TrainingError naming the first
+    such mention, never a prediction. An input the model cannot read (a
+    cyclic tree, a row past the table's end) is a TrainingError naming the
+    first mention of its batch."""
     if not mentions:
         raise CorpusError("no mentions to evaluate on")
     if encoded is None:
@@ -408,16 +410,14 @@ def evaluate(
     for start in range(0, len(encoded), step):
         chunk = encoded[start : start + step]
         try:
-            logits, _ = trained.model.forward([inst for inst, _ in chunk])
+            labels, _, _ = predict(trained.model, [inst for inst, _ in chunk])
+        except NonFiniteError as e:
+            raise TrainingError(f"non-finite logits at mention "
+                                f"{_mention_name(mentions[start + e.row])}") from e
         except (ValueError, IndexError) as e:  # IndexError: a row past the table's end
             raise TrainingError(f"bad model input in the batch from mention "
                                 f"{_mention_name(mentions[start])}: {e}") from e
-        finite = np.isfinite(logits).all(axis=1)
-        if not finite.all():
-            bad = mentions[start + int(np.argmin(finite))]
-            raise TrainingError(f"non-finite logits at mention {_mention_name(bad)}")
-        # argmax: ties break toward the lower class index, as in classify
-        for (_, gold), pred in zip(chunk, np.argmax(logits, axis=1).tolist()):
+        for (_, gold), pred in zip(chunk, labels.tolist()):
             confusion[gold, pred] += 1
     return Metrics(confusion)
 
@@ -489,8 +489,10 @@ def cross_validate(
     own seed from (config.seed, fold), so the outcome does not depend on jobs.
     At most k worker processes start, one per fold; each receives the encoded
     inputs, the mentions and the table, and no sentence: train and evaluate
-    read none when given encoded inputs.
-    """
+    read none when given encoded inputs. ValueError, before any work, unless
+    jobs is an int >= 1 and k one kfold takes."""
+    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     folds = kfold(mentions, k, config.seed)
     table = resolve_embeddings(config, corpus)
     data = _encode_corpus(corpus, mentions, config, table)

@@ -12,13 +12,13 @@ untouched; asking for neither is a ValueError. Each gradient is bitwise the
 same whichever others are formed with it. A model is deterministic unless
 given a dropout ratio, which only training does.
 Dropout touches only the penultimate vector (final hidden state or pooled
-feature vector). A single input runs as a batch of one; there is no other
-path. The CNN reads its windows as one strided view of the zero-padded
-batch and max-pools them, routing each filter's gradient back to its first
-winning window (see CnnClassifier). The LSTM and the tree-LSTM share one
-cell: the LSTM is the child-sum tree-LSTM run on a chain, in one loop over
-height levels that branches per level on what the level's nodes have below
-them (see TreeLstmClassifier).
+feature vector). Every prediction is one checked predict call over a batch,
+a single input a batch of one. The CNN reads its windows as one strided
+view of the zero-padded batch and max-pools them, routing each filter's
+gradient back to its first winning window (see CnnClassifier). The LSTM
+and the tree-LSTM share one cell: the LSTM is the child-sum tree-LSTM run
+on a chain, in one loop over height levels that branches per level on what
+the level's nodes have below them (see TreeLstmClassifier).
 Its four gates are fused: W, U and b hold them in columns u, i, o, f and lie
 back to back, one (dim + hidden + 1, 4 hidden) block that every pass reads.
 The forward pass stores the gates gate-major, one contiguous (nodes,
@@ -41,7 +41,7 @@ import numpy as np
 
 from .corpus import TemporalStatus
 from .errors import TrainingError
-from .nncore import ParamSet, dropout, grad_check, softmax, softmax_xent, uniform_init
+from .nncore import NonFiniteError, ParamSet, dropout, grad_check, softmax_xent, uniform_init
 
 __all__ = [
     "EncodedInput",
@@ -52,6 +52,7 @@ __all__ = [
     "param_shapes",
     "restore_model",
     "model_loss",
+    "predict",
     "classify",
     "gradcheck_model",
 ]
@@ -747,11 +748,19 @@ def model_loss(model, batch: list[EncodedInput], golds, drop_ratio: float = 0.0,
     return losses, probs, model.backward(cache, dlogits, input_grad)
 
 
+def predict(model, batch: list[EncodedInput]):
+    """One forward pass without dropout: (labels, logits, cache), labels the rows'
+    argmax (lowest index on ties). NonFiniteError names the first non-finite row."""
+    logits, cache = model.forward(batch)
+    if not np.isfinite(logits).all():
+        raise NonFiniteError(int(np.argmin(np.isfinite(logits).all(axis=1))))
+    return logits.argmax(axis=1), logits, cache
+
+
 def classify(model, inst: EncodedInput) -> tuple[TemporalStatus, np.ndarray]:
-    """Prediction without dropout, as a batch of one; ties break toward the
-    lower class index. NonFiniteError (row 0) unless the logits are finite."""
-    logits, _ = model.forward([inst])
-    return TemporalStatus(int(np.argmax(logits[0]))), softmax(logits[0])
+    """predict over a batch of one: the label and its (3,) probabilities."""
+    labels, logits, _ = predict(model, [inst])
+    return TemporalStatus(int(labels[0])), softmax_xent(logits, labels)[1][0]
 
 
 def random_tree_children(n: int, rng: np.random.Generator) -> tuple[tuple[int, ...], ...]:

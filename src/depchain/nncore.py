@@ -35,6 +35,7 @@ import math
 import operator
 import os
 import platform
+import re
 
 import numpy as np
 
@@ -173,16 +174,6 @@ class ParamSet:
 def uniform_init(rng: np.random.Generator, shape) -> np.ndarray:
     """Uniform(-0.05, 0.05) draws for initial parameter values."""
     return rng.uniform(-0.05, 0.05, size=shape)
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Probabilities of one row of logits; NonFiniteError (row 0) unless
-    every logit is finite."""
-    if not np.isfinite(logits).all():
-        raise NonFiniteError(0)
-    z = logits - np.max(logits)
-    e = np.exp(z)
-    return e / e.sum()
 
 
 class NonFiniteError(ValueError):
@@ -335,6 +326,8 @@ def grad_check(loss_fn, params: ParamSet) -> float:
 # Word embeddings
 
 UNK_SEED = 1013904223  # fixed stream for the unknown-word vector
+# whitespace str.split splits on, bar space and tab; within a line only U+001F is ASCII
+_OTHER_SPACE = re.compile(r"[^\S \t]")
 
 
 class EmbeddingTable:
@@ -386,11 +379,14 @@ def _unk_vector(dim: int) -> np.ndarray:
 
 def load_embeddings(text: str) -> EmbeddingTable:
     """Parse the text embedding format: header "vocab_size dim", then one
-    "word v1 ... vD" line per word. The counts are ASCII digits and the
-    values ASCII numbers without "_", the forms write_embeddings writes."""
+    "word v1 ... vD" line per word. Spaces and tabs split fields; the counts
+    are ASCII digits and the values ASCII numbers without "_", as written."""
     lines = text.splitlines()
     if not lines:
         raise EmbeddingError("empty embedding file")
+    for lineno, line in enumerate(lines, start=1):  # str.isascii costs O(1)
+        if "\x1f" in line or (not line.isascii() and _OTHER_SPACE.search(line)):
+            raise EmbeddingError(f"line {lineno}: whitespace other than spaces and tabs")
     header = lines[0].split()
     # ASCII digits only, as written: int() also reads "+2", "2_0" and "２"
     if len(header) != 2 or not all(n.isascii() and n.isdigit() for n in header):

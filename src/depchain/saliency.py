@@ -3,7 +3,8 @@
 The saliency of a token is the mean over embedding dimensions of the absolute
 derivative of the cross-entropy loss with respect to that token's embedding
 vector. The loss is taken at the gold label when one is supplied, otherwise
-at the model's own prediction.
+at the model's own prediction. A batch is mapped by one checked prediction
+pass (models.predict) and one backward pass; one map is a batch of one.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import TemporalStatus, _has_line_break
-from .models import EncodedInput
+from .models import EncodedInput, predict
 from .nncore import softmax_xent
 
 __all__ = [
     "SaliencyMap",
+    "saliency_maps",
     "compute_saliency",
     "emit_heatmap",
     "parse_heatmap_csv",
@@ -48,30 +50,30 @@ class SaliencyMap:
         return len(self.tokens)
 
 
+def saliency_maps(model, batch: list[EncodedInput], labels=None):
+    """Yield each input's map in turn, at its entry of ``labels`` (None, or a
+    None entry: at the prediction), from one predict call (NonFiniteError
+    naming the row) and one backward pass for the input gradient alone, which
+    leaves the parameter gradients untouched. A map with a non-finite score
+    is refused (ValueError) in its turn, after the maps before it."""
+    labels = [None] * len(batch) if labels is None else labels
+    predicted, logits, cache = predict(model, batch)
+    predicted = predicted.tolist()
+    at = [p if label is None else int(label) for p, label in zip(predicted, labels, strict=True)]
+    _, _, dlogits = softmax_xent(logits, at)
+    raw = np.abs(model.backward(cache, dlogits, input_grad=True, param_grads=False))
+    scores = raw.mean(axis=1).tolist()
+    end = 0
+    for inst, pred, label in zip(batch, predicted, labels):
+        start, end = end, end + len(inst)
+        yield SaliencyMap(tokens=inst.forms, scores=tuple(scores[start:end]),
+                          raw=raw[start:end], predicted=TemporalStatus(pred), gold=label)
+
+
 def compute_saliency(model, inst: EncodedInput,
                      label: TemporalStatus | None = None) -> SaliencyMap:
-    """Backpropagate the loss at `label` (or the prediction) to the input
-    embeddings; scores are means of per-dimension absolute derivatives.
-
-    One forward pass, over a batch of one, serves both: the prediction is the
-    argmax of its logits (lowest index on ties, as in classify) and its cache
-    feeds the backward, which forms the input gradient alone: the model's
-    parameter gradients are neither formed nor touched.
-    """
-    logits, cache = model.forward([inst])
-    predicted = TemporalStatus(int(np.argmax(logits[0])))
-    at = predicted if label is None else label
-    _, _, dlogits = softmax_xent(logits, [int(at)])
-    dX = model.backward(cache, dlogits, input_grad=True, param_grads=False)
-    raw = np.abs(dX)
-    scores = tuple(float(s) for s in raw.mean(axis=1))
-    return SaliencyMap(
-        tokens=inst.forms,
-        scores=scores,
-        raw=raw,
-        predicted=predicted,
-        gold=label,
-    )
+    """saliency_maps over a batch of one."""
+    return next(saliency_maps(model, [inst], [label]))
 
 
 def _label_name(label: TemporalStatus | None) -> str:
@@ -104,10 +106,7 @@ def emit_heatmap(smap: SaliencyMap, fmt: str) -> str:
             f'<span class="tok" style="{style}" title="{title}">'
             f"{_html.escape(tok)}</span>"
         )
-    caption = (
-        f"predicted: {_label_name(smap.predicted)} "
-        f"gold: {_label_name(smap.gold)}"
-    )
+    caption = f"predicted: {_label_name(smap.predicted)} gold: {_label_name(smap.gold)}"
     return (
         "<!DOCTYPE html>\n"
         '<html lang="en">\n<head>\n<meta charset="utf-8">\n'
@@ -161,13 +160,8 @@ def parse_heatmap_csv(text: str) -> SaliencyMap:
             raise ValueError(f"line {lineno}: position {pos} out of order")
         tokens.append(_parse_csv_field(tok))
         scores.append(score)
-    return SaliencyMap(
-        tokens=tuple(tokens),
-        scores=tuple(scores),
-        raw=None,
-        predicted=None,
-        gold=None,
-    )
+    return SaliencyMap(tokens=tuple(tokens), scores=tuple(scores), raw=None,
+                       predicted=None, gold=None)
 
 
 def heatmap_filename(doc_id: str, sent_id: str, token_id: int, fmt: str) -> str:

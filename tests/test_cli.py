@@ -21,15 +21,18 @@ from depchain import (
     heatmap_filename,
     index_sentences,
     load_events,
+    load_trained,
     parse_conllu,
     parse_heatmap_csv,
     representation_ids,
+    save_trained,
 )
 from depchain.cli import _config_from_args, build_parser, main
 from depchain.models import param_shapes
 from depchain.nncore import ParamSet, blas_info
 
 from test_corpus import FIXTURE
+from test_harness import lone_reader
 
 EVENTS = '{"doc_id": "doc1", "sent_id": "s1", "token_id": 8, "label": "FU"}\n'
 
@@ -94,6 +97,22 @@ def overflowing_checkpoint(tmp_path, conllu, events, overflow=overflow_logits):
     return ckpt
 
 
+def overflow_one_input_gradient(values, row):
+    """overflow_input_gradient, narrowed to the inputs that read table row
+    ``row``: only their input gradient overflows. The i gate's W columns are
+    1 and its bias puts it at sigmoid(-50) on a 2**-3 row, so every other
+    token passes the cell's gradient to u a factor 1e-22 down and stays
+    finite; ``row`` holds a value that opens the gate, sigmoid(50), while
+    the u gate's columns still cancel it exactly. A readout of 1e307, -1e307
+    and 1e307 keeps the hidden state's gradient finite at every gold label."""
+    overflow_input_gradient(values)
+    dim, hidden = values["table"].shape[1], len(values["U"])
+    values["W"][:, hidden : 2 * hidden] = 1.0
+    values["b"][hidden : 2 * hidden] = -dim / 8 - 50
+    values["table"][row] = 1 / 8 + 100 / dim
+    values["Wy"][...] = [1e307, -1e307, 1e307]
+
+
 def python_m_depchain(*args, options=()):
     """`python [options] -m depchain args` over this checkout's package (the
     package directory's parent first on PYTHONPATH, as a checkout's src), as
@@ -105,10 +124,10 @@ def python_m_depchain(*args, options=()):
                           capture_output=True, text=True, env=env)
 
 
-def train_tiny(tmp_path, conllu, events, name="model.ckpt", extra=()):
+def train_tiny(tmp_path, conllu, events, name="model.ckpt", extra=(), model="lstm"):
     ckpt = str(tmp_path / name)
     rc = main(
-        ["train", "--model", "lstm", "--repr", "chain",
+        ["train", "--model", model, "--repr", "chain",
          "--conllu", conllu, "--events", events, "--out", ckpt]
         + TINY_HYPERS + list(extra)
     )
@@ -461,6 +480,46 @@ class TestTrainEval:
             rf"nonnegative number\n", err), err
         assert not out.exists() or not any(out.iterdir())
         assert main(["eval", "--model", ckpt, "--conllu", conllu, "--events", events]) == 0
+
+    @pytest.mark.parametrize("model,fault", [("cnn", "logits"), ("lstm", "gradient")])
+    def test_saliency_names_a_later_mention_of_its_batch(self, tmp_path, capsys, model, fault):
+        # one mention alone, in the second batch and not first in it, reads a
+        # rigged table row: non-finite logits stop its batch before any map;
+        # a refused score stops after the maps before it
+        conllu, events = gen_corpus(tmp_path)
+        ckpt = train_tiny(tmp_path, conllu, events, model=model)
+        trained = load_trained(ckpt)
+        sents = parse_conllu(Path(conllu).read_text())
+        mentions = load_events(Path(events).read_text(), sents)
+        j, row = lone_reader(trained, sents, mentions)
+        batch_size = trained.config.batch_size
+        assert j > batch_size  # a later batch; lone_reader keeps j from being first in it
+        if fault == "logits":
+            trained.table.vectors[row] = 1.7e308
+            trained.model.params["Wconv"][...] = 1.0
+            written = j - j % batch_size
+        else:
+            overflow_one_input_gradient(
+                dict(trained.model.params.values, table=trained.table.vectors), row)
+            written = j
+        save_trained(trained, ckpt)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        rc = main(["saliency", "--model", ckpt, "--conllu", conllu, "--events", events,
+                   "--out", str(out), "--format", "csv"])
+        err = capsys.readouterr().err
+        m = mentions[j]
+        assert rc == 1
+        if fault == "logits":
+            assert err == (f"error: {ckpt}: non-finite logits at mention "
+                           f"{m.doc_id}/{m.sent_id} token {m.token_id}\n")
+        else:
+            assert re.fullmatch(
+                rf"error: {re.escape(ckpt)}: mention {m.doc_id}/{m.sent_id} token "
+                rf"{m.token_id}: position \d+: saliency score inf is not a finite "
+                rf"nonnegative number\n", err), err
+        assert sorted(os.listdir(out)) == sorted(
+            heatmap_filename(x.doc_id, x.sent_id, x.token_id, "csv") for x in mentions[:written])
 
     def test_eval_logits_overflowing_finite_weights(self, tmp_path, capsys):
         conllu, events = gen_corpus(tmp_path)

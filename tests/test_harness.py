@@ -32,6 +32,7 @@ from depchain import (
     kfold,
     load_trained,
     model_loss,
+    predict,
     random_embeddings,
     save_trained,
     split_tuning_test,
@@ -40,7 +41,7 @@ from depchain import (
 )
 from depchain import harness
 from depchain.harness import resolve_embeddings
-from depchain.nncore import RmsProp, grad_check
+from depchain.nncore import NonFiniteError, RmsProp, grad_check
 
 from test_acceptance import CORPUS_CFG
 from test_corpus import FIXTURE, make_sentence
@@ -260,6 +261,9 @@ class TestSplits:
     def test_kfold_errors(self):
         with pytest.raises(ValueError):
             kfold(list(range(10)), k=1)
+        for k in (2.5, True, "3"):  # range() refused 2.5 with a bare TypeError
+            with pytest.raises(ValueError, match=f"^k must be an integer >= 2, got {k!r}$"):
+                kfold(list(range(10)), k=k)
         with pytest.raises(CorpusError):
             kfold(list(range(3)), k=4)
 
@@ -747,30 +751,70 @@ class TestEvaluate:
 
     def test_non_finite_logits_name_the_mention(self):
         # finite weights and one finite but huge embedding row overflow the
-        # logits of the one mention that reads it, in a later batch
+        # logits of the one mention that reads it, in a later batch and not
+        # first in it
         sents, mentions = small_corpus()
         cfg = tiny_config(model_type="cnn", epochs=0)
         trained = train(cfg, sents, mentions)
-        by_key = index_sentences(sents)
-        users: dict[int, set[int]] = {}
-        for j, m in enumerate(mentions):
-            inst = encode_input(by_key[(m.doc_id, m.sent_id)], m, "chain", trained.table)
-            for row in inst.rows.tolist():
-                users.setdefault(row, set()).add(j)
-        j = max(next(iter(js)) for js in users.values() if len(js) == 1)
+        j, row = lone_reader(trained, sents, mentions)
         assert j >= cfg.batch_size
-        row = next(r for r, js in users.items() if js == {j})
         trained.table.vectors[row] = 1.7e308
         trained.model.params["Wconv"][...] = 1.0
         m = mentions[j]
+        by_key = index_sentences(sents)
+        start = j - j % cfg.batch_size
+        batch = [encode_input(by_key[(x.doc_id, x.sent_id)], x, "chain", trained.table)
+                 for x in mentions[start : start + cfg.batch_size]]
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingError) as err:
                 evaluate(trained, sents, mentions)
+            with pytest.raises(NonFiniteError) as caught:
+                predict(trained.model, batch)
         assert str(err.value) == f"non-finite logits at mention {m.doc_id}/{m.sent_id} token {m.token_id}"
+        assert caught.value.row == j - start
         assert evaluate(trained, sents, mentions[:j]).confusion.sum() == j
 
 
+def lone_reader(trained, sents, mentions) -> tuple[int, int]:
+    """(j, row): the last mention j that is not first in its evaluation batch
+    and is the only mention whose encoded input reads some table row, and
+    that row."""
+    cfg = trained.config
+    by_key = index_sentences(sents)
+    users: dict[int, set[int]] = {}
+    for j, m in enumerate(mentions):
+        inst = encode_input(by_key[(m.doc_id, m.sent_id)], m, cfg.representation,
+                            trained.table, cfg.half_width)
+        for row in inst.rows.tolist():
+            users.setdefault(row, set()).add(j)
+    row, j = max(((r, next(iter(js))) for r, js in users.items() if len(js) == 1),
+                 key=lambda pair: (pair[1] % cfg.batch_size > 0, pair[1]))
+    assert j % cfg.batch_size, "every lone reader is first in its batch"
+    return j, row
+
+
 class TestCrossValidate:
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(k=2.5), "k must be an integer >= 2, got 2.5"),
+        (dict(k=True), "k must be an integer >= 2, got True"),
+        (dict(k=1), "k must be an integer >= 2, got 1"),
+        (dict(k="3"), "k must be an integer >= 2, got '3'"),
+        (dict(jobs=0), "jobs must be an integer >= 1, got 0"),
+        (dict(jobs=-2), "jobs must be an integer >= 1, got -2"),
+        (dict(jobs=2.0), "jobs must be an integer >= 1, got 2.0"),
+        (dict(jobs=False), "jobs must be an integer >= 1, got False"),
+    ])
+    def test_bad_k_or_jobs_refused_before_any_work(self, monkeypatch, kwargs, message):
+        def no_work(*args, **kw):
+            raise AssertionError("work started")
+
+        for name in ("resolve_embeddings", "_encode_corpus", "_run_fold"):
+            monkeypatch.setattr(harness, name, no_work)
+        sents, mentions = small_corpus(n=6)
+        with pytest.raises(ValueError) as err:
+            cross_validate(tiny_config(), sents, mentions, **kwargs)
+        assert str(err.value) == message
+
     def test_pooled_is_fold_sum(self):
         sents, mentions = small_corpus()
         res = cross_validate(tiny_config(), sents, mentions, k=3)

@@ -13,6 +13,7 @@ from depchain import (
     classify,
     gradcheck_model,
     model_loss,
+    predict,
     restore_model,
 )
 from depchain.models import (
@@ -528,6 +529,44 @@ class TestClassify:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as caught:
             classify(m, seq_input(3))
         assert caught.value.row == 0
+
+
+class TestPredict:
+    @pytest.mark.parametrize("model_type", ["lstm", "cnn", "treelstm"])
+    def test_labels_are_argmax_of_the_eval_forward(self, model_type):
+        rng = np.random.default_rng(32)
+        m, X = build_then_draw(model_type, (40, 4), 5, rng)
+        batch = random_batch(model_type, X, [3, 7, 1, 5, 2], rng)
+        labels, logits, cache = predict(m, batch)
+        forward, _ = m.forward(batch)
+        assert logits.tobytes() == forward.tobytes()
+        assert labels.tolist() == [int(np.argmax(row)) for row in logits]
+        assert [classify(m, inst)[0] for inst in batch] == [TemporalStatus(x) for x in labels]
+        # the cache feeds a backward pass
+        _, _, dlogits = softmax_xent(logits, labels)
+        assert m.backward(cache, dlogits, input_grad=True, param_grads=False).shape == (18, 4)
+
+    def test_ties_break_toward_lower_index(self):
+        m = zeroed("cnn", np.zeros((4, 3)), 4)
+        m.params["by"][...] = [0.0, 1.0, 1.0]
+        labels, _, _ = predict(m, [seq_input(2), seq_input(4)])
+        assert labels.tolist() == [1, 1]
+
+    def test_non_finite_logits_name_the_first_bad_row(self):
+        # one finite but huge row, read by the third and fifth inputs alone,
+        # overflows their logits and no others
+        X = np.full((7, 4), 0.1)
+        X[6] = 1.7e308
+        m = build_model("cnn", X, 5, np.random.default_rng(33))
+        m.params["Wconv"][...] = 1.0
+        batch = [seq_input(3), seq_input(2, 2), EncodedInput(("w",), np.array([6])),
+                 seq_input(6), EncodedInput(("v", "w"), np.array([0, 6]))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError) as caught:
+                predict(m, batch)
+            assert caught.value.row == 2
+            labels, _, _ = predict(m, batch[:2] + batch[3:4])
+        assert labels.shape == (3,)
 
 
 class TestTreeInvariance:

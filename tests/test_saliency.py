@@ -11,14 +11,20 @@ from depchain import (
     build_model,
     classify,
     compute_saliency,
+    encode_input,
+    index_sentences,
     model_loss,
     emit_heatmap,
     heatmap_filename,
     parse_heatmap_csv,
     restore_model,
+    saliency_maps,
+    train,
 )
-from depchain.models import random_instance
+from depchain.models import random_batch, random_instance
 from depchain.nncore import softmax_xent
+
+from test_harness import small_corpus, tiny_config
 
 
 def fresh(model_type="lstm", dim=4, hidden=5, length=6, seed=0, readout="root"):
@@ -80,7 +86,11 @@ class TestComputeSaliency:
 
     @pytest.mark.parametrize("model_type", ["lstm", "cnn", "treelstm"])
     def test_one_forward_one_backward(self, model_type, monkeypatch):
-        model, inst = fresh(model_type, seed=7)
+        # per map of one input, and per batch of them
+        rng = np.random.default_rng(7)
+        X = np.empty((22, 4))
+        model = build_model(model_type, X, 5, rng)
+        X[...] = rng.standard_normal(X.shape)
         calls = []
         for name in ("forward", "backward"):
             method = getattr(model, name)
@@ -90,12 +100,18 @@ class TestComputeSaliency:
                 return _method(*a, **kw)
 
             monkeypatch.setattr(model, name, counted)
-        smap = compute_saliency(model, inst)
-        assert calls == ["forward", "backward"]
-        pred, _ = classify(model, inst)
-        _, _, dX = model_loss(model, [inst], [int(pred)], input_grad=True)
-        assert smap.predicted is pred
-        assert np.array_equal(smap.raw, np.abs(dX))
+        for lengths in ([6], [5, 1, 7, 3]):
+            batch = random_batch(model_type, X, lengths, rng)
+            calls.clear()
+            if len(batch) == 1:
+                maps = [compute_saliency(model, batch[0])]
+            else:
+                maps = list(saliency_maps(model, batch))
+            assert calls == ["forward", "backward"]
+            preds = [classify(model, inst)[0] for inst in batch]
+            _, _, dX = model_loss(model, batch, [int(p) for p in preds], input_grad=True)
+            assert [smap.predicted for smap in maps] == preds
+            assert np.array_equal(np.concatenate([smap.raw for smap in maps]), np.abs(dX))
 
     def test_default_label_is_prediction(self):
         model, inst = fresh(seed=3)
@@ -150,6 +166,38 @@ class TestComputeSaliency:
         with pytest.raises(ValueError, match=f"position 2: saliency score {bad} is not a finite"):
             SaliencyMap(tokens=("a", "b"), scores=(0.5, bad), raw=None,
                         predicted=None, gold=None)
+
+
+class TestSaliencyMaps:
+    @pytest.mark.parametrize("labels", ["predicted", "mixed"])
+    @pytest.mark.parametrize("model_type,representation", [
+        ("lstm", "window"), ("lstm", "chain"), ("cnn", "chain"), ("treelstm", "tree")])
+    def test_batch_matches_one_at_a_time(self, model_type, representation, labels):
+        # trained until the chain models predict two classes
+        sents, mentions = small_corpus(n=60)
+        cfg = tiny_config(model_type=model_type, representation=representation, epochs=20,
+                          learning_rate=0.02, hidden=8, dropout=0.0)
+        trained = train(cfg, sents, mentions)
+        by_key = index_sentences(sents)
+        batch = [encode_input(by_key[(m.doc_id, m.sent_id)], m, representation, trained.table)
+                 for m in mentions]
+        at = (None if labels == "predicted"
+              else [None if i % 3 == 0 else m.label for i, m in enumerate(mentions)])
+        maps = list(saliency_maps(trained.model, batch, at))
+        assert len(maps) == len(batch)
+        for i, (inst, smap) in enumerate(zip(batch, maps)):
+            one = compute_saliency(trained.model, inst, None if at is None else at[i])
+            assert smap.tokens == one.tokens == inst.forms
+            assert smap.predicted is one.predicted
+            assert smap.gold is one.gold
+            assert np.abs(smap.raw - one.raw).max() <= 1e-12
+            for fmt in ("csv", "html"):
+                assert emit_heatmap(smap, fmt) == emit_heatmap(one, fmt)
+
+    def test_labels_must_match_the_batch(self):
+        model, inst = fresh()
+        with pytest.raises(ValueError):
+            list(saliency_maps(model, [inst, inst], [TemporalStatus.PAST]))
 
 
 def simple_map(tokens=("alpha", "beta", "gamma"), scores=(0.25, 0.5, 0.125),
