@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import json
+import numbers
 import random
 from dataclasses import dataclass
 
@@ -386,7 +387,8 @@ def load_events(text: str, corpus: list[DepSentence]) -> list[EventMention]:
     """Load line-delimited event records and resolve them against the corpus.
 
     Each line is a JSON object with fields exactly doc_id, sent_id, token_id,
-    label; label is "PA", "OG", "FU" or null (unlabeled).
+    label; doc_id and sent_id are strings, label is "PA", "OG", "FU" or null
+    (unlabeled).
     """
     index = index_sentences(corpus)
     mentions: list[EventMention] = []
@@ -404,7 +406,10 @@ def load_events(text: str, corpus: list[DepSentence]) -> list[EventMention]:
             raise CorpusError(
                 f"events line {lineno}: fields must be exactly doc_id, sent_id, token_id, label"
             )
-        key = (str(rec["doc_id"]), str(rec["sent_id"]))
+        for name in ("doc_id", "sent_id"):  # str() would read 1 as the default doc "1"
+            if not isinstance(rec[name], str):
+                raise CorpusError(f"events line {lineno}: {name} must be a string")
+        key = (rec["doc_id"], rec["sent_id"])
         sent = index.get(key)
         if sent is None:
             raise CorpusError(
@@ -477,9 +482,17 @@ class SynthConfig:
             raise CorpusError(f"distractor_len must be >= 0, got {self.distractor_len}")
         if self.seed < 0:
             raise CorpusError(f"seed must be >= 0, got {self.seed}")
-        w = tuple(float(x) for x in self.label_weights)
+        try:
+            w = tuple(self.label_weights)
+        except TypeError:  # not iterable
+            w = ()
+        if len(w) != 3 or not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                                  for x in w):
+            raise CorpusError(f"synth config label_weights {self.label_weights!r} is not "
+                              f"three real numbers")
+        w = tuple(map(float, w))
         object.__setattr__(self, "label_weights", w)
-        if len(w) != 3 or not all(0 <= x <= 1 for x in w):  # NaN fails too
+        if not all(0 <= x <= 1 for x in w):  # NaN fails too
             raise CorpusError(f"label_weights must be three reals in [0, 1], got {w}")
         if abs(sum(w) - 1.0) > 1e-9:
             raise CorpusError(f"label_weights must sum to 1, got sum {sum(w)!r}")

@@ -41,7 +41,8 @@ import numpy as np
 
 from .corpus import TemporalStatus
 from .errors import TrainingError
-from .nncore import NonFiniteError, ParamSet, dropout, grad_check, softmax_xent, uniform_init
+from .nncore import (ONE, NonFiniteError, ParamSet, constant, dropout, grad_check, softmax_xent,
+                     uniform_init)
 
 __all__ = [
     "EncodedInput",
@@ -64,6 +65,8 @@ FILTER_WIDTH = 5
 _KEY_BITS = 21
 _PLACE_MASK = (1 << _KEY_BITS) - 1
 _PAD_KEY = np.iinfo(np.int64).max
+# the per-batch passes' scalar operands, as 0-d float64 (see nncore.constant)
+_ZERO, _HALF, _MINUS_ONE = map(constant, (0.0, 0.5, -1.0))
 
 
 @dataclass(frozen=True)
@@ -226,16 +229,16 @@ class CnnClassifier:
         windows = _windows(Xp).reshape(-1, W * D)
         act = windows @ p["Wconv"].T
         act += p["bconv"]
-        np.maximum(act, 0.0, out=act)
+        np.maximum(act, _ZERO, out=act)  # np.maximum deprecates a positional out
         pool = act.reshape(B, n_pos, F)
         if max(W, min(sizes)) < T_max:
             # windows past an input's padded length never win its max-pool:
             # the rectifier is >= 0, so a masked -1 loses to any window
             valid = np.arange(n_pos) <= np.maximum(sizes, W)[:, None] - W
-            pool = np.where(valid[:, :, None], pool, -1.0)
+            pool = np.where(valid[:, :, None], pool, _MINUS_ONE)
         # each filter's largest rectified output; backward routes to the
         # first window that holds it
-        pooled = pool.max(axis=1)
+        pooled = np.maximum.reduce(pool, 1)
         pd, mask = dropout(pooled, drop_ratio, drop_rng)
         logits = pd @ p["Wy"]
         logits += p["by"]
@@ -250,9 +253,9 @@ class CnnClassifier:
         g_ = self.params.grads
         if param_grads:
             g_["Wy"] += pd.T @ dlogits
-            g_["by"] += dlogits.sum(axis=0)
+            g_["by"] += np.add.reduce(dlogits, 0)
         dpooled = (dlogits @ p["Wy"].T) * mask
-        dpooled *= pooled > 0.0  # the rectifier, at each filter's winning window
+        dpooled *= pooled > _ZERO  # the rectifier, at each filter's winning window
         # max routing: each filter's gradient reaches the first window that
         # holds its max only, through one flat index into dpre laid out
         # (B, F, n_pos); read as (B, n_pos, F) rows, it is a view when n_pos is 1
@@ -264,7 +267,7 @@ class CnnClassifier:
         dpre = dpre.transpose(0, 2, 1).reshape(-1, F)
         if param_grads:
             g_["Wconv"] += dpre.T @ windows
-            g_["bconv"] += dpre.sum(axis=0)
+            g_["bconv"] += np.add.reduce(dpre, 0)
         if not input_grad:
             return None
         dwindows = (dpre @ p["Wconv"]).reshape(B, n_pos, -1)
@@ -439,17 +442,17 @@ class TreeLstmClassifier:
             k = 3 if kids is None else 4
             pre = z[a:b, : k * H]
             if kids is not None:
-                np.add(np.matmul(h[kids], U_in), pre, out=pre)
+                np.add(h[kids] @ U_in, pre, pre)
             elif edges is not None:
                 e0, e1, kids_e, node, places = edges
-                h_kids = np.take(h, kids_e, axis=0, out=h_edge[e0:e1])
+                h_kids = h.take(kids_e, 0, h_edge[e0:e1])
                 h_sum = _child_sum(h_kids, places, h_in[a:b])
-                np.add(np.matmul(h_sum, U_in[:, : 3 * H]), pre, out=pre)
-                g_f = np.matmul(h_kids, U_in[:, 3 * H :], out=f_edge[e0:e1])
+                np.add(h_sum @ U_in[:, : 3 * H], pre, pre)
+                g_f = np.matmul(h_kids, U_in[:, 3 * H :], f_edge[e0:e1])
                 g_f += x_f[e0:e1]
-                np.tanh(g_f, out=g_f)
-                g_f *= 0.5
-                g_f += 0.5
+                np.tanh(g_f, g_f)
+                g_f *= _HALF
+                g_f += _HALF
             # the level's gates as one C-contiguous (k, rows, H) block, so that
             # no op below runs on a column slice: a one-row level's row
             # already is that block, so it works in z itself
@@ -458,17 +461,17 @@ class TreeLstmClassifier:
                 one_row.append(a)
             else:
                 g = pre.reshape(b - a, k, H).transpose(1, 0, 2).copy()
-            np.tanh(g, out=g)
+            np.tanh(g, g)
             sigmoids = g[1:]
-            sigmoids *= 0.5
-            sigmoids += 0.5
-            c_level = np.multiply(g[1], g[0], out=c[a:b])
+            sigmoids *= _HALF
+            sigmoids += _HALF
+            c_level = np.multiply(g[1], g[0], c[a:b])
             if kids is not None:
                 c_level += g[3] * c[kids]
             elif edges is not None:
                 c_level += _child_sum(g_f * c[kids_e], places, np.empty((b - a, H)))
-            np.tanh(c_level, out=tanh_c[a:b])
-            np.multiply(g[2], tanh_c[a:b], out=h[a:b])
+            np.tanh(c_level, tanh_c[a:b])
+            np.multiply(g[2], tanh_c[a:b], h[a:b])
             if b - a > 1:
                 gates[:k, a:b] = g
         if one_row:
@@ -491,7 +494,7 @@ class TreeLstmClassifier:
         N, D, H = len(rank), self.vectors.shape[1], self.hidden
         if param_grads:
             p.grads["Wy"] += hd.T @ dlogits
-            p.grads["by"] += dlogits.sum(axis=0)
+            p.grads["by"] += np.add.reduce(dlogits, 0)
         # in the gate columns u, i, o, f, the pre-activation gradient of a
         # node is its (dc, dc, dh, dc) times these factors; the derivatives
         # are s(1-s) and 1-tanh^2, and the forget column is zero unless the
@@ -501,11 +504,11 @@ class TreeLstmClassifier:
         # (tanh(c) o)(1-o) is h (1-o)
         u, i, o, f = gates
         f_i = np.multiply(u, i)
-        f_i *= 1.0 - i
-        f_o = np.subtract(1.0, o)
+        f_i *= ONE - i
+        f_o = np.subtract(ONE, o)
         f_o *= h
         f_u = np.multiply(u, u)
-        np.subtract(1.0, f_u, out=f_u)
+        np.subtract(ONE, f_u, f_u)
         f_u *= i
         f_f = np.zeros((N, H))
         if single is not None:  # a node with one child reads it through its own row
@@ -513,11 +516,11 @@ class TreeLstmClassifier:
             if param_grads:  # U's gradient reads it as the node's child sum
                 h_in[rows] = h[children]
             f_single = f[rows]
-            f_f[rows] = c[children] * f_single * (1.0 - f_single)
-        factor = np.concatenate([f_u, f_i, f_o, f_f], axis=1)
-        out_factor = o * (1.0 - tanh_c * tanh_c)  # dc of a node per unit of its dh
+            f_f[rows] = c[children] * f_single * (ONE - f_single)
+        factor = np.concatenate([f_u, f_i, f_o, f_f], 1)
+        out_factor = o * (ONE - tanh_c * tanh_c)  # dc of a node per unit of its dh
         if multi is not None:
-            edge_factor = c[multi[0]] * f_edge * (1.0 - f_edge)
+            edge_factor = c[multi[0]] * f_edge * (ONE - f_edge)
             dz_edge = np.zeros(f_edge.shape)  # forget pre-activation gradient per edge
         dh = np.zeros((N, H))
         dh[read] = (dlogits @ p["Wy"].T) * mask
@@ -527,8 +530,7 @@ class TreeLstmClassifier:
         for a, b, kids, edges in reversed(levels):  # parents before children
             dh_level, dc_level = dh[a:b], dc[a:b]
             dc_level += dh_level * out_factor[a:b]
-            dz_level = np.concatenate([dc_level, dc_level, dh_level, dc_level], axis=1,
-                                      out=dz[a:b])
+            dz_level = np.concatenate([dc_level, dc_level, dh_level, dc_level], 1, dz[a:b])
             dz_level *= factor[a:b]
             if kids is not None:
                 dh[kids] += dz_level @ U_T
@@ -536,7 +538,7 @@ class TreeLstmClassifier:
             elif edges is not None:
                 e0, e1, kids_e, node, places = edges
                 dc_edge = dc_level[node]
-                dz_f = np.multiply(dc_edge, edge_factor[e0:e1], out=dz_edge[e0:e1])
+                dz_f = np.multiply(dc_edge, edge_factor[e0:e1], dz_edge[e0:e1])
                 dh[kids_e] += (dz_level[:, : 3 * H] @ U_T[: 3 * H])[node] + dz_f @ U_T[3 * H :]
                 dc[kids_e] = dc_edge * f_edge[e0:e1]
         if param_grads:
@@ -544,7 +546,7 @@ class TreeLstmClassifier:
             # the child sum, which leaves (the first level's rows) do not have
             grad = self._grad_block
             n_leaves = levels[0][1]
-            X = np.concatenate([X, np.ones((N, 1))], axis=1)  # x and 1 of every node
+            X = np.concatenate([X, np.ones((N, 1))], 1)  # x and 1 of every node
             grad_x = X.T @ dz
             grad += np.concatenate([grad_x[:D], h_in[n_leaves:].T @ dz[n_leaves:], grad_x[D:]])
             if multi is not None:
@@ -754,7 +756,7 @@ def predict(model, batch: list[EncodedInput]):
     logits, cache = model.forward(batch)
     if not np.isfinite(logits).all():
         raise NonFiniteError(int(np.argmin(np.isfinite(logits).all(axis=1))))
-    return logits.argmax(axis=1), logits, cache
+    return logits.argmax(1), logits, cache
 
 
 def classify(model, inst: EncodedInput) -> tuple[TemporalStatus, np.ndarray]:

@@ -171,6 +171,19 @@ class ParamSet:
         self.grad_buffer *= factor
 
 
+def constant(value) -> np.ndarray:
+    """``value`` as a read-only 0-d float64 array, for a hot path's scalar
+    operands: it computes what the Python float does, and numpy skips the
+    weak-scalar promotion (NEP 50) it works out for a Python float on every
+    call, which nearly doubles an in-place op on a small block."""
+    array = np.array(value, dtype=np.float64)
+    array.flags.writeable = False
+    return array
+
+
+ONE = constant(1.0)
+
+
 def uniform_init(rng: np.random.Generator, shape) -> np.ndarray:
     """Uniform(-0.05, 0.05) draws for initial parameter values."""
     return rng.uniform(-0.05, 0.05, size=shape)
@@ -196,16 +209,16 @@ def softmax_xent(logits: np.ndarray, gold) -> tuple:
     Non-finite logits raise NonFiniteError, a ValueError naming the first
     bad row.
     """
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = np.asarray(logits, np.float64)
     gold = np.asarray(gold)
     if logits.ndim != 2 or gold.shape != logits.shape[:1]:
         raise ValueError(f"softmax_xent: {gold.shape} gold for {logits.shape} logits")
     if not np.isfinite(logits).all():
         raise NonFiniteError(int(np.argmin(np.isfinite(logits).all(axis=1))))
     onehot = gold[:, None] == np.arange(logits.shape[1])  # a row without a True: out of range
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - np.maximum.reduce(logits, 1, None, None, True)  # max(axis=1, keepdims=True)
     e = np.exp(z)
-    logsumexp = np.log(e.sum(axis=1, keepdims=True))
+    logsumexp = np.log(np.add.reduce(e, 1, None, None, True))
     z -= logsumexp  # log-probabilities; -(z - lse) is exactly lse - z
     picked = z[onehot]  # each row's gold entry, in row order
     if picked.size != gold.size:
@@ -222,14 +235,14 @@ def dropout(
     """Inverted dropout. Returns (y, mask); backward is grad * mask.
 
     Ratio 0, the models' default and the only ratio outside training, is the
-    identity: x itself comes back with the scalar mask 1.0 and no random
-    numbers are drawn. Otherwise kept entries are scaled by 1/(1-ratio), so
-    expectations match.
+    identity: x itself comes back with the mask ONE, a 0-d 1.0, and no
+    random numbers are drawn. Otherwise kept entries are scaled by
+    1/(1-ratio), so expectations match.
     """
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"dropout ratio must be in [0, 1), got {ratio}")
     if ratio == 0.0:
-        return x, 1.0
+        return x, ONE
     if rng is None:
         raise ValueError("dropout with a nonzero ratio needs an rng")
     mask = np.multiply(rng.random(x.shape) >= ratio, 1.0 / (1.0 - ratio))
@@ -238,6 +251,7 @@ def dropout(
 
 RMSPROP_DECAY = 0.9
 RMSPROP_EPSILON = 1e-8
+_DECAY, _KEEP, _EPSILON = map(constant, (RMSPROP_DECAY, 1.0 - RMSPROP_DECAY, RMSPROP_EPSILON))
 
 
 class RmsProp:
@@ -246,12 +260,12 @@ class RmsProp:
     rho and eps are the standard RMSPROP_DECAY and RMSPROP_EPSILON. A step
     updates the whole parameter buffer at once, with ``acc`` one accumulator
     buffer beside it, and allocates nothing. Gradients are zeroed after each
-    step.
+    step. The rate, an int or a float, is held as a 0-d float64 (constant).
     """
 
     def __init__(self, params: ParamSet, learning_rate: float = 0.001):
         self.params = params
-        self.learning_rate = learning_rate
+        self.learning_rate = constant(learning_rate)
         self.acc = np.zeros(params.buffer.size)
         self._tmp = np.empty(params.buffer.size)
 
@@ -261,12 +275,12 @@ class RmsProp:
         g = p.grad_buffer
         # acc = rho*acc + ((1-rho)*g)*g; theta -= (lr*g) / (sqrt(acc) + eps),
         # term by term in place; the gradient buffer is zeroed at the end anyway
-        np.multiply(g, 1.0 - RMSPROP_DECAY, out=tmp)
+        np.multiply(g, _KEEP, tmp)
         tmp *= g
-        acc *= RMSPROP_DECAY
+        acc *= _DECAY
         acc += tmp
-        np.sqrt(acc, out=tmp)
-        tmp += RMSPROP_EPSILON
+        np.sqrt(acc, tmp)
+        tmp += _EPSILON
         g *= self.learning_rate
         g /= tmp
         p.buffer -= g
@@ -343,6 +357,8 @@ class EmbeddingTable:
         vectors = np.ascontiguousarray(vectors, dtype=np.float64)  # train tunes it as a flat view
         if vectors.ndim != 2 or vectors.shape[0] != len(words) + 1:
             raise EmbeddingError("embedding vectors must have one row per word plus the unk row")
+        if vectors.shape[1] < 1:  # a file or checkpoint of it would not read back
+            raise EmbeddingError(f"embedding vectors must have dim >= 1, got {vectors.shape[1]}")
         self.words = list(words)
         self.vectors = vectors
         self.index = {w: i for i, w in enumerate(self.words)}

@@ -62,7 +62,7 @@ def saliency_maps(model, batch: list[EncodedInput], labels=None):
     at = [p if label is None else int(label) for p, label in zip(predicted, labels, strict=True)]
     _, _, dlogits = softmax_xent(logits, at)
     raw = np.abs(model.backward(cache, dlogits, input_grad=True, param_grads=False))
-    scores = raw.mean(axis=1).tolist()
+    scores = (np.add.reduce(raw, 1) / raw.shape[1]).tolist()  # raw.mean(axis=1)
     end = 0
     for inst, pred, label in zip(batch, predicted, labels):
         start, end = end, end + len(inst)

@@ -179,6 +179,31 @@ class TestGen:
         assert exc.value.code == 2
         assert "--weights" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "0"], "--n: n_sentences must be >= 1, got 0"),
+        (["--n", "-3"], "--n: n_sentences must be >= 1, got -3"),
+        (["--distractor-len", "-1"], "--distractor-len: distractor_len must be >= 0, got -1"),
+        (["--seed", "-1"], "--seed: seed must be >= 0, got -1"),
+        (["--weights", "0.5,0.5"],
+         "--weights: synth config label_weights (0.5, 0.5) is not three real numbers"),
+        (["--weights", "0.5,0.3,0.1,0.1"], "--weights: synth config label_weights (0.5, 0.3, "
+                                           "0.1, 0.1) is not three real numbers"),
+        (["--weights=-1,1,1"], "--weights: label_weights must be three reals in [0, 1]"),
+        (["--weights", "nan,0.5,0.5"], "--weights: label_weights must be three reals in [0, 1]"),
+        (["--weights", "0.9,0.3,0.2"], "--weights: label_weights must sum to 1"),
+        (["--weights", "a,b,c"], "--weights must be comma-separated reals"),
+    ], ids=["n-zero", "n-negative", "distractor-negative", "seed-negative", "weights-two",
+            "weights-four", "weights-range", "weights-nan", "weights-sum", "weights-not-reals"])
+    def test_synth_config_refusal_is_usage_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--out", str(out), "--n", "5", "--seed", "0", *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: depchain ")
+        assert err.splitlines()[-1].startswith(f"depchain: error: {message}")
+        assert not out.exists()
+
     def test_emb_dim_writes_embeddings(self, tmp_path):
         out = tmp_path / "e"
         rc = main(["gen", "--out", str(out), "--n", "5", "--seed", "0",

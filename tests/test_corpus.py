@@ -1,11 +1,14 @@
 """CoNLL-U parsing, event loading, and the synthetic generator."""
 
 import collections
+import fractions
+import json
 import math
 import pickle
 import random
 import re
 
+import numpy as np
 import pytest
 
 from depchain import (
@@ -391,6 +394,19 @@ class TestEvents:
         with pytest.raises(CorpusError, match=pattern):
             load_events(line + "\n", self.corpus)
 
+    @pytest.mark.parametrize("doc_id, sent_id, field", [
+        ("1", 1, "sent_id"), (1, "1", "doc_id"), (None, "1", "doc_id"), ("1", None, "sent_id"),
+        (["1"], "1", "doc_id"), ("1", 1.0, "sent_id"), ("1", True, "sent_id"),
+    ])
+    def test_ids_must_be_strings(self, doc_id, sent_id, field):
+        # str() would read 1 as document "1", every CoNLL-U file's default id
+        corpus = parse_conllu("# sent_id = 1\n" + FIXTURE.split("\n", 2)[2])
+        assert index_sentences(corpus).keys() == {("1", "1")}
+        good = {"doc_id": "1", "sent_id": "1", "token_id": 8, "label": "FU"}
+        text = json.dumps(good) + "\n" + json.dumps({**good, "doc_id": doc_id, "sent_id": sent_id})
+        with pytest.raises(CorpusError, match=f"^events line 2: {field} must be a string$"):
+            load_events(text, corpus)
+
     def test_round_trip(self):
         sents, mentions = generate_synthetic(SynthConfig(n_sentences=30, seed=5))
         text = serialize_events(mentions)
@@ -409,6 +425,23 @@ class TestSynthConfig:
         # check both let it through to the quotas, which cannot round it
         with pytest.raises(CorpusError, match=r"\[0, 1\]"):
             SynthConfig(n_sentences=10, label_weights=weights)
+
+    @pytest.mark.parametrize("weights", [
+        ("a", 0.5, 0.5), None, (True, False, False), ("0.5", "0.5", "0"), (0.5, 0.5),
+        (0.5, 0.25, 0.25, 0.0), 1.0, "abc",
+    ], ids=["str-entry", "none", "bools", "strs", "two", "four", "scalar", "str"])
+    def test_weights_must_be_three_reals(self, weights):
+        with pytest.raises(CorpusError, match=r"^synth config label_weights .* is not three "
+                                              r"real numbers$"):
+            SynthConfig(n_sentences=10, label_weights=weights)
+
+    def test_weights_of_any_real_type(self):
+        weights = (1, np.float32(0.5), fractions.Fraction(-1, 2))
+        with pytest.raises(CorpusError, match=r"\[0, 1\]"):  # read as reals, then range-checked
+            SynthConfig(n_sentences=10, label_weights=weights)
+        cfg = SynthConfig(n_sentences=10, label_weights=[1, 0, np.float64(0.0)])
+        assert cfg.label_weights == (1.0, 0.0, 0.0)
+        assert all(type(w) is float for w in cfg.label_weights)
 
     def test_negative_distractor_rejected(self):
         with pytest.raises(CorpusError, match="distractor"):

@@ -30,7 +30,7 @@ from depchain import (
     write_embeddings,
 )
 from depchain.models import gradcheck_model, random_batch
-from depchain import nncore
+from depchain import models, nncore
 from depchain.nncore import atomic_open, dropout
 
 # independently computed at 40 digits: log(1 + e^-1 + e^-2)
@@ -184,6 +184,17 @@ class TestRmsProp:
             assert opt.acc.tobytes() == np.concatenate([a.ravel() for a in acc.values()]).tobytes()
             assert not p.grad_buffer.any()
 
+    def test_int_rate_steps_as_its_float(self):
+        def run(rate):
+            p = ParamSet.of({"w": np.linspace(-1, 1, 8)})
+            opt = RmsProp(p, learning_rate=rate)
+            for k in range(3):
+                p.grads["w"][...] = np.sin(np.arange(8) + k)
+                opt.step()
+            return p["w"].tobytes() + opt.acc.tobytes()
+
+        assert run(1) == run(1.0)
+
     def test_replaced_gradient_rejected(self):
         p = ParamSet.of({"w": np.ones(3)})
         p.grads["w"] = np.ones(3)  # same shape, but a step would never read it
@@ -220,6 +231,25 @@ def test_training_steps_reuse_freed_heap():
 
     faults(2)  # warm-up: tree schedules cached, heap grown
     assert faults(20) < 100
+
+
+class TestConstants:
+    """The hot paths' 0-d scalar operands (nncore.constant)."""
+
+    def operands(self):
+        opt = RmsProp(ParamSet.of({"w": np.ones(2)}), learning_rate=0.01)
+        return (nncore.ONE, nncore._DECAY, nncore._KEEP, nncore._EPSILON, opt.learning_rate,
+                models._ZERO, models._HALF, models._MINUS_ONE)
+
+    def test_float64_zero_d_and_read_only(self):
+        for c in self.operands():
+            assert c.dtype == np.float64 and c.shape == ()
+            with pytest.raises(ValueError, match="read-only"):
+                c += 1.0
+
+    def test_values_are_the_python_floats(self):
+        values = [float(c) for c in self.operands()]
+        assert values == [1.0, 0.9, 1.0 - 0.9, 1e-8, 0.01, 0.0, 0.5, -1.0]
 
 
 class TestDropout:
@@ -706,3 +736,11 @@ class TestEmbeddingTableValidation:
     def test_one_dimensional_vectors(self):
         with pytest.raises(EmbeddingError):
             EmbeddingTable([], np.zeros(3))
+
+    @pytest.mark.parametrize("vocab", [[], ["a", "b"]])
+    def test_dim_zero_rejected(self, vocab):
+        # written, its rows would be bare words that load_embeddings refuses
+        with pytest.raises(EmbeddingError, match="dim >= 1, got 0"):
+            EmbeddingTable(vocab, np.zeros((len(vocab) + 1, 0)))
+        with pytest.raises(EmbeddingError, match="dim >= 1, got 0"):
+            random_embeddings(vocab, 0, 1)
