@@ -11,6 +11,7 @@ from __future__ import annotations
 import concurrent.futures
 import itertools
 import math
+import sys
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -108,7 +109,7 @@ class TrainConfig:
             raise ValueError("hidden must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if not 0 < self.learning_rate < math.inf:
+        if not 0 < self.learning_rate <= sys.float_info.max:  # no int past a float
             raise ValueError("learning_rate must be finite and positive")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")

@@ -20,10 +20,11 @@ and the tree-LSTM share one cell: the LSTM is the child-sum tree-LSTM run
 on a chain, in one loop over height levels that branches per level on what
 the level's nodes have below them (see TreeLstmClassifier).
 Its four gates are fused: W, U and b hold them in columns u, i, o, f and lie
-back to back, one (dim + hidden + 1, 4 hidden) block that every pass reads.
-The forward pass stores the gates gate-major, one contiguous (nodes,
-hidden) array per gate, and works each level's gates as one contiguous
-block, never as column slices of node-major rows.
+back to back, one (dim + hidden + 1, 4 hidden) block that both passes read
+in place. The forward pass stores the gates gate-major, one contiguous
+(nodes, hidden) array per gate, and works each level's gates, halving the
+sigmoids into the one tanh, as one contiguous block, never as column slices
+of node-major rows.
 A model is its type, its sizes and one flat parameter buffer, which its
 constructor lays out. It pickles as those, so an unpickled model's
 parameters view its buffer; gradients are not kept (RMSProp zeroes them).
@@ -315,13 +316,13 @@ class TreeLstmClassifier:
       places every node has).
     A level's pre-activations are node-major, its rows of the input terms
     plus its children's matmul: k gates of hidden columns per node, k 4 on
-    a one-child level and 3 (u, i, o) on the others. The elementwise work
-    then runs on one C-contiguous (k, rows, hidden) block, since an op on
-    a column slice costs several times as much: a level of several rows
-    gets the block by one transposed copy and stores it into the gates by
-    another; a one-row level's row already is that block, so it works on a
-    view, and the gates of all one-row levels are gathered into the gate
-    array after the loop.
+    a one-child level and 3 (u, i, o) on the others. The elementwise work,
+    the sigmoids' halving into the one tanh included, then runs on one
+    C-contiguous (k, rows, hidden) block, since an op on a column slice
+    costs several times as much: a level of several rows gets the block by
+    one transposed copy and stores it into the gates by another; a one-row
+    level's row already is that block, so it works on a view, and the gates
+    of all one-row levels are gathered into the gate array after the loop.
     The backward pass pushes each level's gradients into its children's
     rows, top level first, whichever gradients are asked for. It ends, when
     asked for the parameter gradients, in one matmul for those of W and b
@@ -357,11 +358,6 @@ class TreeLstmClassifier:
         size = (vectors.shape[1] + H + 1) * 4 * H
         self._block, self._grad_block = (flat[:size].reshape(-1, 4 * H)
                                          for flat in (params.buffer, params.grad_buffer))
-        # the tanh gate comes first, so the sigmoid gates are one column
-        # range. sigmoid(x) = 0.5 tanh(x/2) + 0.5, so one tanh serves all
-        # four: their columns are halved going in (exactly), then scaled and
-        # shifted out
-        self._halve = np.repeat([1.0, 0.5, 0.5, 0.5], H)
 
     def __reduce__(self):
         return TreeLstmClassifier, (self.params.buffer, self.vectors, self.hidden,
@@ -418,12 +414,11 @@ class TreeLstmClassifier:
         x_rows, rank, levels, read, _, multi = schedule
         p = self.params
         N, D, H = len(rank), self.vectors.shape[1], self.hidden
-        stacked = self._block * self._halve
-        W_in, U_in, b_in = stacked[:D], stacked[D:-1], stacked[-1]
+        U = self._block[D:-1]
         X = self.vectors[x_rows]
         # input terms of every node at once; each level adds its children's
         # terms to its rows, which then hold its pre-activations
-        z = X @ W_in + b_in
+        z = X @ self._block[:D] + self._block[-1]
         h_in = np.zeros((N, H))  # child sums; backward fills in the single children
         gates = np.empty((4, N, H))  # u, i, o, f; f only for a single child
         c = np.empty((N, H))
@@ -442,14 +437,15 @@ class TreeLstmClassifier:
             k = 3 if kids is None else 4
             pre = z[a:b, : k * H]
             if kids is not None:
-                np.add(h[kids] @ U_in, pre, pre)
+                np.add(h[kids] @ U, pre, pre)
             elif edges is not None:
                 e0, e1, kids_e, node, places = edges
                 h_kids = h.take(kids_e, 0, h_edge[e0:e1])
                 h_sum = _child_sum(h_kids, places, h_in[a:b])
-                np.add(h_sum @ U_in[:, : 3 * H], pre, pre)
-                g_f = np.matmul(h_kids, U_in[:, 3 * H :], f_edge[e0:e1])
+                np.add(h_sum @ U[:, : 3 * H], pre, pre)
+                g_f = np.matmul(h_kids, U[:, 3 * H :], f_edge[e0:e1])
                 g_f += x_f[e0:e1]
+                g_f *= _HALF
                 np.tanh(g_f, g_f)
                 g_f *= _HALF
                 g_f += _HALF
@@ -461,8 +457,11 @@ class TreeLstmClassifier:
                 one_row.append(a)
             else:
                 g = pre.reshape(b - a, k, H).transpose(1, 0, 2).copy()
-            np.tanh(g, g)
+            # sigmoid(x) = 0.5 tanh(x/2) + 0.5: one tanh serves the level's
+            # gates, the sigmoids halved (exactly) going in, scaled and shifted out
             sigmoids = g[1:]
+            sigmoids *= _HALF
+            np.tanh(g, g)
             sigmoids *= _HALF
             sigmoids += _HALF
             c_level = np.multiply(g[1], g[0], c[a:b])

@@ -488,7 +488,7 @@ def atomic_open(path: str, mode: str = "w"):
     Writes go to a fresh hidden temp file in the same directory, which
     replaces ``path`` when the block exits cleanly and is removed when it
     raises. A killed writer never leaves a truncated artifact, at most its
-    temp file.
+    temp file. An OSError that names the temp file names ``path`` instead.
     """
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
@@ -496,9 +496,11 @@ def atomic_open(path: str, mode: str = "w"):
         with open(tmp, mode.replace("w", "x"), encoding=None if mode == "wb" else "utf-8") as f:
             yield f
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+        if isinstance(e, OSError) and e.filename == tmp:
+            raise OSError(e.errno, e.strerror, path) from None
         raise
 
 

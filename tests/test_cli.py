@@ -170,14 +170,21 @@ class TestGen:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["label_weights"] == [0.5, 0.3, 0.2]
 
-    @pytest.mark.parametrize("bad", ["0.5,0.5", "0.9,0.3,0.2", "a,b,c", "-1,1,1",
-                                     "nan,0.5,0.5"])
-    def test_bad_weights_usage_error(self, tmp_path, capsys, bad):
+    @pytest.mark.parametrize("bad, message", [
+        pytest.param("0.5,0.5", "(0.5, 0.5) is not three real numbers", id="0.5,0.5"),
+        pytest.param("0.9,0.3,0.2", "label_weights must sum to 1", id="0.9,0.3,0.2"),
+        pytest.param("a,b,c", "--weights must be comma-separated reals", id="a,b,c"),
+        pytest.param("-1,1,1", "label_weights must be three reals in [0, 1]", id="-1,1,1"),
+        pytest.param("nan,0.5,0.5", "label_weights must be three reals in [0, 1]",
+                     id="nan,0.5,0.5"),
+    ])
+    def test_bad_weights_usage_error(self, tmp_path, capsys, bad, message):
+        # "=" keeps argparse from reading "-1,1,1" as an option
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--out", str(tmp_path), "--n", "5", "--seed", "0",
-                  "--weights", bad])
+                  f"--weights={bad}"])
         assert exc.value.code == 2
-        assert "--weights" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, message", [
         (["--n", "0"], "--n: n_sentences must be >= 1, got 0"),
@@ -605,6 +612,26 @@ class TestTrainEval:
         assert exc.value.code == 2
         assert "learning_rate" in capsys.readouterr().err
         assert not (tmp_path / "x.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "cv", "extract"])
+    def test_unwritable_out_names_the_given_path(self, tmp_path, capsys, command):
+        # an artifact is written through a hidden temp file beside it; when
+        # its directory is missing, the error line names the path given
+        conllu, events = gen_corpus(tmp_path)
+        out = str(tmp_path / "nodir" / "artifact")
+        data = ["--conllu", conllu, "--events", events, "--out", out]
+        argv = {
+            "train": ["train", "--model", "lstm", "--repr", "chain"] + data + TINY_HYPERS,
+            "eval": ["eval", "--model", train_tiny(tmp_path, conllu, events)] + data,
+            "cv": ["cv", "--model", "lstm", "--repr", "chain", "--folds", "2"]
+                  + data + TINY_HYPERS,
+            "extract": ["extract", "--mode", "chain"] + data,
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(out) in err and ".tmp" not in err
+        assert not (tmp_path / "nodir").exists()
 
 
 class TestCv:

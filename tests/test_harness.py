@@ -109,6 +109,7 @@ class TestTrainConfig:
             dict(embeddings=5),
             dict(seed=-1),
             dict(model_type="treelstm", representation="window"),  # not one tree
+            dict(learning_rate=10**400),  # an int past any float
         ],
     )
     def test_rejected_values(self, bad):

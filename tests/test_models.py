@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -674,6 +675,52 @@ class TestRestore:
         assert m2.params.buffer.tobytes() == m.params.buffer.tobytes()
         assert logits_of(m2, inst).tobytes() == logits_of(m, inst).tobytes()
 
+    @pytest.mark.parametrize("model_type,children", [
+        pytest.param("lstm", None, id="lstm-chain"),
+        pytest.param("treelstm", [(1,), (2,), ()], id="treelstm-path"),
+        pytest.param("treelstm", [(1, 2), (), ()], id="treelstm-two-children"),
+    ])
+    def test_forward_holds_no_copy_of_the_parameters(self, model_type, children):
+        # at the default hidden 300 / dim 300, W, U and b are 5.5 MiB; the
+        # forward pass reads them in place, so one over three tokens
+        # allocates a small fraction of that
+        X = np.random.default_rng(43).standard_normal((3, 300))
+        m = build_model(model_type, X, 300, np.random.default_rng(44))
+        inst = seq_input(3) if children is None else tree_input(children)
+        m.forward([inst])  # the schedule's first build is not the pass's
+        shapes = param_shapes(model_type, 300, 300)
+        block_bytes = 8 * sum(math.prod(shapes[name]) for name in ("W", "U", "b"))
+        tracemalloc.start()
+        try:
+            m.forward([inst])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < block_bytes / 10
+
+    @pytest.mark.parametrize("model_type", ["lstm", "treelstm"])
+    def test_forward_reads_the_parameters_as_they_stand(self, model_type):
+        # after a step and after an edit in place, the model's logits are
+        # those of a fresh model over a copy of its buffer: nothing the
+        # forward pass reads is derived from older parameters
+        rng = np.random.default_rng(45)
+        X = np.empty((6, 4))
+        m = build_model(model_type, X, 5, rng)
+        inst = random_instance(model_type, X, rng)
+
+        def fresh():
+            return logits_of(restore_model(model_type, m.params.buffer.copy(), X, 5), inst)
+
+        before = logits_of(m, inst)
+        model_loss(m, [inst], [1])
+        RmsProp(m.params, learning_rate=0.01).step()
+        stepped = logits_of(m, inst)
+        assert stepped.tobytes() == fresh().tobytes() != before.tobytes()
+        U = m.params["U"]
+        U *= -2.0
+        edited = logits_of(m, inst)
+        assert edited.tobytes() == fresh().tobytes() != stepped.tobytes()
+
     @pytest.mark.parametrize("model_type", ["lstm", "cnn", "treelstm"])
     def test_param_shapes_match_built_model(self, model_type):
         m = build_model(model_type, np.zeros((1, 4)), 5, np.random.default_rng(0))
@@ -809,10 +856,10 @@ class TestBatch:
         case for case in LAYOUT_CASES if case.values[0] != "cnn"])
     @pytest.mark.parametrize("seed", range(4))
     def test_logits_do_not_depend_on_batch_layout(self, model_type, readout, layout, seed):
-        # the cell adds children in list order and halves the sigmoid
-        # columns exactly; only a matrix product may round differently for
-        # another number of rows (BLAS can take another kernel for one row),
-        # so a batch's logits are those of its inputs alone to a few ulps
+        # the cell adds children in list order and halves each level's
+        # sigmoid gates exactly; only a matrix product may round differently
+        # for another number of rows (BLAS can take another kernel for one
+        # row), so a batch's logits are those of its inputs alone to a few ulps
         model, batch, _ = batch_case(model_type, seed, readout, layout=layout)
         batched, _ = model.forward(batch)
         for row, inst in zip(batched, batch):

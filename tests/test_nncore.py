@@ -634,6 +634,8 @@ class TestCheckpoint:
             pytest.param(lambda h: h | {"dim": 0}, id="dim-0"),
             pytest.param(lambda h: h | {"dim": True}, id="bool-dim"),
             pytest.param(lambda h: h | {"config": h["config"] | {"seed": -1}}, id="negative-seed"),
+            pytest.param(lambda h: h | {"config": h["config"] | {"learning_rate": 10**400}},
+                         id="int-learning-rate-past-float"),
             pytest.param(lambda h: h | {"config": h["config"] | {"model_type": "treelstm",
                                                                  "representation": "window"}},
                          id="treelstm-over-window"),
