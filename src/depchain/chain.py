@@ -143,13 +143,14 @@ def representation_ids(
 ) -> tuple[int, ...]:
     """Token ids, in surface order, that a representation of the mention at
     ``target_id`` holds: its chain, its window, or the whole tree.
-    CorpusError when the sentence has no token ``target_id``."""
-    sent.token(target_id)
+    CorpusError when the sentence has no token ``target_id``; the chain and
+    the window check it themselves."""
     if representation == "chain":
         return extract_chain(sent, target_id).member_ids
     if representation == "window":
         return extract_window(sent, target_id, half_width).member_ids
     if representation == "tree":
+        sent.token(target_id)
         return tuple(range(1, len(sent) + 1))
     raise ValueError(f"unknown representation {representation!r}")
 

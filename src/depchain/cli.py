@@ -4,11 +4,14 @@ Every artifact-writing command drops a JSON manifest next to its outputs
 (command, version, seed, resolved config, input and output digests, and the
 BLAS library with its thread count) so a run can be audited and reproduced
 bitwise. Exit codes: 0 success, 1 runtime or data error, 2 usage error.
+An output that cannot be written (its directory missing, say) is refused
+before any input is read or any model trained.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -46,6 +49,7 @@ from .nncore import (
     NonFiniteError,
     atomic_open,
     blas_info,
+    check_writable,
     random_embeddings,
     read_utf8,
     write_embeddings,
@@ -275,6 +279,7 @@ def _cmd_extract(parser, args) -> int:
 
 def _cmd_train(parser, args) -> int:
     config = _config_from_args(parser, args)
+    check_writable(args.out)
     corpus, mentions = _read_corpus(args.conllu, args.events)
     trained = train(config, corpus, mentions)
     save_trained(trained, args.out)
@@ -291,6 +296,8 @@ def _cmd_train(parser, args) -> int:
 
 
 def _cmd_eval(parser, args) -> int:
+    if args.out:
+        check_writable(args.out)
     trained = load_trained(args.model)
     corpus, mentions = _read_corpus(args.conllu, args.events)
     try:
@@ -314,6 +321,12 @@ def _cmd_cv(parser, args) -> int:
         parser.error("--folds must be >= 2")
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
+    if args.out:
+        check_writable(args.out)
+    models_dir = args.save_models
+    if models_dir and os.path.exists(models_dir) and not os.path.isdir(models_dir):
+        # as os.makedirs would refuse it after training
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), models_dir)
     corpus, mentions = _read_corpus(args.conllu, args.events)
     result = cross_validate(config, corpus, mentions, k=args.folds,
                             jobs=args.jobs, keep_models=bool(args.save_models))

@@ -76,6 +76,9 @@ _STATUS_CODES = {
     TemporalStatus.FUTURE: "FU",
 }
 _CODE_STATUS = {v: k for k, v in _STATUS_CODES.items()}
+# each status at its class index: STATUSES[i] is TemporalStatus(i) for i in
+# 0..2, without the enum call's lookup
+STATUSES = tuple(TemporalStatus)
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,11 @@ same whichever others are formed with it. A model is deterministic unless
 given a dropout ratio, which only training does.
 Dropout touches only the penultimate vector (final hidden state or pooled
 feature vector). Every prediction is one checked predict call over a batch,
-a single input a batch of one. The CNN reads its windows as one strided
-view of the zero-padded batch and max-pools them, routing each filter's
-gradient back to its first winning window (see CnnClassifier). The LSTM
+a single input a batch of one; classify takes its probabilities through
+softmax_xent's arithmetic without a second check (finite_softmax_xent).
+The CNN reads its windows as one strided view of the zero-padded batch and
+max-pools them, routing each filter's gradient back to its first winning
+window (see CnnClassifier). The LSTM
 and the tree-LSTM share one cell: the LSTM is the child-sum tree-LSTM run
 on a chain, in one loop over height levels that branches per level on what
 the level's nodes have below them (see TreeLstmClassifier).
@@ -40,10 +42,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .corpus import TemporalStatus
+from .corpus import STATUSES, TemporalStatus
 from .errors import TrainingError
-from .nncore import (ONE, NonFiniteError, ParamSet, constant, dropout, grad_check, softmax_xent,
-                     uniform_init)
+from .nncore import (ONE, NonFiniteError, ParamSet, constant, dropout, finite_softmax_xent,
+                     grad_check, softmax_xent, uniform_init)
 
 __all__ = [
     "EncodedInput",
@@ -322,13 +324,17 @@ class TreeLstmClassifier:
     costs several times as much: a level of several rows gets the block by
     one transposed copy and stores it into the gates by another; a one-row
     level's row already is that block, so it works on a view, and the gates
-    of all one-row levels are gathered into the gate array after the loop.
+    of all one-row levels are gathered into the gate array by the backward
+    pass, as a prediction alone never reads them.
     The backward pass pushes each level's gradients into its children's
     rows, top level first, whichever gradients are asked for. It ends, when
     asked for the parameter gradients, in one matmul for those of W and b
     over every node's x and 1 and one for U over the nodes that read a
-    child, the leaves not (trees add the same two over the edge rows), and,
-    when asked for the input gradient, in one for it.
+    child, the leaves not (trees add the same two over the edge rows),
+    each added into its rows of the gradient block; and, when asked for
+    the input gradient, in one for it. Only trees keep child sums and
+    per-edge arrays from the forward pass: a chain's child sums are its
+    single children's hidden states, read from h.
 
     A batch of trees builds its schedule from what each input works out
     once and keeps (EncodedInput.tree_levels): sort keys for its positions
@@ -368,8 +374,9 @@ class TreeLstmClassifier:
 
         Returns (x_rows, rank, levels, read, single, multi).
         - x_rows: the embedding row of each node; rank: the sorted index of
-          each node, counting over the inputs laid end to end; read: the
-          sorted index of each input's readout node.
+          each node, counting over the inputs laid end to end, or None for
+          one chain, whose nodes are in order; read: the sorted index of
+          each input's readout node.
         - levels: (start, stop, kids, edges) per height, leaves first. On a
           level where each node has one child, kids holds those children:
           a slice on a chain, else an index array. On a level with more,
@@ -378,15 +385,16 @@ class TreeLstmClassifier:
           from the level's first, and where each place of the children lists
           lies among them (see _child_sum). Both are None on the leaf level.
         - single: (rows, kids) over every node that has one child; None on a
-          batch of trees where no level has one child per node.
+          batch of trees where no level has one child per node. On chains
+          rows is a slice (see _chain_schedule).
         - multi: None unless some level has edges, else (children, parents)
           of every edge.
         Chains: everything but x_rows follows from the inputs' lengths and
         comes from _chain_schedule, memoised per length profile; the rows
-        never enter the memo. Trees: the nodes sort by their inputs' node
-        keys (height, then most children first, then batch order);
-        _tree_schedule sorts the edges by their keys and counts each level's
-        edges at each place.
+        never enter the memo, and a batch of one reads its input's as they
+        are. Trees: the nodes sort by their inputs' node keys (height, then
+        most children first, then batch order); _tree_schedule sorts the
+        edges by their keys and counts each level's edges at each place.
         """
         if not batch:
             raise ValueError(f"{self.model_type} forward: empty batch")
@@ -395,7 +403,8 @@ class TreeLstmClassifier:
             raise ValueError(f"{self.model_type} forward: empty sequence")
         if self.model_type == "lstm":
             order, rank, levels, read, single = _chain_schedule(sizes)
-            x_rows = np.concatenate([inst.rows for inst in batch])[order]
+            x_rows = (batch[0].rows if order is None  # a batch of one, in its own order
+                      else np.concatenate([inst.rows for inst in batch])[order])
             return x_rows, rank, levels, read, single, None
         arrays = np.concatenate([inst.tree_levels for inst in batch], axis=1)
         # by height, most children first, ties in batch order
@@ -411,25 +420,27 @@ class TreeLstmClassifier:
 
     def forward(self, batch: list[EncodedInput], drop_ratio: float = 0.0, drop_rng=None):
         schedule = self._schedule(batch)
-        x_rows, rank, levels, read, _, multi = schedule
+        x_rows, _, levels, read, _, multi = schedule
         p = self.params
-        N, D, H = len(rank), self.vectors.shape[1], self.hidden
+        N, D, H = len(x_rows), self.vectors.shape[1], self.hidden
         U = self._block[D:-1]
         X = self.vectors[x_rows]
         # input terms of every node at once; each level adds its children's
         # terms to its rows, which then hold its pre-activations
         z = X @ self._block[:D] + self._block[-1]
-        h_in = np.zeros((N, H))  # child sums; backward fills in the single children
         gates = np.empty((4, N, H))  # u, i, o, f; f only for a single child
         c = np.empty((N, H))
         h = np.empty((N, H))
         tanh_c = np.empty((N, H))
-        # forget gate and child's hidden state per edge; zero on one-child
-        # levels, which keep them in the node rows
-        E = 0 if multi is None else len(multi[0])
-        f_edge = np.zeros((E, H))
-        h_edge = np.zeros((E, H))
+        # child sums of a tree's nodes, which backward fills in for the single
+        # children; a chain's are all single, read by backward from h
+        h_in = None if self.model_type == "lstm" else np.zeros((N, H))
+        f_edge = h_edge = None
         if multi is not None:
+            # forget gate and child's hidden state per edge; zero on one-child
+            # levels, which keep them in the node rows
+            f_edge = np.zeros((len(multi[0]), H))
+            h_edge = np.zeros((len(multi[0]), H))
             x_f = z[multi[1], 3 * H :]  # the forget gate's input term of each edge's parent
         one_row = []  # levels of one node, whose gates stay in their rows of z
         for a, b, kids, edges in levels:
@@ -473,24 +484,25 @@ class TreeLstmClassifier:
             np.multiply(g[2], tanh_c[a:b], h[a:b])
             if b - a > 1:
                 gates[:k, a:b] = g
-        if one_row:
-            # a chain batch's one-row levels are its last ones: a slice, which
-            # reads and writes without building an index array
-            first, last = one_row[0], one_row[-1]
-            rows = slice(first, last + 1) if last - first == len(one_row) - 1 else one_row
-            gates[:, rows] = z[rows].reshape(-1, 4, H).transpose(1, 0, 2)
         hd, mask = dropout(h[read], drop_ratio, drop_rng)
         logits = hd @ p["Wy"] + p["by"]
-        cache = (schedule, X, h_in, gates, f_edge, h_edge, c, tanh_c, h, hd, mask)
+        cache = (schedule, X, z, one_row, h_in, gates, f_edge, h_edge, c, tanh_c, h, hd, mask)
         return logits, cache
 
     def backward(self, cache, dlogits: np.ndarray, input_grad: bool = False,
                  param_grads: bool = True) -> np.ndarray | None:
         _check_asked(input_grad, param_grads)
-        schedule, X, h_in, gates, f_edge, h_edge, c, tanh_c, h, hd, mask = cache
+        schedule, X, z, one_row, h_in, gates, f_edge, h_edge, c, tanh_c, h, hd, mask = cache
         _, rank, levels, read, single, multi = schedule
         p = self.params
-        N, D, H = len(rank), self.vectors.shape[1], self.hidden
+        N, D, H = len(h), self.vectors.shape[1], self.hidden
+        if one_row:
+            # the one-row levels' gates, left in their rows of z. A chain
+            # batch's are its last levels: a slice, which reads and writes
+            # without building an index array
+            first, last = one_row[0], one_row[-1]
+            rows = slice(first, last + 1) if last - first == len(one_row) - 1 else one_row
+            gates[:, rows] = z[rows].reshape(-1, 4, H).transpose(1, 0, 2)
         if param_grads:
             p.grads["Wy"] += hd.T @ dlogits
             p.grads["by"] += np.add.reduce(dlogits, 0)
@@ -512,7 +524,7 @@ class TreeLstmClassifier:
         f_f = np.zeros((N, H))
         if single is not None:  # a node with one child reads it through its own row
             rows, children = single
-            if param_grads:  # U's gradient reads it as the node's child sum
+            if param_grads and h_in is not None:  # a tree's U gradient reads it as the child sum
                 h_in[rows] = h[children]
             f_single = f[rows]
             f_f[rows] = c[children] * f_single * (ONE - f_single)
@@ -542,24 +554,33 @@ class TreeLstmClassifier:
                 dc[kids_e] = dc_edge * f_edge[e0:e1]
         if param_grads:
             # the rows of W and b: x and 1 of every node times its dz; of U:
-            # the child sum, which leaves (the first level's rows) do not have
+            # the child sum, which leaves (the first level's rows) do not
+            # have and a chain's other nodes read as their one child's h.
+            # Each part is added into its rows of the block: no block-sized sum
             grad = self._grad_block
             n_leaves = levels[0][1]
+            h_sum = h[single[1]] if h_in is None else h_in[n_leaves:]
             X = np.concatenate([X, np.ones((N, 1))], 1)  # x and 1 of every node
             grad_x = X.T @ dz
-            grad += np.concatenate([grad_x[:D], h_in[n_leaves:].T @ dz[n_leaves:], grad_x[D:]])
+            grad[:D] += grad_x[:D]
+            grad[D:-1] += h_sum.T @ dz[n_leaves:]
+            grad[-1:] += grad_x[D:]
             if multi is not None:
                 # an edge's forget gate reads its parent's x and 1 and its own child's h
                 grad_x = X[multi[1]].T @ dz_edge
-                grad[:, 3 * H :] += np.concatenate([grad_x[:D], h_edge.T @ dz_edge, grad_x[D:]])
+                grad_f = grad[:, 3 * H :]
+                grad_f[:D] += grad_x[:D]
+                grad_f[D:-1] += h_edge.T @ dz_edge
+                grad_f[-1:] += grad_x[D:]
         if not input_grad:
             return None
-        # x of a node with several children feeds each edge's forget gate
-        for a, b, _, edges in levels:
-            if edges is not None:
-                e0, e1, _, _, places = edges
-                dz[a:b, 3 * H :] += _child_sum(dz_edge[e0:e1], places, np.empty((b - a, H)))
-        return (dz @ self._block[:D].T)[rank]
+        if multi is not None:  # x of a node with several children feeds each edge's forget gate
+            for a, b, _, edges in levels:
+                if edges is not None:
+                    e0, e1, _, _, places = edges
+                    dz[a:b, 3 * H :] += _child_sum(dz_edge[e0:e1], places, np.empty((b - a, H)))
+        dX = dz @ self._block[:D].T
+        return dX if rank is None else dX[rank]
 
 
 def _check_asked(input_grad: bool, param_grads: bool) -> None:
@@ -597,10 +618,12 @@ _CHAIN_MEMO_SIZE = 64
 def _chain_schedule(lengths: tuple[int, ...]):
     """order, rank, levels, read and single of TreeLstmClassifier._schedule
     for a batch of chains of these lengths, with order the node at each
-    sorted place, counting over the inputs laid end to end. It follows from
-    the lengths alone, so it is memoised per length profile; every array is
-    read-only and levels is a tuple, since one result serves every batch of
-    that profile."""
+    sorted place, counting over the inputs laid end to end. Order and rank
+    are None for one input, whose nodes keep their order. Single's rows are
+    a slice, and so are its children when the inputs have equal lengths. It
+    follows from the lengths alone, so it is memoised per length profile;
+    every array is read-only and levels is a tuple, since one result serves
+    every batch of that profile."""
     sizes = np.array(lengths)
     ends = sizes.cumsum()
     starts = ends - sizes
@@ -615,15 +638,21 @@ def _chain_schedule(lengths: tuple[int, ...]):
     levels = ((0, bounds[1], None, None),
               *((a, b, slice(k, k + b - a), None)
                 for k, a, b in zip(bounds, bounds[1:], bounds[2:])))
-    N = bounds[-1]
-    rank = np.empty(N, dtype=np.int64)
-    rank[order] = np.arange(N)
-    read = rank[ends - 1]
-    rows = np.arange(bounds[1], N)
-    single = (rows, rows - counts[:-1].repeat(counts[1:]))
-    for array in (order, rank, read, *single):
-        array.flags.writeable = False
-    return order, rank, levels, read, single
+    N, B = bounds[-1], len(lengths)
+    if B == 1:  # one input is its own order
+        order = rank = None
+        read = np.array([N - 1])
+    else:
+        rank = np.empty(N, dtype=np.int64)
+        rank[order] = np.arange(N)
+        read = rank[ends - 1]
+    # every node above the leaves has one child, the node at its place one level down
+    children = (slice(0, N - B) if ordered[-1] == ordered[0]  # levels of B nodes each
+                else np.arange(B, N) - counts[:-1].repeat(counts[1:]))
+    for array in (order, rank, read, children):
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    return order, rank, levels, read, (slice(B, N), children)
 
 
 def _tree_schedule(arrays: np.ndarray, index: np.ndarray, rank: np.ndarray, n_trees: int):
@@ -759,9 +788,10 @@ def predict(model, batch: list[EncodedInput]):
 
 
 def classify(model, inst: EncodedInput) -> tuple[TemporalStatus, np.ndarray]:
-    """predict over a batch of one: the label and its (3,) probabilities."""
+    """predict over a batch of one: the label and its (3,) probabilities,
+    softmax_xent's over the logits predict has checked."""
     labels, logits, _ = predict(model, [inst])
-    return TemporalStatus(int(labels[0])), softmax_xent(logits, labels)[1][0]
+    return STATUSES[labels[0]], finite_softmax_xent(logits, labels)[1][0]
 
 
 def random_tree_children(n: int, rng: np.random.Generator) -> tuple[tuple[int, ...], ...]:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import errno
 import json
 import math
 import operator
@@ -207,7 +208,7 @@ def softmax_xent(logits: np.ndarray, gold) -> tuple:
     Takes (B, C) logits with B gold indices. Returns (loss, prob, dlogits):
     (B,) losses, (B, C) probabilities and dlogits = prob - onehot(gold).
     Non-finite logits raise NonFiniteError, a ValueError naming the first
-    bad row.
+    bad row. The arithmetic after these checks is finite_softmax_xent.
     """
     logits = np.asarray(logits, np.float64)
     gold = np.asarray(gold)
@@ -215,6 +216,15 @@ def softmax_xent(logits: np.ndarray, gold) -> tuple:
         raise ValueError(f"softmax_xent: {gold.shape} gold for {logits.shape} logits")
     if not np.isfinite(logits).all():
         raise NonFiniteError(int(np.argmin(np.isfinite(logits).all(axis=1))))
+    return finite_softmax_xent(logits, gold)
+
+
+def finite_softmax_xent(logits: np.ndarray, gold) -> tuple:
+    """softmax_xent over logits already refused when not finite, as
+    models.predict refuses them: (B, C) float64 logits and B gold indices,
+    with the same arithmetic and results, and no shape or finiteness check.
+    A gold index out of range is still a ValueError."""
+    gold = np.asarray(gold)
     onehot = gold[:, None] == np.arange(logits.shape[1])  # a row without a True: out of range
     z = logits - np.maximum.reduce(logits, 1, None, None, True)  # max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -490,8 +500,7 @@ def atomic_open(path: str, mode: str = "w"):
     raises. A killed writer never leaves a truncated artifact, at most its
     temp file. An OSError that names the temp file names ``path`` instead.
     """
-    head, name = os.path.split(path)
-    tmp = os.path.join(head, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    tmp = _temp_path(path)
     try:
         with open(tmp, mode.replace("w", "x"), encoding=None if mode == "wb" else "utf-8") as f:
             yield f
@@ -502,6 +511,26 @@ def atomic_open(path: str, mode: str = "w"):
         if isinstance(e, OSError) and e.filename == tmp:
             raise OSError(e.errno, e.strerror, path) from None
         raise
+
+
+def _temp_path(path: str) -> str:
+    head, name = os.path.split(path)
+    return os.path.join(head, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+
+
+def check_writable(path: str) -> None:
+    """Raise, before any work is done, the OSError naming ``path`` that
+    atomic_open(path) would raise: opening its temp file (it creates and
+    removes one), as when the directory is missing, or replacing a
+    directory. atomic_open stays the guard for what changes later."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    tmp = _temp_path(path)
+    try:
+        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from None
+    os.unlink(tmp)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ The saliency of a token is the mean over embedding dimensions of the absolute
 derivative of the cross-entropy loss with respect to that token's embedding
 vector. The loss is taken at the gold label when one is supplied, otherwise
 at the model's own prediction. A batch is mapped by one checked prediction
-pass (models.predict) and one backward pass; one map is a batch of one.
+pass (models.predict) and one backward pass, whose logit gradient comes
+from finite_softmax_xent: softmax_xent's arithmetic, without the check
+predict has made. One map is a batch of one.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import TemporalStatus, _has_line_break
+from .corpus import STATUSES, TemporalStatus, _has_line_break
 from .models import EncodedInput, predict
-from .nncore import softmax_xent
+from .nncore import finite_softmax_xent
 
 __all__ = [
     "SaliencyMap",
@@ -41,6 +43,10 @@ class SaliencyMap:
     def __post_init__(self):
         if len(self.tokens) != len(self.scores):
             raise ValueError("tokens and scores lengths differ")
+        # a finite sum holds no NaN or infinity, so min then sees every score;
+        # a sum that overflows leaves the per-score test to decide
+        if math.isfinite(sum(self.scores)) and min(self.scores, default=0.0) >= 0:
+            return
         for pos, score in enumerate(self.scores, start=1):
             if not math.isfinite(score) or score < 0:  # NaN < 0 is False
                 raise ValueError(f"position {pos}: saliency score {score} is not a finite "
@@ -60,14 +66,14 @@ def saliency_maps(model, batch: list[EncodedInput], labels=None):
     predicted, logits, cache = predict(model, batch)
     predicted = predicted.tolist()
     at = [p if label is None else int(label) for p, label in zip(predicted, labels, strict=True)]
-    _, _, dlogits = softmax_xent(logits, at)
+    _, _, dlogits = finite_softmax_xent(logits, at)
     raw = np.abs(model.backward(cache, dlogits, input_grad=True, param_grads=False))
     scores = (np.add.reduce(raw, 1) / raw.shape[1]).tolist()  # raw.mean(axis=1)
     end = 0
     for inst, pred, label in zip(batch, predicted, labels):
         start, end = end, end + len(inst)
         yield SaliencyMap(tokens=inst.forms, scores=tuple(scores[start:end]),
-                          raw=raw[start:end], predicted=TemporalStatus(pred), gold=label)
+                          raw=raw[start:end], predicted=STATUSES[pred], gold=label)
 
 
 def compute_saliency(model, inst: EncodedInput,
@@ -83,13 +89,15 @@ def _label_name(label: TemporalStatus | None) -> str:
 def emit_heatmap(smap: SaliencyMap, fmt: str) -> str:
     """Render a map as CSV (position,token,score) or a self-contained HTML
     page whose span backgrounds scale linearly with score/max. CSV refuses
-    (ValueError) a token holding a line break as str.splitlines defines one."""
+    (ValueError) a token holding a line break as str.splitlines defines one;
+    every such break is unprintable, so only such tokens are searched."""
     if len(smap) == 0:
         raise ValueError("empty saliency map")
     if fmt == "csv":
         lines = ["position,token,score"]
         for pos, (tok, score) in enumerate(zip(smap.tokens, smap.scores), start=1):
-            if _has_line_break(tok):  # parse_heatmap_csv would split its row
+            # a line break is never printable; parse_heatmap_csv would split its row
+            if not tok.isprintable() and _has_line_break(tok):
                 raise ValueError(f"position {pos}: token {tok!r} holds a line break, "
                                  f"which a CSV row cannot")
             lines.append(f"{pos},{_csv_field(tok)},{score:.6f}")
@@ -123,7 +131,7 @@ def emit_heatmap(smap: SaliencyMap, fmt: str) -> str:
 
 
 def _csv_field(value: str) -> str:
-    if any(c in value for c in ',"'):
+    if "," in value or '"' in value:
         return '"' + value.replace('"', '""') + '"'
     return value
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import depchain
-from depchain import harness
+from depchain import cli, harness
 from depchain import (
     TrainConfig,
     heatmap_filename,
@@ -613,10 +613,19 @@ class TestTrainEval:
         assert "learning_rate" in capsys.readouterr().err
         assert not (tmp_path / "x.ckpt").exists()
 
+    @staticmethod
+    def forbid_work(monkeypatch):
+        """Make training, cross-validation and evaluation fail if reached."""
+        def reached(*args, **kwargs):
+            raise AssertionError("an unwritable output must be refused before any work")
+        for name in ("train", "cross_validate", "evaluate"):
+            monkeypatch.setattr(cli, name, reached)
+
     @pytest.mark.parametrize("command", ["train", "eval", "cv", "extract"])
-    def test_unwritable_out_names_the_given_path(self, tmp_path, capsys, command):
+    def test_unwritable_out_names_the_given_path(self, tmp_path, capsys, monkeypatch, command):
         # an artifact is written through a hidden temp file beside it; when
-        # its directory is missing, the error line names the path given
+        # its directory is missing, the error line names the path given, and
+        # train, eval and cv say so before any work
         conllu, events = gen_corpus(tmp_path)
         out = str(tmp_path / "nodir" / "artifact")
         data = ["--conllu", conllu, "--events", events, "--out", out]
@@ -627,11 +636,44 @@ class TestTrainEval:
                   + data + TINY_HYPERS,
             "extract": ["extract", "--mode", "chain"] + data,
         }[command]
+        self.forbid_work(monkeypatch)
         capsys.readouterr()
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and repr(out) in err and ".tmp" not in err
+        assert err == f"error: [Errno 2] No such file or directory: {out!r}\n"
         assert not (tmp_path / "nodir").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "cv"])
+    def test_out_that_is_a_directory_refused_before_any_work(self, tmp_path, capsys,
+                                                             monkeypatch, command):
+        conllu, events = gen_corpus(tmp_path)
+        model = train_tiny(tmp_path, conllu, events)
+        out = tmp_path / "taken"
+        out.mkdir()
+        data = ["--conllu", conllu, "--events", events, "--out", str(out)]
+        argv = {
+            "train": ["train", "--model", "lstm", "--repr", "chain"] + data + TINY_HYPERS,
+            "eval": ["eval", "--model", model] + data,
+            "cv": ["cv", "--model", "lstm", "--repr", "chain", "--folds", "2"]
+                  + data + TINY_HYPERS,
+        }[command]
+        self.forbid_work(monkeypatch)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(out)!r}\n"
+        assert out.is_dir() and not any(out.iterdir())
+
+    def test_save_models_on_a_file_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
+        conllu, events = gen_corpus(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        self.forbid_work(monkeypatch)
+        capsys.readouterr()
+        assert main(["cv", "--model", "lstm", "--repr", "chain", "--folds", "2",
+                     "--conllu", conllu, "--events", events,
+                     "--save-models", str(taken)] + TINY_HYPERS) == 1
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: {str(taken)!r}\n"
+        assert taken.read_text() == "not a directory\n"
 
 
 class TestCv:

@@ -27,6 +27,7 @@ from depchain.models import (
     random_tree_children,
 )
 from depchain.nncore import NonFiniteError, RmsProp, grad_check, softmax_xent
+from depchain.saliency import saliency_maps
 
 
 def zeroed(model_type, X, hidden, **kw):
@@ -530,6 +531,10 @@ class TestClassify:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as caught:
             classify(m, seq_input(3))
         assert caught.value.row == 0
+        # training refuses them through softmax_xent's own check
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as caught:
+            model_loss(m, [seq_input(2), seq_input(3)], [0, 1])
+        assert caught.value.row == 0
 
 
 class TestPredict:
@@ -546,6 +551,26 @@ class TestPredict:
         # the cache feeds a backward pass
         _, _, dlogits = softmax_xent(logits, labels)
         assert m.backward(cache, dlogits, input_grad=True, param_grads=False).shape == (18, 4)
+
+    @pytest.mark.parametrize("model_type", ["lstm", "cnn", "treelstm"])
+    def test_classify_and_maps_are_softmax_xent_of_predicted_logits(self, model_type):
+        # both skip softmax_xent's checks on logits predict has checked, and
+        # keep its bytes
+        rng = np.random.default_rng(34)
+        m, X = build_then_draw(model_type, (40, 4), 5, rng)
+        batch = random_batch(model_type, X, [3, 7, 1, 5, 2], rng)
+        for inst in batch:
+            labels, logits, _ = predict(m, [inst])
+            status, prob = classify(m, inst)
+            assert status is TemporalStatus(int(labels[0]))
+            assert prob.tobytes() == softmax_xent(logits, labels)[1][0].tobytes()
+        golds = [None, TemporalStatus.FUTURE, TemporalStatus.PAST, None, TemporalStatus.ONGOING]
+        labels, logits, cache = predict(m, batch)
+        at = [int(p if g is None else g) for p, g in zip(labels, golds)]
+        dX = m.backward(cache, softmax_xent(logits, at)[2], input_grad=True, param_grads=False)
+        maps = list(saliency_maps(m, batch, golds))
+        assert [s.predicted for s in maps] == [TemporalStatus(int(p)) for p in labels]
+        assert np.concatenate([s.raw for s in maps]).tobytes() == np.abs(dX).tobytes()
 
     def test_ties_break_toward_lower_index(self):
         m = zeroed("cnn", np.zeros((4, 3)), 4)
@@ -1070,9 +1095,20 @@ def chain_schedule_oracle(lengths):
 
 
 def assert_same_schedule(got, want):
-    order, rank, levels, read, single = got
+    """The memo's schedule picks what the oracle's does. Its order and rank
+    are None, the identity, for one input and only then; single's rows are
+    always a slice and its children one when the inputs' lengths are equal."""
+    order, rank, levels, read, (rows, kids) = got
     assert isinstance(levels, tuple) and levels == want[2]
-    for g, w in zip((order, rank, read, *single), (*want[:2], want[3], *want[4])):
+    n_inputs = levels[0][1]
+    n_nodes = levels[-1][1]
+    assert (order is None) == (rank is None) == (n_inputs == 1)
+    if n_inputs == 1:
+        order = rank = np.arange(n_nodes)
+    equal_lengths = all(b - a == n_inputs for a, b, _, _ in levels)
+    assert isinstance(rows, slice) and isinstance(kids, slice) == equal_lengths
+    rows, kids = (np.arange(n_nodes)[i] if isinstance(i, slice) else i for i in (rows, kids))
+    for g, w in zip((order, rank, read, rows, kids), (*want[:2], want[3], *want[4])):
         assert g.dtype.kind == "i" and g.shape == w.shape and (g == w).all()
 
 
@@ -1096,7 +1132,9 @@ class TestChainScheduleMemo:
     @pytest.mark.parametrize("lengths", [(1,), (5, 2, 5)], ids=str)
     def test_arrays_refuse_writes(self, lengths):
         order, rank, _, read, single = _chain_schedule(lengths)
-        for array in (order, rank, read, *single):
+        arrays = [a for a in (order, rank, read, *single) if isinstance(a, np.ndarray)]
+        assert len(arrays) == (1 if len(lengths) == 1 else 4)  # read; order, rank and kids
+        for array in arrays:
             assert not array.flags.writeable
             if array.size:
                 with pytest.raises(ValueError, match="read-only"):

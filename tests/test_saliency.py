@@ -1,6 +1,7 @@
 """Saliency maps: gradient correctness, CSV/HTML emission, parsing."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -167,6 +168,20 @@ class TestComputeSaliency:
             SaliencyMap(tokens=("a", "b"), scores=(0.5, bad), raw=None,
                         predicted=None, gold=None)
 
+    @pytest.mark.parametrize("scores, bad_pos", [
+        ((0.0, -0.0, 1e308, 1e308), None),  # a sum that overflows, of good scores
+        ((math.nan, 1.0, 2.0), 1), ((1.0, -0.0, -1e-300), 3), ((1e308, 1e308, -1.0), 3),
+        ((math.inf, -math.inf), 1), ((2.0, math.nan, -1.0), 2)])
+    def test_scores_checked_one_by_one(self, scores, bad_pos):
+        def build():
+            return SaliencyMap(tokens=tuple("abcd"[: len(scores)]), scores=scores, raw=None,
+                               predicted=None, gold=None)
+        if bad_pos is None:
+            assert build().scores == scores
+        else:
+            with pytest.raises(ValueError, match=f"position {bad_pos}: "):
+                build()
+
 
 class TestSaliencyMaps:
     @pytest.mark.parametrize("labels", ["predicted", "mixed"])
@@ -243,6 +258,31 @@ class TestCsvHeatmap:
         with pytest.raises(ValueError, match="position 2"):
             emit_heatmap(smap, "csv")
         assert emit_heatmap(smap, "html").startswith("<!DOCTYPE html>")  # HTML holds any text
+
+    @pytest.mark.parametrize("tok", ["a,\nb", 'say "\r"', "\u2029"])
+    def test_line_break_refused_in_quoted_token(self, tok):
+        with pytest.raises(ValueError, match="position 2"):
+            emit_heatmap(simple_map(tokens=("ok", tok, "fine")), "csv")
+
+    @pytest.mark.parametrize("tok, field", [
+        ("a\tb", "a\tb"), ("\x00", "\x00"), ("a\u200bb", "a\u200bb"), ("\xa0", "\xa0"),
+        ("a,\tb", '"a,\tb"'), ('\x00"', '"\x00"""'), ('"\xa0,', '"""\xa0,"'),
+    ])
+    def test_unprintable_token_without_line_break_written(self, tok, field):
+        # not printable, yet no line break: written as is, quoted when it
+        # holds a comma or a quote, and read back
+        assert not tok.isprintable() and len(f"x{tok}x".splitlines()) == 1
+        smap = simple_map(tokens=("ok", tok, "fine"))
+        text = emit_heatmap(smap, "csv")
+        assert text == ("position,token,score\n1,ok,0.250000\n"
+                        f"2,{field},0.500000\n3,fine,0.125000\n")
+        assert parse_heatmap_csv(text).tokens == smap.tokens
+
+    def test_every_line_break_is_unprintable(self):
+        # the emitter looks for a line break only in a token that
+        # str.isprintable rejects
+        breaks = [chr(c) for c in range(sys.maxunicode + 1) if len(f"x{chr(c)}x".splitlines()) > 1]
+        assert len(breaks) == 10 and not any(c.isprintable() for c in breaks)
 
     def test_parse_rejects_bad_header(self):
         with pytest.raises(ValueError, match="line 1"):
