@@ -13,8 +13,9 @@ same whichever others are formed with it. A model is deterministic unless
 given a dropout ratio, which only training does.
 Dropout touches only the penultimate vector (final hidden state or pooled
 feature vector). Every prediction is one checked predict call over a batch,
-a single input a batch of one; classify takes its probabilities through
-softmax_xent's arithmetic without a second check (finite_softmax_xent).
+a single input a batch of one; classify takes its probabilities as the
+exp of softmax_xent's log-probabilities (log_softmax), with no second check
+and no loss.
 The CNN reads its windows as one strided view of the zero-padded batch and
 max-pools them, routing each filter's gradient back to its first winning
 window (see CnnClassifier). The LSTM
@@ -44,8 +45,8 @@ import numpy as np
 
 from .corpus import STATUSES, TemporalStatus
 from .errors import TrainingError
-from .nncore import (ONE, NonFiniteError, ParamSet, constant, dropout, finite_softmax_xent,
-                     grad_check, softmax_xent, uniform_init)
+from .nncore import (ONE, NonFiniteError, ParamSet, constant, dropout, grad_check, log_softmax,
+                     softmax_xent, uniform_init)
 
 __all__ = [
     "EncodedInput",
@@ -326,6 +327,11 @@ class TreeLstmClassifier:
     level's row already is that block, so it works on a view, and the gates
     of all one-row levels are gathered into the gate array by the backward
     pass, as a prediction alone never reads them.
+    The readout takes np.dot, which gives @'s bits without its ufunc
+    dispatch and was never the slower at a row count measured. Every other
+    product stays on @: a level's rows are at most the batch size and the
+    input terms' one per node, and past about 60 rows np.dot is the
+    slower.
     The backward pass pushes each level's gradients into its children's
     rows, top level first, whichever gradients are asked for. It ends, when
     asked for the parameter gradients, in one matmul for those of W and b
@@ -480,12 +486,12 @@ class TreeLstmClassifier:
                 c_level += g[3] * c[kids]
             elif edges is not None:
                 c_level += _child_sum(g_f * c[kids_e], places, np.empty((b - a, H)))
-            np.tanh(c_level, tanh_c[a:b])
-            np.multiply(g[2], tanh_c[a:b], h[a:b])
+            np.multiply(g[2], np.tanh(c_level, tanh_c[a:b]), h[a:b])
             if b - a > 1:
                 gates[:k, a:b] = g
         hd, mask = dropout(h[read], drop_ratio, drop_rng)
-        logits = hd @ p["Wy"] + p["by"]
+        logits = np.dot(hd, p["Wy"])
+        logits += p["by"]
         cache = (schedule, X, z, one_row, h_in, gates, f_edge, h_edge, c, tanh_c, h, hd, mask)
         return logits, cache
 
@@ -789,9 +795,10 @@ def predict(model, batch: list[EncodedInput]):
 
 def classify(model, inst: EncodedInput) -> tuple[TemporalStatus, np.ndarray]:
     """predict over a batch of one: the label and its (3,) probabilities,
-    softmax_xent's over the logits predict has checked."""
+    softmax_xent's (np.exp of log_softmax) over the logits predict has
+    checked, with no loss formed."""
     labels, logits, _ = predict(model, [inst])
-    return STATUSES[labels[0]], finite_softmax_xent(logits, labels)[1][0]
+    return STATUSES[labels[0]], np.exp(log_softmax(logits)[0])
 
 
 def random_tree_children(n: int, rng: np.random.Generator) -> tuple[tuple[int, ...], ...]:

@@ -219,22 +219,29 @@ def softmax_xent(logits: np.ndarray, gold) -> tuple:
     return finite_softmax_xent(logits, gold)
 
 
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Each row's log-probabilities, (B, C) from finite (B, C) float64
+    logits, stabilized by max-subtraction; no check. softmax_xent's
+    probabilities are exactly np.exp of these."""
+    z = logits - np.maximum.reduce(logits, 1, None, None, True)  # max(axis=1, keepdims=True)
+    z -= np.log(np.add.reduce(np.exp(z), 1, None, None, True))  # minus the log-sum-exp
+    return z
+
+
 def finite_softmax_xent(logits: np.ndarray, gold) -> tuple:
     """softmax_xent over logits already refused when not finite, as
     models.predict refuses them: (B, C) float64 logits and B gold indices,
-    with the same arithmetic and results, and no shape or finiteness check.
-    A gold index out of range is still a ValueError."""
+    with the same arithmetic and results (log_softmax's), and no shape or
+    finiteness check. A gold index out of range is still a ValueError, which
+    the one-hot carries: a row without a True picks nothing."""
     gold = np.asarray(gold)
-    onehot = gold[:, None] == np.arange(logits.shape[1])  # a row without a True: out of range
-    z = logits - np.maximum.reduce(logits, 1, None, None, True)  # max(axis=1, keepdims=True)
-    e = np.exp(z)
-    logsumexp = np.log(np.add.reduce(e, 1, None, None, True))
-    z -= logsumexp  # log-probabilities; -(z - lse) is exactly lse - z
-    picked = z[onehot]  # each row's gold entry, in row order
+    onehot = gold[:, None] == np.arange(logits.shape[1])
+    z = log_softmax(logits)
+    picked = z[onehot]  # each row's gold entry, in row order (a copy)
     if picked.size != gold.size:
         raise ValueError(f"softmax_xent: gold index {gold} out of range")
-    prob = np.exp(z, out=e)
-    return -picked, prob, prob - onehot
+    prob = np.exp(z, z)
+    return -picked, prob, prob - onehot  # -(z - lse) is exactly lse - z
 
 
 def dropout(

@@ -6,7 +6,8 @@ vector. The loss is taken at the gold label when one is supplied, otherwise
 at the model's own prediction. A batch is mapped by one checked prediction
 pass (models.predict) and one backward pass, whose logit gradient comes
 from finite_softmax_xent: softmax_xent's arithmetic, without the check
-predict has made. One map is a batch of one.
+predict has made; its one-hot refuses (ValueError) a label outside the
+three classes. One map is a batch of one.
 """
 
 from __future__ import annotations

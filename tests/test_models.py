@@ -282,15 +282,32 @@ class TestOneCell:
             assert m.params[name].tobytes() == value.tobytes(), name
         assert rng.random() == want_rng.random()
 
-    @pytest.mark.parametrize("length", [1, 2, 7])
-    def test_treelstm_on_chain_tree_equals_lstm(self, length):
-        rng = np.random.default_rng(200 + length)
-        m, X = build_then_draw("lstm", (length, 4), 5, rng)
-        chain = [()] + [(t - 1,) for t in range(1, length)]
+    @pytest.mark.parametrize("lengths", [(1,), (2,), (7,), (3, 7, 1, 5)],
+                             ids=lambda lengths: "-".join(map(str, lengths)))
+    def test_treelstm_on_chain_tree_equals_lstm(self, lengths):
+        # forward and backward: the lstm reaches a chain level's children
+        # through slices, the treelstm through index arrays
+        rng = np.random.default_rng([200, *lengths])
+        m, X = build_then_draw("lstm", (sum(lengths), 4), 5, rng)
         tree = restore_model("treelstm", m.params.buffer, X, 5)
-        want = logits_of(m, seq_input(length))
-        got = logits_of(tree, tree_input(chain, root_pos=length - 1))
-        assert np.abs(got - want).max() <= 1e-12
+        starts = np.cumsum((0, *lengths[:-1])).tolist()
+        chains = [seq_input(n, s) for n, s in zip(lengths, starts)]
+        trees = [tree_input([()] + [(t - 1,) for t in range(1, n)], root_pos=n - 1, first_row=s)
+                 for n, s in zip(lengths, starts)]
+        dlogits = rng.standard_normal((len(lengths), 3))
+        results = []
+        for model, batch in ((m, chains), (tree, trees)):
+            logits, cache = model.forward(batch)
+            dX = model.backward(cache, dlogits, input_grad=True)
+            results.append((logits, dX, model.params.grad_buffer))
+        (want, want_dX, want_grads), (got, got_dX, got_grads) = results
+        assert got.tobytes() == want.tobytes()
+        assert got_dX.tobytes() == want_dX.tobytes()
+        # the parameter gradients sum over the nodes, which an unequal batch
+        # orders longest first in the lstm and by height in the tree
+        assert np.abs(got_grads - want_grads).max() <= 1e-12
+        if len(lengths) == 1:
+            assert got_grads.tobytes() == want_grads.tobytes()
 
 
 class TestCnnWindows:

@@ -214,6 +214,16 @@ class TestSaliencyMaps:
         with pytest.raises(ValueError):
             list(saliency_maps(model, [inst, inst], [TemporalStatus.PAST]))
 
+    @pytest.mark.parametrize("model_type", ["lstm", "cnn", "treelstm"])
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_outside_the_classes_refused(self, model_type, label):
+        # -1 must not read as the last class (FUTURE) through an index
+        model, inst = fresh(model_type)
+        with pytest.raises(ValueError, match="out of range"):
+            list(saliency_maps(model, [inst], [label]))
+        with pytest.raises(ValueError, match="out of range"):
+            compute_saliency(model, inst, label)
+
 
 def simple_map(tokens=("alpha", "beta", "gamma"), scores=(0.25, 0.5, 0.125),
                predicted=TemporalStatus.FUTURE, gold=TemporalStatus.PAST):
